@@ -199,11 +199,13 @@ fn main() {
     let mut serial_wall = 0.0f64;
     let mut measurements = Vec::new();
     let mut total_violations = 0u64;
+    let mut checked_cells = 0u64;
     for &threads in &thread_counts {
         let (runs, wall_s) = run_all(&w, threads, args.progress);
         let trials: u64 = runs.iter().map(|r| r.trials).sum();
         let events: u64 = runs.iter().map(|r| r.events).sum();
         total_violations += runs.iter().map(|r| r.violations).sum::<u64>();
+        checked_cells += runs.iter().map(|r| r.checked_cells).sum::<u64>();
         let mut busy_s = vec![0.0f64; threads];
         let mut merge_wait_s = vec![0.0f64; threads];
         let mut steal_attempts = vec![0u64; threads];
@@ -448,7 +450,7 @@ fn main() {
     }
 
     if intang_simcheck::enabled() {
-        eprintln!("  simcheck: {total_violations} invariant violation(s) across all runs");
+        eprintln!("  simcheck: {total_violations} invariant violation(s) across all runs ({checked_cells} cells checked)");
         if total_violations > 0 {
             eprintln!(
                 "ERROR: simcheck reported invariant violations; minimal repro artifacts are in {}",

@@ -3,9 +3,7 @@
 //! a single GFW tap. Sweeps the flow count (1k → 100k by default, higher
 //! with `--flows`), reporting per-flow outcome counts, cross-flow
 //! interference counters (blacklist collateral resets, TCB evictions,
-//! resync storms), throughput (flows/s, events/s) and peak RSS — and
-//! verifies at every flow count that per-shard aggregation is
-//! byte-identical at 1, 2 and 8 workers.
+//! resync storms), throughput (flows/s, events/s) and peak RSS.
 //!
 //! After the serial sweep the largest point is re-run as parallel event
 //! domains (`run_metropolis_domains`): a `domains = 1` serial reference,
@@ -33,9 +31,7 @@
 //! censor from a compiled profile instead of the stock evolved model.
 
 use intang_experiments::args::CommonArgs;
-use intang_experiments::metropolis::{
-    run_metropolis_domains, run_metropolis_with_workers, shard_latency_stats, MetroDomainsRun, MetroParams, MetroRun,
-};
+use intang_experiments::metropolis::{run_metropolis, run_metropolis_domains, shard_latency_stats, MetroDomainsRun, MetroParams, MetroRun};
 use intang_gfw::{EvictionPolicy, GfwConfig};
 use intang_telemetry::GaugeId;
 use std::fmt::Write as _;
@@ -54,7 +50,6 @@ struct Measurement {
     flows: u32,
     wall_s: f64,
     run: MetroRun,
-    aggregation_identical: bool,
     peak_rss_kb: Option<u64>,
 }
 
@@ -125,19 +120,12 @@ fn measure(flows: u32, seed: u64, shards: u32, knobs: &WorldKnobs) -> Measuremen
     p.censor = knobs.censor.clone();
     p.middlebox = knobs.middlebox;
     let start = Instant::now();
-    let run = run_metropolis_with_workers(&p, 1);
+    let run = run_metropolis(&p);
     let wall_s = start.elapsed().as_secs_f64();
-    // The event loop is serial by construction; the worker axis is the
-    // per-shard aggregation sweep. Re-fold the same outcome grid at 2 and
-    // 8 workers and demand byte-identical shard summaries.
-    let aggregation_identical = [2usize, 8]
-        .iter()
-        .all(|&w| intang_experiments::metropolis::aggregate_shards(&run.results, p.shards, w) == run.shards);
     Measurement {
         flows,
         wall_s,
         run,
-        aggregation_identical,
         peak_rss_kb: peak_rss_kb(),
     }
 }
@@ -145,7 +133,7 @@ fn measure(flows: u32, seed: u64, shards: u32, knobs: &WorldKnobs) -> Measuremen
 /// `--smoke`: CI gate. 1k flows with simcheck forced on — the serial
 /// loop, then a multi-domain parallel leg byte-compared against its own
 /// `domains = 1` reference; fails on any invariant violation, ordering
-/// regression, aggregation divergence, serial/parallel divergence, or
+/// regression, serial/parallel divergence, or
 /// (when `INTANG_METRO_RSS_MB` is set) peak RSS above the ceiling.
 fn smoke_gate(seed: u64, shards: u32, knobs: &WorldKnobs, domains: u32, workers: usize) -> ! {
     intang_simcheck::set_thread(Some(true));
@@ -167,10 +155,6 @@ fn smoke_gate(seed: u64, shards: u32, knobs: &WorldKnobs, domains: u32, workers:
     }
     if m.run.order_violations > 0 {
         eprintln!("ERROR: {} per-flow (time, seq) ordering regression(s)", m.run.order_violations);
-        failed = true;
-    }
-    if !m.aggregation_identical {
-        eprintln!("ERROR: shard aggregation diverged across worker counts");
         failed = true;
     }
     if succeeded + reset + stalled != spawned {
@@ -298,7 +282,7 @@ fn main() {
         eprintln!(
             "  {flows:>8} flows: {:8.2}s  {:>9.0} flows/s  {:>11.0} events/s  \
              {succeeded} ok / {reset} reset / {stalled} stalled  \
-             collateral={} evicted={} storms={} rss={}MB identical={}",
+             collateral={} evicted={} storms={} rss={}MB",
             m.wall_s,
             spawned as f64 / m.wall_s,
             m.run.events as f64 / m.wall_s,
@@ -306,7 +290,6 @@ fn main() {
             m.run.tcbs_evicted,
             m.run.resync_storms,
             m.peak_rss_kb.map_or(0, |kb| kb / 1024),
-            m.aggregation_identical,
         );
         measurements.push(m);
     }
@@ -396,7 +379,7 @@ fn main() {
             "    {{\"flows\": {}, \"wall_s\": {:.3}, \"flows_per_s\": {:.1}, \"events\": {}, \"events_per_s\": {:.0}, \
              \"succeeded\": {succeeded}, \"reset\": {reset}, \"stalled\": {stalled}, \
              \"collateral_resets\": {}, \"tcbs_evicted\": {}, \"resync_storms\": {}, \
-             \"order_violations\": {}, \"aggregation_identical_1_2_8\": {}, \"peak_rss_kb\": {}, \
+             \"order_violations\": {}, \"peak_rss_kb\": {}, \
              \"shard_latency_us\": {{\"min\": {:.1}, \"max\": {:.1}, \"avg\": {:.1}, \"empty_shards\": {}}}}}",
             m.flows,
             m.wall_s,
@@ -407,7 +390,6 @@ fn main() {
             m.run.tcbs_evicted,
             m.run.resync_storms,
             m.run.order_violations,
-            m.aggregation_identical,
             m.peak_rss_kb.map_or_else(|| "null".to_string(), |kb| kb.to_string()),
             lat.min,
             lat.max,
@@ -510,10 +492,6 @@ fn main() {
     println!("{json}");
 
     let mut failed = false;
-    if measurements.iter().any(|m| !m.aggregation_identical) {
-        eprintln!("ERROR: shard aggregation diverged across worker counts");
-        failed = true;
-    }
     if let Some(m) = parallel.iter().find(|m| !m.identical) {
         eprintln!(
             "ERROR: parallel metropolis ({} domains, {} workers) diverged from the serial reference",

@@ -10,6 +10,7 @@ use crate::trial_dns::{run_dns_trial, DnsOutcome, DnsTrialSpec, DYN1, DYN2};
 /// the Tianjin anomaly unexplained; see EXPERIMENTS.md).
 pub const TIANJIN_NAT_PROB: f64 = 0.65;
 
+#[derive(Debug, PartialEq)]
 pub struct Table6Row {
     pub resolver_name: &'static str,
     pub success_except_tj: f64,
@@ -17,44 +18,46 @@ pub struct Table6Row {
     pub tj_success: f64,
 }
 
-pub fn run_rows(trials: u32, seed: u64) -> Vec<Table6Row> {
+/// Both resolvers' rows, each swept on `workers` executor threads with
+/// one unit per vantage point; the rows do not depend on `workers`.
+pub fn run_rows(trials: u32, seed: u64, workers: usize) -> Vec<Table6Row> {
     let vps = VantagePoint::inside_china();
     [("Dyn 1", DYN1), ("Dyn 2", DYN2)]
         .into_iter()
         .enumerate()
         .map(|(ri, (resolver_name, resolver))| {
-            let mut per_vp = Vec::new();
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = vps
-                    .iter()
-                    .enumerate()
-                    .map(|(vi, vp)| {
-                        scope.spawn(move || {
-                            let nat_prob = if vp.name == "unicom-tj" { TIANJIN_NAT_PROB } else { 0.0 };
-                            let mut ok = 0u32;
-                            for t in 0..trials {
-                                let s = seed ^ ((ri as u64) << 48) ^ ((vi as u64) << 32) ^ u64::from(t);
-                                let spec = DnsTrialSpec {
-                                    vp,
-                                    resolver,
-                                    use_intang: true,
-                                    seed: s,
-                                    nat_prob,
-                                };
-                                if run_dns_trial(&spec) == DnsOutcome::Resolved {
-                                    ok += 1;
-                                }
-                            }
-                            (vp.name, ok)
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    per_vp.push(h.join().expect("dns sweep thread"));
-                }
-            });
-            let total: u32 = per_vp.iter().map(|(_, ok)| ok).sum();
-            let tj_ok = per_vp.iter().find(|(n, _)| *n == "unicom-tj").map(|(_, ok)| *ok).unwrap_or(0);
+            let mut resolved = vec![0u32; vps.len()];
+            crate::executor::run_units(
+                vps.len(),
+                workers,
+                intang_telemetry::knobs::current(),
+                |vi| {
+                    let vp = &vps[vi];
+                    let nat_prob = if vp.name == "unicom-tj" { TIANJIN_NAT_PROB } else { 0.0 };
+                    let mut ok = 0u32;
+                    for t in 0..trials {
+                        let s = seed ^ ((ri as u64) << 48) ^ ((vi as u64) << 32) ^ u64::from(t);
+                        let spec = DnsTrialSpec {
+                            vp,
+                            resolver,
+                            use_intang: true,
+                            seed: s,
+                            nat_prob,
+                        };
+                        if run_dns_trial(&spec) == DnsOutcome::Resolved {
+                            ok += 1;
+                        }
+                    }
+                    ok
+                },
+                |vi, ok| resolved[vi] = ok,
+            );
+            let total: u32 = resolved.iter().sum();
+            let tj_ok = vps
+                .iter()
+                .zip(&resolved)
+                .find(|(vp, _)| vp.name == "unicom-tj")
+                .map_or(0, |(_, ok)| *ok);
             let n_all = trials * vps.len() as u32;
             let n_except = trials * (vps.len() as u32 - 1);
             Table6Row {
@@ -78,7 +81,7 @@ pub fn run(args: &CommonArgs) -> String {
         ),
         &["DNS resolver", "IP", "except Tianjin", "All", "Tianjin alone"],
     );
-    for (row, (p_ex, p_all)) in run_rows(trials, args.seed).into_iter().zip(paper) {
+    for (row, (p_ex, p_all)) in run_rows(trials, args.seed, crate::runner::worker_count()).into_iter().zip(paper) {
         t.row(vec![
             row.resolver_name.to_string(),
             if row.resolver_name == "Dyn 1" {
@@ -100,7 +103,7 @@ mod tests {
 
     #[test]
     fn shape_matches_paper() {
-        let rows = run_rows(6, 321);
+        let rows = run_rows(6, 321, 2);
         for r in &rows {
             assert!(
                 r.success_except_tj > 0.9,
@@ -116,5 +119,10 @@ mod tests {
             );
             assert!(r.success_all < r.success_except_tj + 1e-9);
         }
+    }
+
+    #[test]
+    fn rows_are_identical_at_any_worker_count() {
+        assert_eq!(run_rows(3, 99, 1), run_rows(3, 99, 8));
     }
 }

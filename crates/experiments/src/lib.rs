@@ -10,6 +10,8 @@
 //! * [`trial`] — assembles one client→middleboxes→GFW→server simulation,
 //!   runs a fetch, and classifies the outcome with the paper's
 //!   Success / Failure 1 / Failure 2 taxonomy (§3.4);
+//! * [`executor`] — the one work-stealing executor every parallel loop
+//!   (sweep cells, metropolis domains, Table 6 vantage points) runs on;
 //! * [`runner`] — repeated-trial sweeps with per-strategy aggregation and
 //!   min/max/avg across vantage points (Table 4's presentation);
 //! * [`report`] — text/markdown table rendering;
@@ -20,6 +22,7 @@
 //! `reset_fingerprint`, `all`) regenerate each artifact.
 
 pub mod args;
+pub mod executor;
 pub mod metropolis;
 pub mod progress;
 pub mod report;

@@ -11,10 +11,11 @@
 //! evicts TCBs and degrades detection, and resync churn from many flows
 //! counts as storms.
 //!
-//! Determinism: the event loop is strictly serial. "Workers" here are
-//! post-run aggregation threads over the per-flow result grid, one shard
-//! at a time, folded in shard-index order — so any worker count produces
-//! byte-identical [`MetroRun`]s (asserted by `tests/determinism.rs`).
+//! Determinism: [`run_metropolis`]'s event loop is strictly serial. The
+//! parallel runner [`run_metropolis_domains`] splits the world into event
+//! domains, one [`crate::executor`] unit each, and merges them in domain
+//! order — byte-identical to its `domains = 1` serial reference at any
+//! worker count (asserted by `tests/determinism.rs`).
 
 use crate::runner::MinMaxAvg;
 use intang_apps::metro::{FlowOutcome, FlowResult, FlowSpec, MetroClients, MetroHandle, MetroServers};
@@ -24,9 +25,8 @@ use intang_middlebox::SeqStrictFirewall;
 use intang_netsim::rng::SimRng;
 use intang_netsim::{Duration, Instant, Link, Simulation};
 use intang_telemetry::{classify, FailureVector, TrialEvidence, TrialOutcome};
-use intang_telemetry::{MetricsSheet, SeriesSheet};
+use intang_telemetry::{MetricsSheet, RunKnobs, SeriesSheet};
 use std::net::Ipv4Addr;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Total client→server hop count of the metropolis path (2 on the censor
 /// side + 3 on the server side); seeded into the INTANG shim so
@@ -40,7 +40,7 @@ pub struct MetroParams {
     /// Flows to spawn over the run.
     pub flows: u32,
     pub seed: u64,
-    /// Shard count for per-flow state (aggregation workers sweep shards).
+    /// Shard count for per-flow state (and for the per-shard summaries).
     pub shards: u32,
     /// Client address pool size (source ports are per-address, so this
     /// bounds flows-per-address; [`MetroParams::new`] scales it).
@@ -147,8 +147,8 @@ pub fn generate_world(p: &MetroParams) -> MetroWorld {
     }
 }
 
-/// Per-shard fold of the flow-result grid (pure function of the shard's
-/// rows — identical whichever worker computes it).
+/// Per-shard fold of the flow-result grid (a pure function of the
+/// shard's rows).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ShardSummary {
     pub flows: u64,
@@ -182,48 +182,11 @@ impl ShardSummary {
     }
 }
 
-/// Aggregate the outcome grid shard by shard on `workers` threads. Each
-/// shard's summary is a pure function of that shard's rows and lands at
-/// its own index, so the result is byte-identical for any `workers >= 1`.
-pub fn aggregate_shards(results: &[FlowResult], shards: u32, workers: usize) -> Vec<ShardSummary> {
-    let shards = shards.max(1) as usize;
-    let mut out = vec![ShardSummary::default(); shards];
-    let workers = workers.max(1).min(shards);
-    if workers == 1 {
-        for r in results {
-            out[r.shard as usize].fold(r);
-        }
-        return out;
-    }
-    let cursor = AtomicUsize::new(0);
-    let computed = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                scope.spawn(move || {
-                    let mut mine = Vec::new();
-                    loop {
-                        let s = cursor.fetch_add(1, Ordering::Relaxed);
-                        if s >= shards {
-                            break;
-                        }
-                        let mut sum = ShardSummary::default();
-                        for r in results.iter().filter(|r| r.shard as usize == s) {
-                            sum.fold(r);
-                        }
-                        mine.push((s, sum));
-                    }
-                    mine
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("shard aggregation worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    for (s, sum) in computed {
-        out[s] = sum;
+/// Fold the outcome grid into one summary per shard, in shard order.
+pub fn aggregate_shards(results: &[FlowResult], shards: u32) -> Vec<ShardSummary> {
+    let mut out = vec![ShardSummary::default(); shards.max(1) as usize];
+    for r in results {
+        out[r.shard as usize].fold(r);
     }
     out
 }
@@ -390,9 +353,9 @@ fn build_metropolis_inner(p: &MetroParams, world: &MetroWorld, domains: u32, dom
     (sim, MetroParts { metro, intang, gfw })
 }
 
-/// Run a metropolis world to its horizon and aggregate with `workers`
-/// shard-sweep threads.
-pub fn run_metropolis_with_workers(p: &MetroParams, workers: usize) -> MetroRun {
+/// Run a legacy (global-censor) metropolis world to its horizon on the
+/// calling thread.
+pub fn run_metropolis(p: &MetroParams) -> MetroRun {
     let sc = intang_simcheck::enabled();
     if sc {
         intang_simcheck::begin_trial(p.seed);
@@ -411,7 +374,7 @@ pub fn run_metropolis_with_workers(p: &MetroParams, workers: usize) -> MetroRun 
     let violations = if sc { intang_simcheck::take_violations().len() as u64 } else { 0 };
 
     let results = parts.metro.results();
-    let shards = aggregate_shards(&results, p.shards, workers);
+    let shards = aggregate_shards(&results, p.shards);
     let (spawned, succeeded, reset, stalled) = parts.metro.counts();
     MetroRun {
         results,
@@ -426,11 +389,6 @@ pub fn run_metropolis_with_workers(p: &MetroParams, workers: usize) -> MetroRun 
         order_violations: parts.metro.order_violations(),
         violations,
     }
-}
-
-/// Serial-aggregation convenience wrapper.
-pub fn run_metropolis(p: &MetroParams) -> MetroRun {
-    run_metropolis_with_workers(p, 1)
 }
 
 /// §5 diagnosis over a metropolis run: how many stalled flows the failure
@@ -473,7 +431,7 @@ pub struct MetroDomainsRun {
     /// Per-domain diagnostics, in domain order.
     pub domain_stats: Vec<DomainStats>,
     /// Per-worker executor statistics, in worker-spawn order.
-    pub worker_stats: Vec<crate::runner::WorkerStats>,
+    pub worker_stats: Vec<crate::executor::WorkerStats>,
     /// Per-worker span-profiler sheets, parallel to `worker_stats`.
     pub worker_profiles: Vec<intang_telemetry::SpanSheet>,
 }
@@ -501,9 +459,10 @@ struct DomainOut {
 
 /// Build and run one event domain to the horizon, entirely on the calling
 /// thread (a `Simulation` is thread-bound).
-fn run_one_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32, series_wanted: bool, sc: bool) -> DomainOut {
+fn run_one_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32, series_wanted: bool) -> DomainOut {
     use intang_telemetry::series::CADENCE_US;
     let started = std::time::Instant::now();
+    let sc = intang_simcheck::enabled();
     if sc {
         intang_simcheck::begin_trial(p.seed ^ (u64::from(domain) << 32) ^ 0x444f_4d41_494e_3030); // "DOMAIN00"
         let _ = intang_simcheck::take_violations();
@@ -550,8 +509,8 @@ fn run_one_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32
 /// work-stealing threads.
 ///
 /// Each domain is a full client→shim→censor→server path hosting only its
-/// own shards, built *and* run inside whichever worker claims it (the
-/// same atomic-cursor executor as [`crate::runner::sweep_with_threads`]).
+/// own shards, built *and* run inside whichever [`crate::executor`] worker
+/// claims it.
 /// Censor and shim state run sharded (`state_shards = p.shards`), so the
 /// per-shard event streams are causally closed and the merged output —
 /// outcome grid, counters, metrics sheet, gauge series — is byte-identical
@@ -573,66 +532,19 @@ pub fn run_metropolis_domains(p: &MetroParams, domains: u32, workers: usize) -> 
 /// world instead of the seeded generator.
 pub fn run_metropolis_domains_world(p: &MetroParams, world: &MetroWorld, domains: u32, workers: usize) -> MetroDomainsRun {
     let domains = domains.clamp(1, p.shards.max(1));
-    let workers = workers.max(1).min(domains as usize);
-    let series_wanted = intang_telemetry::series::enabled();
-    let sc = intang_simcheck::enabled();
-
-    // Replay the caller's observability overrides inside every worker
-    // (thread-locals do not cross `thread::scope`).
-    let batch_override = intang_netsim::batch::thread_override();
-    let flight_override = intang_netsim::flight::thread_override();
-    let spans_override = intang_telemetry::spans::thread_override();
-
-    let cursor = AtomicUsize::new(0);
-    let outs: std::sync::Mutex<Vec<Option<DomainOut>>> = std::sync::Mutex::new((0..domains).map(|_| None).collect());
-
-    let worker_results = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                let outs = &outs;
-                scope.spawn(move || {
-                    intang_netsim::batch::set_thread(batch_override);
-                    intang_netsim::flight::set_thread(flight_override);
-                    intang_telemetry::spans::set_thread(spans_override);
-                    // Domain sims always sample manually; the in-sim
-                    // recorder stays off whatever the caller set.
-                    let prev_series = intang_telemetry::series::set_thread(Some(false));
-                    let prev_sc = intang_simcheck::set_thread(Some(sc));
-                    let started = std::time::Instant::now();
-                    let mut stats = crate::runner::WorkerStats::default();
-                    loop {
-                        stats.steal_attempts += 1;
-                        let d = cursor.fetch_add(1, Ordering::Relaxed);
-                        if d >= domains as usize {
-                            stats.steal_failures += 1;
-                            break;
-                        }
-                        let out = run_one_domain(p, world, domains, d as u32, series_wanted, sc);
-                        let wait = std::time::Instant::now();
-                        let mut guard = outs.lock().expect("domain merge poisoned");
-                        stats.merge_wait += wait.elapsed();
-                        guard[d] = Some(out);
-                    }
-                    intang_simcheck::set_thread(prev_sc);
-                    intang_telemetry::series::set_thread(prev_series);
-                    stats.busy = started.elapsed();
-                    (stats, intang_telemetry::spans::take_thread())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("domain worker panicked"))
-            .collect::<Vec<_>>()
-    });
-    let (worker_stats, worker_profiles): (Vec<_>, Vec<_>) = worker_results.into_iter().unzip();
-    let outs: Vec<DomainOut> = outs
-        .into_inner()
-        .expect("domain merge poisoned")
-        .into_iter()
-        .map(|o| o.expect("every domain must have run"))
-        .collect();
+    let caller = intang_telemetry::knobs::current();
+    let series_wanted = caller.series;
+    let mut outs: Vec<Option<DomainOut>> = (0..domains).map(|_| None).collect();
+    let (worker_stats, worker_profiles) = crate::executor::run_units(
+        domains as usize,
+        workers,
+        // Domain sims always sample manually; the in-sim recorder stays
+        // off whatever the caller set.
+        RunKnobs { series: false, ..caller },
+        |d| run_one_domain(p, world, domains, d as u32, series_wanted),
+        |d, out| outs[d] = Some(out),
+    );
+    let outs: Vec<DomainOut> = outs.into_iter().map(|o| o.expect("every domain must have run")).collect();
 
     // Deterministic merge, all of it in domain-index order.
     let flows = world.specs.len();
@@ -696,7 +608,7 @@ pub fn run_metropolis_domains_world(p: &MetroParams, world: &MetroWorld, domains
         }
         Box::new(sheet)
     });
-    let shards = aggregate_shards(&results, p.shards, workers);
+    let shards = aggregate_shards(&results, p.shards);
     let domain_stats = outs
         .iter()
         .enumerate()
@@ -722,7 +634,7 @@ pub fn run_metropolis_domains_world(p: &MetroParams, world: &MetroWorld, domains
             violations,
         },
         domains,
-        workers,
+        workers: worker_stats.len(),
         domain_stats,
         worker_stats,
         worker_profiles,
@@ -759,17 +671,6 @@ mod tests {
         assert_eq!(run.order_violations, 0);
         let total: u64 = run.shards.iter().map(|s| s.flows).sum();
         assert_eq!(total, 40, "shard summaries partition the grid");
-    }
-
-    #[test]
-    fn aggregation_is_identical_across_worker_counts() {
-        let mut p = MetroParams::new(60, 11);
-        p.shards = 8;
-        let run = run_metropolis(&p);
-        for workers in [2usize, 8] {
-            let again = aggregate_shards(&run.results, p.shards, workers);
-            assert_eq!(again, run.shards, "{workers} workers");
-        }
     }
 
     #[test]

@@ -1,13 +1,13 @@
 //! Sweep execution and aggregation.
 //!
-//! Sweeps run on a work-stealing executor: the (vantage point, site) grid
-//! is flattened into independent cells, worker threads claim cells through
-//! a shared atomic cursor, and results are merged back in cell-index order.
-//! Because every cell derives its randomness purely from
-//! `(master_seed, vp_idx, site_idx, trial)` and keeps its own adaptive
-//! history, the merged output is byte-identical to a serial run at any
-//! thread count.
+//! Sweeps run on [`crate::executor`]: the (vantage point, site) grid is
+//! flattened into independent cells, one executor unit each, and results
+//! are merged back in cell-index order. Because every cell derives its
+//! randomness purely from `(master_seed, vp_idx, site_idx, trial)` and
+//! keeps its own adaptive history, the merged output is byte-identical to
+//! a serial run at any thread count.
 
+use crate::executor::WorkerStats;
 use crate::scenario::{Scenario, VantagePoint, Website};
 use crate::trial::{run_http_trial, Outcome, TrialSpec};
 use intang_core::select::History;
@@ -16,8 +16,6 @@ use intang_faults::{FaultConfig, FaultPlan};
 use intang_telemetry::{span, FailureVector, MetricsSheet, OrderedFold, SeriesSheet, SpanId, SpanSheet};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 
 /// Outcome counts.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -73,11 +71,6 @@ pub struct SweepConfig {
     /// Fault-injection configuration; [`FaultConfig::off`] (the default)
     /// leaves every trial byte-identical to a faultless build.
     pub faults: FaultConfig,
-    /// Enable the runtime invariant layer (`intang-simcheck`) for this
-    /// sweep's worker threads, as if `INTANG_SIMCHECK=1` were set. Checks
-    /// are read-only, so results stay byte-identical either way; a
-    /// violation triggers the minimal-repro shrinker.
-    pub simcheck: bool,
     /// Live console for this sweep (see [`crate::progress`]); workers
     /// report each finished cell. `None` (the default) is silent.
     pub progress: Option<std::sync::Arc<crate::progress::Progress>>,
@@ -93,7 +86,6 @@ impl SweepConfig {
             master_seed,
             route_change_prob: 0.12,
             faults: FaultConfig::off(),
-            simcheck: false,
             progress: None,
         }
     }
@@ -137,6 +129,8 @@ pub struct CellRun {
     /// Invariant violations recorded by simcheck across the cell's trials
     /// (0 when checking is disabled — and, with correct code, when it's on).
     pub violations: u64,
+    /// The cell's trials ran under the simcheck invariant layer.
+    pub checked: bool,
     /// The cell's trials' gauge time-series merged in trial order (`None`
     /// unless series telemetry was enabled).
     pub series: Option<Box<SeriesSheet>>,
@@ -163,11 +157,7 @@ pub fn run_cell_telemetry(vp: &VantagePoint, vp_idx: usize, site: &Website, site
     let mut diagnoses = Vec::new();
     let mut violations = 0u64;
     let mut series: Option<Box<SeriesSheet>> = None;
-    // Thread-local simcheck override: must be in place before any
-    // Simulation is constructed (hot paths cache the flag). Restored on
-    // the way out so the worker thread is reusable.
-    let prev_simcheck = cfg.simcheck.then(|| intang_simcheck::set_thread(Some(true)));
-    let sc = cfg.simcheck || intang_simcheck::enabled();
+    let sc = intang_simcheck::enabled();
     // Adaptive mode: one history per (vantage point, site), shared across
     // the repeated trials — this is how INTANG converges (§6).
     let history = if cfg.strategy.is_none() {
@@ -240,9 +230,6 @@ pub fn run_cell_telemetry(vp: &VantagePoint, vp_idx: usize, site: &Website, site
             });
         }
     }
-    if let Some(prev) = prev_simcheck {
-        intang_simcheck::set_thread(prev);
-    }
     if violations > 0 {
         // Only stamped when non-zero so a clean simcheck-enabled sweep's
         // metrics stay byte-identical to a disabled one.
@@ -254,6 +241,7 @@ pub fn run_cell_telemetry(vp: &VantagePoint, vp_idx: usize, site: &Website, site
         metrics,
         diagnoses,
         violations,
+        checked: sc,
         series,
     }
 }
@@ -266,23 +254,6 @@ pub fn worker_count() -> usize {
         Some(n) if n >= 1 => n,
         _ => std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1),
     }
-}
-
-/// One worker's executor statistics for a sweep, in worker-spawn order.
-/// All wall-clock — diagnostics only (varies run to run), never part of
-/// the deterministic merge.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct WorkerStats {
-    /// Wall-clock spent inside the claim-run-merge loop. A worker much
-    /// below the max was starved or finished the tail early.
-    pub busy: std::time::Duration,
-    /// Wall-clock spent waiting to acquire the shared merge mutex —
-    /// direct evidence of merge contention at high worker counts.
-    pub merge_wait: std::time::Duration,
-    /// Cursor claims attempted (the last claim of each worker overshoots).
-    pub steal_attempts: u64,
-    /// Claims that found the grid exhausted.
-    pub steal_failures: u64,
 }
 
 /// A finished sweep: per-vantage-point rows plus executor statistics.
@@ -303,6 +274,10 @@ pub struct SweepRun {
     /// Simcheck invariant violations summed over all cells (0 unless
     /// checking was enabled *and* an invariant actually broke).
     pub violations: u64,
+    /// Cells whose trials ran under the simcheck invariant layer: every
+    /// cell when checking is on for the caller, else 0. Tells a clean
+    /// checked sweep apart from an unchecked one.
+    pub checked_cells: u64,
     /// Gauge time-series merged in cell-index order (byte-identical at any
     /// worker count, like `metrics`); `None` unless series telemetry was
     /// enabled.
@@ -345,18 +320,19 @@ struct SweepAcc {
     metrics: MetricsSheet,
     diagnoses: Vec<TrialDiagnosis>,
     violations: u64,
+    checked_cells: u64,
     series: Option<Box<SeriesSheet>>,
 }
 
-/// Run the sweep on `workers` threads claiming (vantage point, site) cells
-/// from a shared atomic cursor.
+/// Run the sweep on `workers` [`crate::executor`] threads, one unit per
+/// (vantage point, site) cell.
 ///
 /// Cells are independent units of work — each derives its trial seeds
 /// purely from `(master_seed, vp_idx, site_idx, trial)` and owns its
 /// adaptive history — so stealing order cannot leak into results. Each
 /// worker is a *shard*: it owns its thread-local arenas (packet wires,
-/// TCP reprs, sim scratch) and a cell's full telemetry, and hands the
-/// finished cell to a shared [`OrderedFold`] that folds results in strict
+/// TCP reprs, sim scratch) and a cell's full telemetry, and retires the
+/// finished cell into an [`OrderedFold`] that folds results in strict
 /// cell-index order the moment the in-order prefix reaches them. The fold
 /// order — not the retirement order — is what the output depends on, so
 /// results are byte-identical to a serial sweep for any `workers >= 1`,
@@ -365,8 +341,6 @@ struct SweepAcc {
 pub fn sweep_with_threads(scenario: &Scenario, cfg: &SweepConfig, workers: usize) -> SweepRun {
     let n_sites = scenario.websites.len();
     let n_cells = scenario.vantage_points.len() * n_sites;
-    let cursor = AtomicUsize::new(0);
-    let workers = workers.max(1).min(n_cells.max(1));
 
     let acc = SweepAcc {
         rows: scenario
@@ -378,92 +352,52 @@ pub fn sweep_with_threads(scenario: &Scenario, cfg: &SweepConfig, workers: usize
         metrics: MetricsSheet::new(),
         diagnoses: Vec::new(),
         violations: 0,
+        checked_cells: 0,
         series: None,
     };
-    let merge = Mutex::new(OrderedFold::new(acc, move |acc: &mut SweepAcc, i, cell: CellRun| {
+    let mut merge = OrderedFold::new(acc, move |acc: &mut SweepAcc, i, cell: CellRun| {
         acc.rows[i / n_sites.max(1)].1.merge(cell.agg);
         acc.events += cell.events;
         acc.metrics.merge(&cell.metrics);
         acc.diagnoses.extend(cell.diagnoses);
         acc.violations += cell.violations;
+        acc.checked_cells += u64::from(cell.checked);
         if let Some(cs) = cell.series {
             match &mut acc.series {
                 Some(s) => s.merge(&cs),
                 None => acc.series = Some(cs),
             }
         }
-    }));
-
-    // The caller's observability overrides are thread-locals; replay them
-    // inside every worker so an A/B harness (determinism matrix,
-    // bench_sweep, the observability tests) controls the mode of
-    // worker-constructed simulations too.
-    let batch_override = intang_netsim::batch::thread_override();
-    let flight_override = intang_netsim::flight::thread_override();
-    let series_override = intang_telemetry::series::thread_override();
-    let spans_override = intang_telemetry::spans::thread_override();
-
-    let worker_results = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let cursor = &cursor;
-                let cfg = &*cfg;
-                let merge = &merge;
-                scope.spawn(move || {
-                    intang_netsim::batch::set_thread(batch_override);
-                    intang_netsim::flight::set_thread(flight_override);
-                    intang_telemetry::series::set_thread(series_override);
-                    intang_telemetry::spans::set_thread(spans_override);
-                    let started = std::time::Instant::now();
-                    let mut stats = WorkerStats::default();
-                    loop {
-                        let i = {
-                            let _s = span(SpanId::IdleSteal);
-                            stats.steal_attempts += 1;
-                            cursor.fetch_add(1, Ordering::Relaxed)
-                        };
-                        if i >= n_cells {
-                            stats.steal_failures += 1;
-                            break;
-                        }
-                        let (vp_idx, site_idx) = (i / n_sites, i % n_sites);
-                        let cell_started = std::time::Instant::now();
-                        let cell = run_cell_telemetry(
-                            &scenario.vantage_points[vp_idx],
-                            vp_idx,
-                            &scenario.websites[site_idx],
-                            site_idx,
-                            cfg,
-                        );
-                        let cell_wall = cell_started.elapsed();
-                        // Retire the cell immediately: the fold advances as
-                        // far as the in-order prefix allows and the cell's
-                        // sheet is freed, not parked until the end.
-                        let high_water = {
-                            let _m = span(SpanId::TelemetryMerge);
-                            let wait_started = std::time::Instant::now();
-                            let mut guard = merge.lock().expect("merge lock poisoned");
-                            stats.merge_wait += wait_started.elapsed();
-                            guard.push(i, cell);
-                            guard.high_water()
-                        };
-                        if let Some(p) = &cfg.progress {
-                            p.cell_done(cell_wall, high_water);
-                        }
-                    }
-                    stats.busy = started.elapsed();
-                    (stats, intang_telemetry::spans::take_thread())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect::<Vec<_>>()
     });
 
-    let (worker_stats, worker_profiles) = worker_results.into_iter().unzip();
-    let (acc, merge_high_water) = merge.into_inner().expect("merge lock poisoned").finish();
+    let (worker_stats, worker_profiles) = crate::executor::run_units(
+        n_cells,
+        workers,
+        intang_telemetry::knobs::current(),
+        |i| {
+            let (vp_idx, site_idx) = (i / n_sites, i % n_sites);
+            let started = std::time::Instant::now();
+            let cell = run_cell_telemetry(
+                &scenario.vantage_points[vp_idx],
+                vp_idx,
+                &scenario.websites[site_idx],
+                site_idx,
+                cfg,
+            );
+            (cell, started.elapsed())
+        },
+        // Retire the cell immediately: the fold advances as far as the
+        // in-order prefix allows and the cell's sheet is freed, not parked
+        // until the end.
+        |i, (cell, cell_wall)| {
+            merge.push(i, cell);
+            if let Some(p) = &cfg.progress {
+                p.cell_done(cell_wall, merge.high_water());
+            }
+        },
+    );
+
+    let (acc, merge_high_water) = merge.finish();
     let trials = n_cells as u64 * u64::from(cfg.trials);
     SweepRun {
         rows: acc.rows,
@@ -472,6 +406,7 @@ pub fn sweep_with_threads(scenario: &Scenario, cfg: &SweepConfig, workers: usize
         metrics: acc.metrics,
         diagnoses: acc.diagnoses,
         violations: acc.violations,
+        checked_cells: acc.checked_cells,
         series: acc.series,
         worker_stats,
         worker_profiles,

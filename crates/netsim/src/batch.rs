@@ -4,33 +4,22 @@
 //! [`crate::Simulation::step_batch`]). Batching is result-identical to
 //! single-step dispatch — the determinism suite runs both ways — so the
 //! toggle exists purely for that A/B: a process-wide env var
-//! (`INTANG_BATCH=0` force-disables, default on) plus a thread-local
-//! override mirroring `intang_simcheck::set_thread`, so the test matrix can
-//! flip modes per thread without touching the environment. Simulations
-//! cache the flag at construction time.
+//! (`INTANG_BATCH=0` force-disables, default on) plus a per-thread
+//! override (the `batch` field of `intang_telemetry::RunKnobs`), so the
+//! test matrix can flip modes per thread without touching the environment.
+//! Simulations cache the flag at construction time.
 //!
 //! Batch-size statistics are process-global relaxed atomics (the
 //! `intang_packet::wire::pool_stats` pattern): they are scheduling- and
 //! mode-dependent diagnostics, reported only by `bench_sweep` — never in a
 //! `MetricsSheet`, which must stay byte-identical with batching on or off.
 
-use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::OnceLock;
 
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| std::env::var("INTANG_BATCH").map(|v| !v.is_empty() && v != "0").unwrap_or(true))
-}
-
-thread_local! {
-    static THREAD_ON: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Is batched dispatch enabled on this thread? Thread-local override
-/// first, env var (`INTANG_BATCH`, default on) otherwise.
+/// Is batched dispatch enabled on this thread? Thread-local knobs first,
+/// env var (`INTANG_BATCH`, default on) otherwise.
 pub fn enabled() -> bool {
-    THREAD_ON.with(|c| c.get()).unwrap_or_else(env_enabled)
+    intang_telemetry::knobs::current().batch
 }
 
 /// Override batching for the current thread (`Some(true)`/`Some(false)`),
@@ -38,15 +27,7 @@ pub fn enabled() -> bool {
 /// Must be called *before* constructing the simulations it should affect —
 /// they cache the flag.
 pub fn set_thread(on: Option<bool>) -> Option<bool> {
-    THREAD_ON.with(|c| c.replace(on))
-}
-
-/// The current thread's override, if any. The sweep executor reads this on
-/// the calling thread and replays it inside each worker thread, so a
-/// caller-side [`set_thread`] governs simulations constructed by workers
-/// too (thread-locals do not inherit across `thread::scope`).
-pub fn thread_override() -> Option<bool> {
-    THREAD_ON.with(|c| c.get())
+    intang_telemetry::knobs::set_field(on, |k| &mut k.batch)
 }
 
 /// Batch-size histogram buckets: sizes 1, 2–3, 4–7, … (powers of two),
@@ -113,7 +94,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_override_round_trips() {
+    fn set_thread_round_trips() {
         let prev = set_thread(Some(false));
         assert!(!enabled());
         set_thread(Some(true));

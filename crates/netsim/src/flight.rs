@@ -19,9 +19,7 @@ use crate::element::Direction;
 use crate::event::Event;
 use crate::time::Instant;
 use intang_packet::Wire;
-use std::cell::Cell;
 use std::fmt::Write as _;
-use std::sync::OnceLock;
 
 /// Ring capacity: enough to span several RTTs of a trial's hot phase
 /// while keeping the per-sim footprint at a few KiB.
@@ -216,31 +214,18 @@ pub fn summarize_wire(at: Instant, elem: usize, dir: Direction, wire: &Wire) -> 
     )
 }
 
-fn env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| matches!(std::env::var("INTANG_FLIGHT"), Ok(v) if !v.is_empty() && v != "0"))
-}
-
-thread_local! {
-    static THREAD_ON: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
 /// Should simulations constructed on this thread carry a flight ring?
 /// (Simcheck-enabled sims carry one regardless, so violation artifacts
 /// always have a tail to dump.)
 pub fn enabled() -> bool {
-    THREAD_ON.with(Cell::get).unwrap_or_else(env_enabled)
+    intang_telemetry::knobs::current().flight
 }
 
-/// Thread-local override (`Some(on)`) or defer to the environment
-/// (`None`). Returns the previous override so callers can restore it.
+/// Override the flight knob on this thread (`Some(on)`) or reset it to
+/// the environment (`None`). Returns the previous override so callers can
+/// restore it.
 pub fn set_thread(on: Option<bool>) -> Option<bool> {
-    THREAD_ON.with(|c| c.replace(on))
-}
-
-/// The current thread-local override, for replaying onto worker threads.
-pub fn thread_override() -> Option<bool> {
-    THREAD_ON.with(Cell::get)
+    intang_telemetry::knobs::set_field(on, |k| &mut k.flight)
 }
 
 #[cfg(test)]
@@ -295,11 +280,11 @@ mod tests {
     }
 
     #[test]
-    fn thread_override_round_trips() {
-        assert_eq!(thread_override(), None);
+    fn set_thread_round_trips() {
+        let before = enabled();
         let prev = set_thread(Some(true));
         assert!(enabled());
         set_thread(prev);
-        assert_eq!(thread_override(), None);
+        assert_eq!(enabled(), before);
     }
 }

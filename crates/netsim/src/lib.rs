@@ -23,7 +23,6 @@
 //! pair always reproduces the same run.
 
 pub mod batch;
-pub mod bridge;
 pub mod element;
 pub mod event;
 pub mod faults;

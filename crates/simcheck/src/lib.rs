@@ -23,8 +23,9 @@
 //!   segments stay disjoint and ahead of the head.
 //!
 //! Enablement is a process-wide env var (`INTANG_SIMCHECK=1`) or a
-//! thread-local override ([`set_thread`]) so that a sweep runner can turn
-//! checking on per worker thread without touching the environment.
+//! thread-local override ([`set_thread`], the `simcheck` field of
+//! `intang_telemetry::RunKnobs`), which the experiments executor installs
+//! in every worker thread.
 //! Consumers on hot paths cache [`enabled`] as a `bool` at construction
 //! time, so the disabled-mode cost is a single field read per hop.
 //!
@@ -33,9 +34,8 @@
 //! drained by the sweep runner, which hands them to the shrinker in
 //! `intang-experiments` to produce a minimal repro artifact.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::OnceLock;
 
 use intang_packet::{FourTuple, FxHashMap, FxHashSet, IpProtocol, Ipv4Packet, TcpPacket};
 
@@ -165,20 +165,14 @@ struct Sink {
 }
 
 thread_local! {
-    static THREAD_ON: Cell<Option<bool>> = const { Cell::new(None) };
     static SINK: RefCell<Sink> = RefCell::new(Sink::default());
 }
 
-fn env_enabled() -> bool {
-    static ENV: OnceLock<bool> = OnceLock::new();
-    *ENV.get_or_init(|| std::env::var("INTANG_SIMCHECK").map(|v| !v.is_empty() && v != "0").unwrap_or(false))
-}
-
-/// Is checking enabled on this thread? Thread-local override first, env
-/// var (`INTANG_SIMCHECK=1`) otherwise. Hot paths should cache this at
+/// Is checking enabled on this thread? Thread-local knobs first, env var
+/// (`INTANG_SIMCHECK=1`) otherwise. Hot paths should cache this at
 /// construction time rather than calling it per packet.
 pub fn enabled() -> bool {
-    THREAD_ON.with(|c| c.get()).unwrap_or_else(env_enabled)
+    intang_telemetry::knobs::current().simcheck
 }
 
 /// Override enablement for the current thread (`Some(true)`/`Some(false)`),
@@ -186,7 +180,7 @@ pub fn enabled() -> bool {
 /// callers can restore it. Must be called *before* constructing the
 /// simulations it should affect — they cache the flag.
 pub fn set_thread(on: Option<bool>) -> Option<bool> {
-    THREAD_ON.with(|c| c.replace(on))
+    intang_telemetry::knobs::set_field(on, |k| &mut k.simcheck)
 }
 
 /// Announce the start of a trial: records the seed for violation
@@ -520,7 +514,7 @@ mod tests {
     }
 
     #[test]
-    fn thread_override_and_sink() {
+    fn set_thread_and_sink() {
         let prev = set_thread(Some(true));
         begin_trial(7);
         report(Family::Conservation, || "off by one".into());

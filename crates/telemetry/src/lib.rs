@@ -30,6 +30,9 @@
 //! * [`spans`] — a scoped span profiler over the monotonic clock with
 //!   fixed subsystem buckets and folded-stack export (diagnostics only;
 //!   wall-clock, never part of experiment output).
+//! * [`knobs`] — [`RunKnobs`], the one per-thread value holding every
+//!   run switch (batch, flight, series, spans, simcheck), read once from
+//!   the environment and installed in every executor worker.
 //!
 //! The crate depends on nothing, so every layer — netsim, gfw, middlebox,
 //! tcpstack, core, experiments, bench — can write into the same sheet.
@@ -38,12 +41,14 @@
 pub mod alloc;
 pub mod diagnose;
 pub mod json;
+pub mod knobs;
 pub mod merge;
 pub mod metrics;
 pub mod series;
 pub mod spans;
 
 pub use diagnose::{classify, FailureVector, TrialEvidence, TrialOutcome};
+pub use knobs::RunKnobs;
 pub use merge::OrderedFold;
 pub use metrics::{Counter, HistId, Histogram, MetricsSheet};
 pub use series::{GaugeId, GaugeSample, GaugeSeries, SeriesSheet};

@@ -21,13 +21,11 @@
 //!   is byte-identical at any worker count.
 //!
 //! Sampling is disabled by default and enabled per-process with
-//! `INTANG_SERIES=1` or per-thread with [`set_thread`] (the same pattern
-//! as `intang_netsim::batch`); when disabled the hot path pays one cached
+//! `INTANG_SERIES=1` or per-thread with [`set_thread`] (one field of
+//! [`crate::knobs::RunKnobs`]); when disabled the hot path pays one cached
 //! boolean test per simulation, nothing per event.
 
 use crate::json::{u64_array, JsonObject};
-use std::cell::Cell;
-use std::sync::OnceLock;
 
 /// Simulated time between gauge samples, in microseconds (100 ms: a 25 s
 /// trial yields 251 ticks, which exercises two compactions in production).
@@ -281,30 +279,17 @@ impl SeriesSheet {
     }
 }
 
-fn env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| matches!(std::env::var("INTANG_SERIES"), Ok(v) if !v.is_empty() && v != "0"))
-}
-
-thread_local! {
-    static THREAD_ON: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
 /// Is gauge sampling enabled for simulations built on this thread?
 /// Checked once per `Simulation::new` and cached there.
 pub fn enabled() -> bool {
-    THREAD_ON.with(Cell::get).unwrap_or_else(env_enabled)
+    crate::knobs::current().series
 }
 
-/// Thread-local override (`Some(on)`) or defer to the environment
-/// (`None`). Returns the previous override so callers can restore it.
+/// Override the series knob on this thread (`Some(on)`) or reset it to
+/// the environment (`None`). Returns the previous override so callers can
+/// restore it.
 pub fn set_thread(on: Option<bool>) -> Option<bool> {
-    THREAD_ON.with(|c| c.replace(on))
-}
-
-/// The current thread-local override, for replaying onto worker threads.
-pub fn thread_override() -> Option<bool> {
-    THREAD_ON.with(Cell::get)
+    crate::knobs::set_field(on, |k| &mut k.series)
 }
 
 #[cfg(test)]
@@ -410,12 +395,12 @@ mod tests {
     }
 
     #[test]
-    fn thread_override_round_trips() {
-        assert_eq!(thread_override(), None);
+    fn set_thread_round_trips() {
+        let before = enabled();
         let prev = set_thread(Some(true));
         assert_eq!(prev, None);
         assert!(enabled());
         assert_eq!(set_thread(prev), Some(true));
-        assert_eq!(thread_override(), None);
+        assert_eq!(enabled(), before);
     }
 }

@@ -26,8 +26,7 @@
 //! site is one thread-local flag test; no state is touched.
 
 use crate::json::u64_array;
-use std::cell::{Cell, RefCell};
-use std::sync::OnceLock;
+use std::cell::RefCell;
 
 /// Fixed subsystem buckets. Self-times across buckets are disjoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -257,31 +256,19 @@ pub fn take_thread() -> SpanSheet {
     })
 }
 
-fn env_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| matches!(std::env::var("INTANG_SPANS"), Ok(v) if !v.is_empty() && v != "0"))
-}
-
-thread_local! {
-    static THREAD_ON: Cell<Option<bool>> = const { Cell::new(None) };
-}
-
-/// Is span profiling enabled on this thread? Checked at every span site,
-/// so it stays a bare thread-local read.
+/// Is span profiling enabled on this thread (`INTANG_SPANS`, see
+/// [`crate::knobs`])? Checked at every span site, so it stays a bare
+/// thread-local read.
 #[inline]
 pub fn enabled() -> bool {
-    THREAD_ON.with(Cell::get).unwrap_or_else(env_enabled)
+    crate::knobs::current().spans
 }
 
-/// Thread-local override (`Some(on)`) or defer to the environment
-/// (`None`). Returns the previous override so callers can restore it.
+/// Override the spans knob on this thread (`Some(on)`) or reset it to the
+/// environment (`None`). Returns the previous override so callers can
+/// restore it.
 pub fn set_thread(on: Option<bool>) -> Option<bool> {
-    THREAD_ON.with(|c| c.replace(on))
-}
-
-/// The current thread-local override, for replaying onto worker threads.
-pub fn thread_override() -> Option<bool> {
-    THREAD_ON.with(Cell::get)
+    crate::knobs::set_field(on, |k| &mut k.spans)
 }
 
 #[cfg(test)]

@@ -15,6 +15,7 @@ use intang_netsim::{Direction, Duration, Instant, Link, Simulation};
 use intang_packet::{FourTuple, PacketBuilder, TcpFlags};
 use intang_simcheck::Family;
 use intang_tcpstack::reasm::{Assembler, SegmentOverlapPolicy};
+use intang_telemetry::knobs::{self, RunKnobs};
 use std::net::Ipv4Addr;
 
 /// Run `f` with simcheck force-enabled on this thread, draining any stale
@@ -185,18 +186,40 @@ fn simcheck_enabled_sweep_is_clean_and_byte_identical() {
     // 1, 2 and 8 workers (checks draw no RNG and change no timing).
     let s = Scenario::smoke(7);
     for strategy in [Some(StrategyKind::ImprovedTeardown), None] {
-        let plain_cfg = SweepConfig::new(strategy, true, 2, 1312);
-        let mut checked_cfg = plain_cfg.clone();
-        checked_cfg.simcheck = true;
-        let plain = sweep_with_threads(&s, &plain_cfg, 1);
+        let cfg = SweepConfig::new(strategy, true, 2, 1312);
+        let plain = sweep_with_threads(&s, &cfg, 1);
         for workers in [1usize, 2, 8] {
-            let checked = sweep_with_threads(&s, &checked_cfg, workers);
+            let prev = knobs::install(RunKnobs {
+                simcheck: true,
+                ..knobs::current()
+            });
+            let checked = sweep_with_threads(&s, &cfg, workers);
+            knobs::install(prev);
             assert_eq!(checked.violations, 0, "sweep must be violation-free");
             assert_eq!(plain.rows, checked.rows, "{workers} workers");
             assert_eq!(plain.events, checked.events, "{workers} workers");
             assert_eq!(plain.metrics, checked.metrics, "{workers} workers");
             assert_eq!(plain.diagnoses, checked.diagnoses, "{workers} workers");
         }
+    }
+}
+
+#[test]
+fn caller_side_simcheck_reaches_sweep_workers() {
+    // A clean sweep reports zero violations whether or not its workers
+    // checked anything, so the sweep also counts the cells that ran under
+    // the checker. Switched on with the one-field shorthand on this
+    // thread, every worker at every width must check every cell.
+    let s = Scenario::smoke(7);
+    let cells = (s.vantage_points.len() * s.websites.len()) as u64;
+    let cfg = SweepConfig::new(Some(StrategyKind::ImprovedTeardown), true, 1, 1312);
+    assert_eq!(sweep_with_threads(&s, &cfg, 2).checked_cells, 0, "checking is off by default");
+    for workers in [1usize, 2, 8] {
+        let prev = intang_simcheck::set_thread(Some(true));
+        let run = sweep_with_threads(&s, &cfg, workers);
+        intang_simcheck::set_thread(prev);
+        assert_eq!(run.checked_cells, cells, "{workers} workers");
+        assert_eq!(run.violations, 0, "{workers} workers");
     }
 }
 
@@ -210,8 +233,11 @@ fn shrinker_writes_a_minimal_deterministic_repro() {
 
     let s = Scenario::smoke(2017);
     let mut cfg = SweepConfig::new(Some(StrategyKind::NoStrategy), false, 1, 2017);
-    cfg.simcheck = true;
     cfg.route_change_prob = 0.0;
+    let prev = knobs::install(RunKnobs {
+        simcheck: true,
+        ..knobs::current()
+    });
 
     intang_simcheck::arm_corruption(4);
     let cell = run_cell_telemetry(&s.vantage_points[0], 0, &s.websites[0], 0, &cfg);
@@ -247,6 +273,7 @@ fn shrinker_writes_a_minimal_deterministic_repro() {
     let second = std::fs::read(&path).unwrap();
     assert_eq!(first, second, "repro artifact must be byte-stable across replays");
 
+    knobs::install(prev);
     std::env::remove_var("INTANG_SIMCHECK_DIR");
     let _ = std::fs::remove_dir_all(&dir);
 }
