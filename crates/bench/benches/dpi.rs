@@ -4,11 +4,11 @@
 
 use intang_bench::clean_stream;
 use intang_bench::harness::{bench, bench_bytes};
-use intang_gfw::dpi::{Automaton, RuleSet, StreamMatcher};
+use intang_gfw::dpi::{shared_paper_rules, Automaton, RuleSet, StreamMatcher};
 use std::hint::black_box;
 
 fn bench_scan_throughput() {
-    let aut = Automaton::build(&RuleSet::paper_default());
+    let aut = Automaton::build(&shared_paper_rules());
     for size in [1_460usize, 16 * 1024, 256 * 1024] {
         let data = clean_stream(size);
         bench_bytes(&format!("dpi/scan/{size}"), size as u64, || black_box(aut.scan(black_box(&data))));
@@ -20,7 +20,7 @@ fn bench_scan_throughput() {
 /// quadratic in stream length — this is why the censor model keeps one
 /// `u32` of matcher state per flow instead.
 fn bench_streaming_vs_rescan() {
-    let aut = Automaton::build(&RuleSet::paper_default());
+    let aut = Automaton::build(&shared_paper_rules());
     let segments: Vec<Vec<u8>> = (0..64).map(|_| clean_stream(1_460)).collect();
 
     bench("dpi/ablation-64-segments/streaming", || {
@@ -43,7 +43,8 @@ fn bench_streaming_vs_rescan() {
 }
 
 fn bench_automaton_build() {
-    bench("dpi/build-paper-ruleset", || black_box(Automaton::build(&RuleSet::paper_default())));
+    let paper = shared_paper_rules();
+    bench("dpi/build-paper-ruleset", || black_box(Automaton::build(&paper)));
     // A larger blacklist, like the Alexa-derived poisoned-domain list §6
     // probes with.
     let mut rules = RuleSet::empty();

@@ -9,7 +9,7 @@
 
 use intang_bench::clean_stream;
 use intang_bench::harness::bench_bytes;
-use intang_gfw::dpi::{Automaton, RuleSet, StreamMatcher};
+use intang_gfw::dpi::{shared_paper_rules, Automaton, StreamMatcher};
 use intang_packet::arena::Arena;
 use intang_packet::checksum;
 use std::hint::black_box;
@@ -56,7 +56,7 @@ fn bench_incremental_update() {
 }
 
 fn bench_dpi_skip() {
-    let aut = Automaton::build(&RuleSet::paper_default());
+    let aut = Automaton::build(&shared_paper_rules());
     assert!(aut.node_count() > 1);
     for size in [1_460usize, 64 * 1024] {
         // Clean traffic is the common case the skip loop exists for: no

@@ -1,7 +1,7 @@
 //! Minimal flag parsing shared by the experiment binaries.
 
 /// The usage text printed by `--help` and on parse errors.
-const USAGE: &str = "flags: --trials N        trials per cell (default: per-experiment)\n       --seed S          master seed (default 2017)\n       --quick           shrink the scenario for a fast smoke run\n       --smoke           alias for --quick\n       --telemetry PATH  write JSONL metrics + failure diagnoses to PATH\n                         (INTANG_TELEMETRY env is the fallback)\n       --progress        live sweep console on stderr\n                         (INTANG_PROGRESS=1 env is the fallback)\n       --profile-folded PATH\n                         enable the span profiler and write folded stacks\n                         to PATH (one 'a;b;c nanos' line per stack)\n       --censor-profile SPEC\n                         run every censor device from a profile: a builtin\n                         name (gfw_prior, gfw_evolved, turkmenistan), a\n                         path to a .toml profile, or a name under\n                         profiles/";
+const USAGE: &str = "flags: --trials N        trials per cell (default: per-experiment)\n       --seed S          master seed (default 2017)\n       --quick           shrink the scenario for a fast smoke run\n       --smoke           alias for --quick\n       --telemetry PATH  write JSONL metrics + failure diagnoses to PATH\n                         (INTANG_TELEMETRY env is the fallback)\n       --progress        live sweep console on stderr\n                         (INTANG_PROGRESS=1 env is the fallback)\n       --profile-folded PATH\n                         enable the span profiler and write folded stacks\n                         to PATH (one 'a;b;c nanos' line per stack)\n       --censor-profile SPEC\n                         run every censor device from a profile: a builtin\n                         name (gfw_prior, gfw_evolved, turkmenistan) or\n                         the path to a profile file";
 
 /// Parsed common flags.
 #[derive(Debug, Clone)]
@@ -20,8 +20,8 @@ pub struct CommonArgs {
     /// Folded-stack output path (`--profile-folded PATH`); also enables
     /// span profiling for the run.
     pub profile_folded: Option<String>,
-    /// Censor profile spec (`--censor-profile SPEC`): a builtin name, a
-    /// path to a profile file, or a bare name resolved under `profiles/`.
+    /// Censor profile spec (`--censor-profile SPEC`): a builtin name or
+    /// the path to a profile file.
     pub censor_profile: Option<String>,
 }
 

@@ -9,7 +9,7 @@
 
 use crate::args::CommonArgs;
 use crate::report::Table;
-use intang_gfw::dpi::{Automaton, RuleSet};
+use intang_gfw::dpi::shared_paper_default;
 use intang_gfw::tcb::CensorTcb;
 use intang_gfw::{GfwConfig, GfwElement};
 use intang_netsim::element::PassThrough;
@@ -166,7 +166,7 @@ pub fn run(args: &CommonArgs) -> String {
 /// The unit-level statement of the same fact (used by the test below and
 /// referenced from EXPERIMENTS.md).
 pub fn type1_blind_to_split() -> bool {
-    let a = Automaton::build(&RuleSet::paper_default());
+    let a = shared_paper_default();
     let mut tcb = CensorTcb::from_syn((CLIENT, 40_000), (SERVER, 80), 1000, SegmentOverlapPolicy::FirstWins);
     let base = tcb.stream_base;
     let kw = b"GET /ultrasurf HTTP/1.1\r\n\r\n";

@@ -115,20 +115,21 @@ impl CensorHardening {
 }
 
 /// Which censor model populates a path's devices.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub enum CensorModel {
-    /// The hard-coded [`GfwConfig::old`]/[`GfwConfig::evolved`]
-    /// constructors — the historical behavior.
-    #[default]
-    Builtin,
-    /// Profile-compiled prior/evolved slot configs. The per-site overrides
-    /// (device mix, segment overlap, resync probabilities, hardening)
-    /// still apply on top, so profiles that reproduce the builtins stay
-    /// byte-identical to them across the whole sweep. Note the site's
-    /// calibrated resync draws overwrite the evolved slot's resync knobs —
-    /// resync heterogeneity from `[heterogeneity]` is only fully visible
-    /// in `Custom` mode.
-    Profiles { prior: GfwConfig, evolved: GfwConfig },
+    /// The site's prior/evolved device slots, each a compiled censor
+    /// profile with the per-site overrides (device mix, segment overlap,
+    /// resync probabilities, hardening) applied on top. An empty slot runs
+    /// the builtin `gfw_prior`/`gfw_evolved` profile from its process-wide
+    /// cache ([`GfwConfig::old`]/[`GfwConfig::evolved`]), so a generated
+    /// scenario stores no config per site. Note the site's calibrated
+    /// resync draws overwrite the evolved slot's resync knobs — resync
+    /// heterogeneity from `[heterogeneity]` is only fully visible in
+    /// `Custom` mode.
+    Profiles {
+        prior: Option<GfwConfig>,
+        evolved: Option<GfwConfig>,
+    },
     /// A single profile-compiled censor replacing the per-site GFW device
     /// mix entirely (the profile is authoritative; only §8 hardening still
     /// ORs in). This is what `--censor-profile` selects for a whole sweep.
@@ -190,30 +191,14 @@ impl Website {
     pub fn gfw_configs(&self) -> Vec<GfwConfig> {
         let mut v = Vec::new();
         match &self.censor {
-            CensorModel::Builtin => {
-                if self.old_device {
-                    let mut c = GfwConfig::old();
-                    c.segment_overlap = SegmentOverlapPolicy::LastWins;
-                    v.push(c);
-                }
-                if self.evolved_device {
-                    let mut c = GfwConfig::evolved();
-                    c.segment_overlap = self.gfw_seg_overlap;
-                    c.rst_resync_prob = self.rst_resync_prob;
-                    c.rst_resync_prob_handshake = self.rst_resync_prob_handshake;
-                    v.push(c);
-                }
-            }
             CensorModel::Profiles { prior, evolved } => {
-                // Same slot shape and the same per-site overrides as the
-                // builtin arm, applied to the profile-compiled configs.
                 if self.old_device {
-                    let mut c = prior.clone();
+                    let mut c = prior.clone().unwrap_or_else(GfwConfig::old);
                     c.segment_overlap = SegmentOverlapPolicy::LastWins;
                     v.push(c);
                 }
                 if self.evolved_device {
-                    let mut c = evolved.clone();
+                    let mut c = evolved.clone().unwrap_or_else(GfwConfig::evolved);
                     c.segment_overlap = self.gfw_seg_overlap;
                     c.rst_resync_prob = self.rst_resync_prob;
                     c.rst_resync_prob_handshake = self.rst_resync_prob_handshake;
@@ -302,7 +287,10 @@ pub fn generate_websites(count: usize, master_seed: u64, inbound: bool) -> Vec<W
                 flaky_server: rng.chance(0.005),
                 path_drops_noflag: rng.chance(0.42),
                 hardening: CensorHardening::default(),
-                censor: CensorModel::Builtin,
+                censor: CensorModel::Profiles {
+                    prior: None,
+                    evolved: None,
+                },
                 loss: 0.002 + f64::from(rng.next_u32() % 10) / 1000.0, // 0.2%..1.2%
                 latency_ms: 10 + u64::from(rng.next_u32() % 40),
             }
@@ -345,20 +333,20 @@ impl Scenario {
         s
     }
 
-    /// Replace the builtin censor constructors with profile-compiled
-    /// configs filling the same prior/evolved device slots. Each site's
-    /// devices are compiled per-device (the `[heterogeneity]` hooks), with
-    /// the device seed derived by hashing the site name — never by drawing
-    /// from the scenario RNG, which would perturb every seeded draw
-    /// downstream and break byte-identity with the builtin path.
+    /// Fill every site's prior/evolved device slots with profile-compiled
+    /// configs. Each site's devices are compiled per-device (the
+    /// `[heterogeneity]` hooks), with the device seed derived by hashing
+    /// the site name — never by drawing from the scenario RNG, which would
+    /// perturb every seeded draw downstream and break byte-identity with
+    /// the builtin slots.
     pub fn with_profiles(mut self, prior: &CensorProfile, evolved: &CensorProfile) -> Result<Scenario, String> {
         for w in &mut self.websites {
             let seed = site_device_seed(&w.name, self.master_seed);
             w.censor = CensorModel::Profiles {
-                prior: prior.compile_for_device(seed)?,
+                prior: Some(prior.compile_for_device(seed)?),
                 // The evolved slot is a different physical device on the
                 // same path: a distinct heterogeneity stream.
-                evolved: evolved.compile_for_device(seed ^ 1)?,
+                evolved: Some(evolved.compile_for_device(seed ^ 1)?),
             };
         }
         Ok(self)
@@ -449,9 +437,9 @@ mod tests {
 
     #[test]
     fn builtin_profiles_reproduce_builtin_gfw_configs_exactly() {
-        // The whole point of the profile layer: a scenario driven by the
-        // checked-in gfw_prior/gfw_evolved profiles builds *equal* censor
-        // configs for every site, so the sweeps stay byte-identical.
+        // Slots filled by compiling the gfw_prior/gfw_evolved profiles per
+        // device build *equal* censor configs to the empty (cached) slots
+        // for every site, so the sweeps stay byte-identical.
         let s = Scenario::smoke(2017);
         let p = s
             .clone()

@@ -2,10 +2,11 @@
 //! so heterogeneous per-path deployments (§8) can be expressed.
 
 use crate::dpi::RuleSet;
+use crate::profile::CensorProfile;
 use intang_netsim::Duration;
 use intang_packet::frag::OverlapPolicy;
 use intang_tcpstack::reasm::SegmentOverlapPolicy;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Which generation of the GFW model a device implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -32,9 +33,9 @@ pub enum EvictionPolicy {
 }
 
 /// Which censor profile a [`GfwConfig`] was compiled from, so telemetry
-/// exports can tag runs with the censor model that produced them. The two
-/// hard-coded constructors carry their canonical tags; configs built from
-/// profile files carry the tag matching the profile name (or `Custom`).
+/// exports can tag runs with the censor model that produced them.
+/// [`CensorProfile::compile`] tags the three builtin names with their own
+/// variant and any other name as `Custom`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProfileTag {
     /// The pre-2017 Khattak et al. model (`gfw_prior`).
@@ -185,54 +186,21 @@ pub struct GfwConfig {
 }
 
 impl GfwConfig {
-    /// The evolved model with the paper's default dynamics.
+    /// The evolved model with the paper's default dynamics: the compiled
+    /// [`CensorProfile::gfw_evolved`], built once per process.
     pub fn evolved() -> GfwConfig {
-        GfwConfig {
-            generation: GfwGeneration::Evolved,
-            type1: true,
-            type2: true,
-            validate_checksum: false,
-            check_md5: false,
-            check_ack: false,
-            check_timestamp: false,
-            validate_ip_total_len: false,
-            segment_overlap: SegmentOverlapPolicy::FirstWins,
-            ip_frag_overlap: OverlapPolicy::FirstWins,
-            rst_resync_prob: 0.2,
-            rst_resync_prob_handshake: 0.8,
-            overload_miss_prob: 0.028,
-            blacklist_duration: Duration::from_secs(90),
-            reaction_delay: Duration::from_millis(2),
-            max_tcbs: 1_000_000,
-            eviction: EvictionPolicy::Oldest,
-            resync_storm_window: Duration::from_millis(100),
-            resync_storm_threshold: 8,
-            censor_responses: false,
-            inject_blockpage: false,
-            dns_poison: true,
-            tor_filter: true,
-            active_probing: true,
-            vpn_dpi: false,
-            chaos_rst_inject_prob: 1.0,
-            chaos_blacklist_jitter: 0.0,
-            chaos_device_flap_prob: 0.0,
-            state_shards: 1,
-            shard_seed: 0,
-            rules: crate::dpi::shared_paper_rules(),
-            profile_tag: ProfileTag::Evolved,
-        }
+        static EVOLVED: OnceLock<GfwConfig> = OnceLock::new();
+        EVOLVED
+            .get_or_init(|| CensorProfile::gfw_evolved().compile().expect("builtin profile compiles"))
+            .clone()
     }
 
-    /// The prior (Khattak et al.) model: deterministic teardown semantics.
+    /// The prior (Khattak et al.) model, deterministic teardown semantics:
+    /// the compiled [`CensorProfile::gfw_prior`], built once per process.
     pub fn old() -> GfwConfig {
-        GfwConfig {
-            generation: GfwGeneration::Old,
-            segment_overlap: SegmentOverlapPolicy::LastWins,
-            rst_resync_prob: 0.0,
-            rst_resync_prob_handshake: 0.0,
-            profile_tag: ProfileTag::Prior,
-            ..GfwConfig::evolved()
-        }
+        static OLD: OnceLock<GfwConfig> = OnceLock::new();
+        OLD.get_or_init(|| CensorProfile::gfw_prior().compile().expect("builtin profile compiles"))
+            .clone()
     }
 
     /// Deterministic variant for unit tests: no overload misses, no

@@ -37,39 +37,6 @@ pub struct RuleSet {
 }
 
 impl RuleSet {
-    /// The paper's measurement workload: keyword `ultrasurf`, a censored
-    /// domain list, plus Tor/VPN fingerprints.
-    pub fn paper_default() -> RuleSet {
-        let mut rules = vec![Rule {
-            pattern: b"ultrasurf".to_vec(),
-            kind: DetectionKind::HttpKeyword,
-        }];
-        for domain in ["dropbox.com", "facebook.com", "twitter.com", "youtube.com"] {
-            // Two patterns per domain: the dotted text form (HTTP Host
-            // headers, plain-text protocols) and the DNS wire encoding with
-            // length-prefixed labels (catches queries inside UDP/TCP DNS
-            // messages). Registrable part only, so `www.dropbox.com` also
-            // matches.
-            rules.push(Rule {
-                pattern: domain.as_bytes().to_vec(),
-                kind: DetectionKind::Domain,
-            });
-            rules.push(Rule {
-                pattern: dns_label_encoding(domain),
-                kind: DetectionKind::Domain,
-            });
-        }
-        rules.push(Rule {
-            pattern: TOR_FINGERPRINT.to_vec(),
-            kind: DetectionKind::TorHandshake,
-        });
-        rules.push(Rule {
-            pattern: VPN_FINGERPRINT.to_vec(),
-            kind: DetectionKind::VpnHandshake,
-        });
-        RuleSet { rules }
-    }
-
     pub fn empty() -> RuleSet {
         RuleSet { rules: Vec::new() }
     }
@@ -121,9 +88,9 @@ struct Node {
 /// A compiled multi-pattern matcher.
 ///
 /// ```
-/// use intang_gfw::dpi::{Automaton, RuleSet, DetectionKind, StreamMatcher};
+/// use intang_gfw::dpi::{Automaton, DetectionKind, StreamMatcher};
 ///
-/// let aut = Automaton::build(&RuleSet::paper_default());
+/// let aut = Automaton::build(&intang_gfw::dpi::shared_paper_rules());
 /// assert_eq!(aut.scan(b"GET /ultrasurf HTTP/1.1"), vec![DetectionKind::HttpKeyword]);
 ///
 /// // Streaming: the keyword split across two segments still matches.
@@ -306,25 +273,29 @@ impl Automaton {
     }
 }
 
-/// The compiled automaton for [`RuleSet::paper_default`], built once per
+/// The compiled automaton for [`shared_paper_rules`], built once per
 /// process and shared. Every sweep cell runs the same censor rule database,
 /// so rebuilding (and re-flattening the dense table) per `GfwElement` was
 /// pure waste — measurable at thousands of trials per sweep.
 pub fn shared_paper_default() -> Arc<Automaton> {
     static PAPER_DEFAULT: OnceLock<Arc<Automaton>> = OnceLock::new();
     PAPER_DEFAULT
-        .get_or_init(|| Arc::new(Automaton::build(&RuleSet::paper_default())))
+        .get_or_init(|| Arc::new(Automaton::build(&shared_paper_rules())))
         .clone()
 }
 
-/// The paper-default [`RuleSet`] itself, built once and shared. Configs
-/// reference rule sets through an `Arc` so the thousands of `GfwConfig`
-/// values a sweep constructs don't each own a heap copy of the rule
-/// database, and `Arc::ptr_eq` against this static is the fast path for
-/// "is this the paper-default censor?".
+/// The paper's measurement workload — keyword `ultrasurf`, a censored
+/// domain list, plus Tor/VPN fingerprints: the rules of
+/// [`CensorProfile::gfw_evolved`](crate::CensorProfile::gfw_evolved), built
+/// once and shared. Configs reference rule sets through an `Arc` so the
+/// thousands of `GfwConfig` values a sweep constructs don't each own a heap
+/// copy of the rule database, and `Arc::ptr_eq` against this static is the
+/// fast path for "is this the paper-default censor?".
 pub fn shared_paper_rules() -> Arc<RuleSet> {
     static PAPER_RULES: OnceLock<Arc<RuleSet>> = OnceLock::new();
-    PAPER_RULES.get_or_init(|| Arc::new(RuleSet::paper_default())).clone()
+    PAPER_RULES
+        .get_or_init(|| Arc::new(crate::CensorProfile::gfw_evolved().rule_set()))
+        .clone()
 }
 
 /// Streaming matcher state: one `u32` per monitored flow.
@@ -398,7 +369,7 @@ mod tests {
     use super::*;
 
     fn aut() -> Automaton {
-        Automaton::build(&RuleSet::paper_default())
+        Automaton::build(&shared_paper_rules())
     }
 
     #[test]

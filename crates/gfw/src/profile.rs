@@ -2,18 +2,17 @@
 //! reset policy, blacklist parameters, resync probabilities and probe
 //! behavior as *data*, compiled onto the existing dense machinery.
 //!
-//! A [`CensorProfile`] is parsed from a std-only TOML-like text format
-//! (`[section]` headers, `key = value` lines, `#` comments — no registry
-//! dependencies) and compiled to a [`GfwConfig`]: the DPI rules become the
-//! same Aho–Corasick automaton the hard-coded models use, the dynamics
-//! knobs land in the same dense TCB transition paths, and the sharded-lane
-//! machinery is untouched — so the hot path stays allocation-free, and a
-//! profile that reproduces a builtin is **byte-identical** to it across
-//! the full paper sweep (gated by test).
+//! A [`CensorProfile`] is compiled to a [`GfwConfig`]: the DPI rules
+//! become the dense Aho–Corasick automaton, the dynamics knobs land in the
+//! dense TCB transition paths, and the sharded-lane machinery is untouched
+//! — so the hot path stays allocation-free. User-written censors are
+//! parsed from a std-only TOML-like text format (`[section]` headers,
+//! `key = value` lines, `#` comments — no registry dependencies).
 //!
-//! Three profiles ship checked-in under `profiles/`:
+//! The three builtin censors are the Rust values below, and nowhere else:
 //!
-//! * `gfw_prior` — the Khattak et al. model ([`GfwConfig::old`]);
+//! * `gfw_prior` — the Khattak et al. model ([`GfwConfig::old`] is its
+//!   compiled form);
 //! * `gfw_evolved` — the paper's evolved model ([`GfwConfig::evolved`]);
 //! * `turkmenistan` — the structurally different censor documented by
 //!   Nourin et al.: bidirectional RST on detection plus a spoofed HTTP
@@ -37,9 +36,9 @@ use std::sync::Arc;
 /// derived from the same base seed.
 const HET_DEVICE_SEED: u64 = 0x4845_545f_4445_5649; // "HET_DEVI"
 
-/// A censor model as data. Field defaults ([`CensorProfile::gfw_evolved`])
-/// mirror [`GfwConfig::evolved`]; every key in the text format is optional
-/// except `[censor] name`.
+/// A censor model as data. Every key in the text format is optional except
+/// `[censor] name`; an absent key keeps its [`CensorProfile::gfw_evolved`]
+/// value.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CensorProfile {
     /// Profile name (`[censor] name`). The three builtin names compile to
@@ -81,9 +80,8 @@ pub struct CensorProfile {
     pub active_probing: bool,
     pub vpn_dpi: bool,
 
-    // [rules] — compiled in the same order `RuleSet::paper_default` uses:
-    // keywords, then per-domain dotted text + DNS label encoding, then the
-    // Tor and VPN fingerprints.
+    // [rules] — compiled in this order: keywords, then per-domain dotted
+    // text + DNS label encoding, then the Tor and VPN fingerprints.
     pub keywords: Vec<String>,
     pub domains: Vec<String>,
     pub tor_fingerprint: bool,
@@ -100,8 +98,8 @@ pub struct CensorProfile {
 }
 
 impl CensorProfile {
-    /// The paper's evolved GFW model — compiles byte-identical to
-    /// [`GfwConfig::evolved`].
+    /// The paper's evolved GFW model; [`GfwConfig::evolved`] is its compiled
+    /// form.
     pub fn gfw_evolved() -> CensorProfile {
         CensorProfile {
             name: "gfw_evolved".to_owned(),
@@ -145,8 +143,8 @@ impl CensorProfile {
         }
     }
 
-    /// The prior (Khattak et al.) model — compiles byte-identical to
-    /// [`GfwConfig::old`].
+    /// The prior (Khattak et al.) model; [`GfwConfig::old`] is its compiled
+    /// form.
     pub fn gfw_prior() -> CensorProfile {
         CensorProfile {
             name: "gfw_prior".to_owned(),
@@ -194,8 +192,8 @@ impl CensorProfile {
         }
     }
 
-    /// Resolve a CLI profile spec: a builtin name, a path to a profile
-    /// file, or a bare name looked up as `profiles/<name>.toml`.
+    /// Resolve a CLI profile spec: a builtin name or a path to a profile
+    /// file.
     pub fn resolve(spec: &str) -> Result<CensorProfile, String> {
         if let Some(p) = CensorProfile::builtin(spec) {
             return Ok(p);
@@ -203,12 +201,8 @@ impl CensorProfile {
         if Path::new(spec).is_file() {
             return CensorProfile::load(Path::new(spec));
         }
-        let shipped = format!("profiles/{spec}.toml");
-        if Path::new(&shipped).is_file() {
-            return CensorProfile::load(Path::new(&shipped));
-        }
         Err(format!(
-            "unknown censor profile `{spec}`: not a builtin ({}), not a file, and profiles/{spec}.toml does not exist",
+            "unknown censor profile `{spec}`: not a builtin ({}) and not a file",
             CensorProfile::BUILTIN_NAMES.join(", ")
         ))
     }
@@ -232,8 +226,7 @@ impl CensorProfile {
         for (idx, raw) in text.lines().enumerate() {
             let lineno = idx + 1;
             let err = |msg: String| format!("line {lineno}: {msg}");
-            let line = strip_comment(raw).map_err(&err)?;
-            let line = line.trim();
+            let line = strip_comment(raw).trim();
             if line.is_empty() {
                 continue;
             }
@@ -280,105 +273,11 @@ impl CensorProfile {
         Ok(p)
     }
 
-    /// Serialize to the canonical text form: every section, every key, in
-    /// fixed order. `parse(to_text())` round-trips exactly; the checked-in
-    /// `profiles/*.toml` files are generated by this function.
-    pub fn to_text(&self) -> String {
-        let mut s = String::with_capacity(1024);
-        let b = |v: bool| if v { "true" } else { "false" };
-        s.push_str(&format!("# Censor profile: {}\n", self.name));
-        s.push_str("# Canonical form emitted by CensorProfile::to_text; parse() round-trips it.\n\n");
-        s.push_str("[censor]\n");
-        s.push_str(&format!("name = \"{}\"\n", self.name));
-        s.push_str(&format!(
-            "generation = \"{}\"\n",
-            match self.generation {
-                GfwGeneration::Old => "old",
-                GfwGeneration::Evolved => "evolved",
-            }
-        ));
-        s.push_str(&format!("type1 = {}\n", b(self.type1)));
-        s.push_str(&format!("type2 = {}\n\n", b(self.type2)));
-        s.push_str("[validation]\n");
-        s.push_str(&format!("checksum = {}\n", b(self.validate_checksum)));
-        s.push_str(&format!("md5 = {}\n", b(self.check_md5)));
-        s.push_str(&format!("ack = {}\n", b(self.check_ack)));
-        s.push_str(&format!("timestamp = {}\n", b(self.check_timestamp)));
-        s.push_str(&format!("ip_total_len = {}\n\n", b(self.validate_ip_total_len)));
-        s.push_str("[stream]\n");
-        s.push_str(&format!(
-            "segment_overlap = \"{}\"\n",
-            match self.segment_overlap {
-                intang_tcpstack::reasm::SegmentOverlapPolicy::FirstWins => "first_wins",
-                intang_tcpstack::reasm::SegmentOverlapPolicy::LastWins => "last_wins",
-            }
-        ));
-        s.push_str(&format!(
-            "ip_frag_overlap = \"{}\"\n\n",
-            match self.ip_frag_overlap {
-                intang_packet::frag::OverlapPolicy::FirstWins => "first_wins",
-                intang_packet::frag::OverlapPolicy::LastWins => "last_wins",
-            }
-        ));
-        s.push_str("[dynamics]\n");
-        s.push_str(&format!("rst_resync_prob = {}\n", fmt_f64(self.rst_resync_prob)));
-        s.push_str(&format!(
-            "rst_resync_prob_handshake = {}\n",
-            fmt_f64(self.rst_resync_prob_handshake)
-        ));
-        s.push_str(&format!("overload_miss_prob = {}\n", fmt_f64(self.overload_miss_prob)));
-        s.push_str(&format!("blacklist_duration_ms = {}\n", self.blacklist_duration_ms));
-        s.push_str(&format!("reaction_delay_us = {}\n", self.reaction_delay_us));
-        s.push_str(&format!("max_tcbs = {}\n", self.max_tcbs));
-        s.push_str(&format!(
-            "eviction = \"{}\"\n",
-            match self.eviction {
-                EvictionPolicy::Oldest => "oldest",
-                EvictionPolicy::Lru => "lru",
-            }
-        ));
-        s.push_str(&format!("resync_storm_window_ms = {}\n", self.resync_storm_window_ms));
-        s.push_str(&format!("resync_storm_threshold = {}\n\n", self.resync_storm_threshold));
-        s.push_str("[actions]\n");
-        s.push_str(&format!("censor_responses = {}\n", b(self.censor_responses)));
-        s.push_str(&format!("inject_blockpage = {}\n\n", b(self.inject_blockpage)));
-        s.push_str("[protocols]\n");
-        s.push_str(&format!("dns_poison = {}\n", b(self.dns_poison)));
-        s.push_str(&format!("tor_filter = {}\n", b(self.tor_filter)));
-        s.push_str(&format!("active_probing = {}\n", b(self.active_probing)));
-        s.push_str(&format!("vpn_dpi = {}\n\n", b(self.vpn_dpi)));
-        s.push_str("[rules]\n");
-        s.push_str(&format!("keywords = {}\n", fmt_array(&self.keywords)));
-        s.push_str(&format!("domains = {}\n", fmt_array(&self.domains)));
-        s.push_str(&format!("tor_fingerprint = {}\n", b(self.tor_fingerprint)));
-        s.push_str(&format!("vpn_fingerprint = {}\n\n", b(self.vpn_fingerprint)));
-        s.push_str("[heterogeneity]\n");
-        s.push_str(&format!("blacklist_jitter = {}\n", fmt_f64(self.het_blacklist_jitter)));
-        s.push_str(&format!("resync_jitter = {}\n", fmt_f64(self.het_resync_jitter)));
-        s.push_str(&format!("overload_jitter = {}\n", fmt_f64(self.het_overload_jitter)));
-        s
-    }
-
-    /// Compile onto the dense machinery: build the [`RuleSet`] in
-    /// `paper_default` order (so a profile listing the paper workload
-    /// compiles to a content-equal set, which [`crate::device::GfwElement`]
-    /// recognizes and serves from the process-wide shared automaton), fill
-    /// a [`GfwConfig`], and validate every probability knob. When the rules
-    /// equal the paper set the shared `Arc` itself is handed out, so not
-    /// even the `Arc::ptr_eq` fast path can tell profile from builtin.
-    pub fn compile(&self) -> Result<GfwConfig, String> {
-        for (name, v) in [
-            ("blacklist_jitter", self.het_blacklist_jitter),
-            ("resync_jitter", self.het_resync_jitter),
-            ("overload_jitter", self.het_overload_jitter),
-        ] {
-            if !v.is_finite() || v < 0.0 {
-                return Err(format!(
-                    "profile {}: [heterogeneity] {name} must be a finite non-negative amplitude, got {v}",
-                    self.name
-                ));
-            }
-        }
+    /// The DPI rules the `[rules]` lists describe: keywords, then each
+    /// domain as dotted text and as DNS label encoding, then the Tor and
+    /// VPN fingerprints. [`shared_paper_rules`] is this set for
+    /// [`CensorProfile::gfw_evolved`].
+    pub(crate) fn rule_set(&self) -> RuleSet {
         let mut rules = RuleSet::empty();
         for kw in &self.keywords {
             rules.rules.push(Rule {
@@ -387,6 +286,11 @@ impl CensorProfile {
             });
         }
         for d in &self.domains {
+            // Two patterns per domain: the dotted text form (HTTP Host
+            // headers, plain-text protocols) and the DNS wire encoding with
+            // length-prefixed labels (catches queries inside UDP/TCP DNS
+            // messages). Registrable part only, so `www.dropbox.com` also
+            // matches.
             rules.rules.push(Rule {
                 pattern: d.as_bytes().to_vec(),
                 kind: DetectionKind::Domain,
@@ -408,41 +312,72 @@ impl CensorProfile {
                 kind: DetectionKind::VpnHandshake,
             });
         }
-        let shared = shared_paper_rules();
-        let rules = if rules == *shared { shared } else { Arc::new(rules) };
+        rules
+    }
 
-        let mut cfg = GfwConfig::evolved();
-        cfg.generation = self.generation;
-        cfg.type1 = self.type1;
-        cfg.type2 = self.type2;
-        cfg.validate_checksum = self.validate_checksum;
-        cfg.check_md5 = self.check_md5;
-        cfg.check_ack = self.check_ack;
-        cfg.check_timestamp = self.check_timestamp;
-        cfg.validate_ip_total_len = self.validate_ip_total_len;
-        cfg.segment_overlap = self.segment_overlap;
-        cfg.ip_frag_overlap = self.ip_frag_overlap;
-        cfg.rst_resync_prob = self.rst_resync_prob;
-        cfg.rst_resync_prob_handshake = self.rst_resync_prob_handshake;
-        cfg.overload_miss_prob = self.overload_miss_prob;
-        cfg.blacklist_duration = Duration::from_millis(self.blacklist_duration_ms);
-        cfg.reaction_delay = Duration::from_micros(self.reaction_delay_us);
-        cfg.max_tcbs = self.max_tcbs;
-        cfg.eviction = self.eviction;
-        cfg.resync_storm_window = Duration::from_millis(self.resync_storm_window_ms);
-        cfg.resync_storm_threshold = self.resync_storm_threshold;
-        cfg.censor_responses = self.censor_responses;
-        cfg.inject_blockpage = self.inject_blockpage;
-        cfg.dns_poison = self.dns_poison;
-        cfg.tor_filter = self.tor_filter;
-        cfg.active_probing = self.active_probing;
-        cfg.vpn_dpi = self.vpn_dpi;
-        cfg.rules = rules;
-        cfg.profile_tag = match self.name.as_str() {
-            "gfw_prior" => ProfileTag::Prior,
-            "gfw_evolved" => ProfileTag::Evolved,
-            "turkmenistan" => ProfileTag::Turkmenistan,
-            _ => ProfileTag::Custom,
+    /// Compile onto the dense machinery: build the [`RuleSet`], fill a
+    /// [`GfwConfig`], and validate every probability knob and duration.
+    /// When the rules equal the paper set the process-wide
+    /// [`shared_paper_rules`] `Arc` itself is handed out, so
+    /// [`crate::device::GfwElement`] serves them from the shared automaton.
+    pub fn compile(&self) -> Result<GfwConfig, String> {
+        for (name, v) in [
+            ("blacklist_jitter", self.het_blacklist_jitter),
+            ("resync_jitter", self.het_resync_jitter),
+            ("overload_jitter", self.het_overload_jitter),
+        ] {
+            if !v.is_finite() || v < 0.0 {
+                return Err(format!(
+                    "profile {}: [heterogeneity] {name} must be a finite non-negative amplitude, got {v}",
+                    self.name
+                ));
+            }
+        }
+        let millis = |key: &str, ms: u64| {
+            ms.checked_mul(1_000)
+                .map(Duration::from_micros)
+                .ok_or_else(|| format!("profile {}: [dynamics] {key} = {ms} overflows the microsecond clock", self.name))
+        };
+        let rules = self.rule_set();
+        let shared = shared_paper_rules();
+        let cfg = GfwConfig {
+            generation: self.generation,
+            type1: self.type1,
+            type2: self.type2,
+            validate_checksum: self.validate_checksum,
+            check_md5: self.check_md5,
+            check_ack: self.check_ack,
+            check_timestamp: self.check_timestamp,
+            validate_ip_total_len: self.validate_ip_total_len,
+            segment_overlap: self.segment_overlap,
+            ip_frag_overlap: self.ip_frag_overlap,
+            rst_resync_prob: self.rst_resync_prob,
+            rst_resync_prob_handshake: self.rst_resync_prob_handshake,
+            overload_miss_prob: self.overload_miss_prob,
+            blacklist_duration: millis("blacklist_duration_ms", self.blacklist_duration_ms)?,
+            reaction_delay: Duration::from_micros(self.reaction_delay_us),
+            max_tcbs: self.max_tcbs,
+            eviction: self.eviction,
+            resync_storm_window: millis("resync_storm_window_ms", self.resync_storm_window_ms)?,
+            resync_storm_threshold: self.resync_storm_threshold,
+            censor_responses: self.censor_responses,
+            inject_blockpage: self.inject_blockpage,
+            dns_poison: self.dns_poison,
+            tor_filter: self.tor_filter,
+            active_probing: self.active_probing,
+            vpn_dpi: self.vpn_dpi,
+            chaos_rst_inject_prob: 1.0,
+            chaos_blacklist_jitter: 0.0,
+            chaos_device_flap_prob: 0.0,
+            state_shards: 1,
+            shard_seed: 0,
+            rules: if rules == *shared { shared } else { Arc::new(rules) },
+            profile_tag: match self.name.as_str() {
+                "gfw_prior" => ProfileTag::Prior,
+                "gfw_evolved" => ProfileTag::Evolved,
+                "turkmenistan" => ProfileTag::Turkmenistan,
+                _ => ProfileTag::Custom,
+            },
         };
         cfg.validate().map_err(|e| format!("profile {}: {e}", self.name))?;
         Ok(cfg)
@@ -485,19 +420,6 @@ fn unit_draw(rng: &mut SimRng) -> f64 {
     (rng.next_u32() as f64 / u32::MAX as f64) * 2.0 - 1.0
 }
 
-fn fmt_f64(v: f64) -> String {
-    if v.fract() == 0.0 && v.is_finite() {
-        format!("{v:.1}")
-    } else {
-        format!("{v}")
-    }
-}
-
-fn fmt_array(items: &[String]) -> String {
-    let quoted: Vec<String> = items.iter().map(|i| format!("\"{i}\"")).collect();
-    format!("[{}]", quoted.join(", "))
-}
-
 /// The schema: every section and the keys it accepts.
 const SECTIONS: [(&str, &[&str]); 8] = [
     ("censor", &["name", "generation", "type1", "type2"]),
@@ -524,16 +446,16 @@ const SECTIONS: [(&str, &[&str]); 8] = [
 ];
 
 /// Strip a `#` comment, respecting quoted strings.
-fn strip_comment(line: &str) -> Result<&str, String> {
+fn strip_comment(line: &str) -> &str {
     let mut in_quotes = false;
     for (i, c) in line.char_indices() {
         match c {
             '"' => in_quotes = !in_quotes,
-            '#' if !in_quotes => return Ok(&line[..i]),
+            '#' if !in_quotes => return &line[..i],
             _ => {}
         }
     }
-    Ok(line)
+    line
 }
 
 fn parse_bool(v: &str) -> Result<bool, String> {
@@ -655,23 +577,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn builtins_round_trip_through_the_text_format() {
-        for name in CensorProfile::BUILTIN_NAMES {
-            let p = CensorProfile::builtin(name).unwrap();
-            let reparsed = CensorProfile::parse(&p.to_text()).unwrap();
-            assert_eq!(reparsed, p, "round-trip of `{name}` must be exact");
-        }
-    }
-
-    #[test]
-    fn gfw_profiles_compile_to_the_hardcoded_configs() {
-        let evolved = CensorProfile::gfw_evolved().compile().unwrap();
-        assert_eq!(evolved, GfwConfig::evolved());
-        let prior = CensorProfile::gfw_prior().compile().unwrap();
-        assert_eq!(prior, GfwConfig::old());
-    }
-
-    #[test]
     fn paper_rules_compile_to_the_shared_arc() {
         // Not just content-equal: the literal process-wide Arc, so the
         // device's shared-automaton fast path can't tell profile from
@@ -759,6 +664,85 @@ mod tests {
         }
         let p = CensorProfile::parse("[censor]\nname = \"x\"\n[heterogeneity]\nresync_jitter = -0.2\n").unwrap();
         assert!(p.compile().unwrap_err().contains("resync_jitter"));
+    }
+
+    #[test]
+    fn durations_that_overflow_the_clock_fail_at_compile() {
+        for key in ["blacklist_duration_ms", "resync_storm_window_ms"] {
+            let text = format!("[censor]\nname = \"x\"\n[dynamics]\n{key} = 18446744073709551615\n");
+            let p = CensorProfile::parse(&text).unwrap();
+            let err = p.compile().unwrap_err();
+            assert!(err.contains(key) && err.contains("overflows"), "compile error names the key: {err}");
+        }
+    }
+
+    #[test]
+    fn every_schema_key_lands_in_its_own_field() {
+        // One key per parse, set to a non-default value: the parsed profile
+        // must equal the defaults with exactly that field changed.
+        type Set = fn(&mut CensorProfile);
+        let cases: [(&str, &str, &str, Set); 33] = [
+            ("censor", "generation", "\"old\"", |p| p.generation = GfwGeneration::Old),
+            ("censor", "type1", "false", |p| p.type1 = false),
+            ("censor", "type2", "false", |p| p.type2 = false),
+            ("validation", "checksum", "true", |p| p.validate_checksum = true),
+            ("validation", "md5", "true", |p| p.check_md5 = true),
+            ("validation", "ack", "true", |p| p.check_ack = true),
+            ("validation", "timestamp", "true", |p| p.check_timestamp = true),
+            ("validation", "ip_total_len", "true", |p| p.validate_ip_total_len = true),
+            ("stream", "segment_overlap", "\"last_wins\"", |p| {
+                p.segment_overlap = intang_tcpstack::reasm::SegmentOverlapPolicy::LastWins
+            }),
+            ("stream", "ip_frag_overlap", "\"last_wins\"", |p| {
+                p.ip_frag_overlap = intang_packet::frag::OverlapPolicy::LastWins
+            }),
+            ("dynamics", "rst_resync_prob", "0.31", |p| p.rst_resync_prob = 0.31),
+            ("dynamics", "rst_resync_prob_handshake", "0.32", |p| {
+                p.rst_resync_prob_handshake = 0.32
+            }),
+            ("dynamics", "overload_miss_prob", "0.33", |p| p.overload_miss_prob = 0.33),
+            ("dynamics", "blacklist_duration_ms", "1_234", |p| p.blacklist_duration_ms = 1_234),
+            ("dynamics", "reaction_delay_us", "567", |p| p.reaction_delay_us = 567),
+            ("dynamics", "max_tcbs", "89", |p| p.max_tcbs = 89),
+            ("dynamics", "eviction", "\"lru\"", |p| p.eviction = EvictionPolicy::Lru),
+            ("dynamics", "resync_storm_window_ms", "250", |p| p.resync_storm_window_ms = 250),
+            ("dynamics", "resync_storm_threshold", "3", |p| p.resync_storm_threshold = 3),
+            ("actions", "censor_responses", "true", |p| p.censor_responses = true),
+            ("actions", "inject_blockpage", "true", |p| p.inject_blockpage = true),
+            ("protocols", "dns_poison", "false", |p| p.dns_poison = false),
+            ("protocols", "tor_filter", "false", |p| p.tor_filter = false),
+            ("protocols", "active_probing", "false", |p| p.active_probing = false),
+            ("protocols", "vpn_dpi", "true", |p| p.vpn_dpi = true),
+            ("rules", "keywords", "[\"falun\", \"tiananmen\"]", |p| {
+                p.keywords = vec!["falun".to_owned(), "tiananmen".to_owned()]
+            }),
+            ("rules", "domains", "[]", |p| p.domains = Vec::new()),
+            ("rules", "tor_fingerprint", "false", |p| p.tor_fingerprint = false),
+            ("rules", "vpn_fingerprint", "false", |p| p.vpn_fingerprint = false),
+            ("heterogeneity", "blacklist_jitter", "0.1", |p| p.het_blacklist_jitter = 0.1),
+            ("heterogeneity", "resync_jitter", "0.2", |p| p.het_resync_jitter = 0.2),
+            ("heterogeneity", "overload_jitter", "0.3", |p| p.het_overload_jitter = 0.3),
+            // Every parse below also sets `name`; this case pins it alone.
+            ("censor", "name", "\"y\"", |p| p.name = "y".to_owned()),
+        ];
+        for (sect, keys) in SECTIONS {
+            for key in keys {
+                assert!(cases.iter().any(|c| c.0 == sect && c.1 == *key), "no case for [{sect}] {key}");
+            }
+        }
+        let mut base = CensorProfile::gfw_evolved();
+        base.name = "x".to_owned();
+        for (sect, key, value, set) in cases {
+            let text = match (sect, key) {
+                ("censor", "name") => format!("[censor]\nname = {value}\n"),
+                ("censor", _) => format!("[censor]\nname = \"x\"\n{key} = {value}\n"),
+                _ => format!("[censor]\nname = \"x\"\n[{sect}]\n{key} = {value}\n"),
+            };
+            let mut want = base.clone();
+            set(&mut want);
+            assert_ne!(want, base, "[{sect}] {key} = {value} must differ from the default");
+            assert_eq!(CensorProfile::parse(&text).unwrap(), want, "[{sect}] {key} = {value}");
+        }
     }
 
     #[test]

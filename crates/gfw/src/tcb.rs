@@ -209,10 +209,10 @@ impl CensorTcb {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dpi::RuleSet;
+    use crate::dpi::shared_paper_rules;
 
     fn aut() -> Automaton {
-        Automaton::build(&RuleSet::paper_default())
+        Automaton::build(&shared_paper_rules())
     }
 
     fn tcb() -> CensorTcb {

@@ -2,7 +2,7 @@
 //! case generation — the build environment has no registry access, so no
 //! proptest).
 
-use intang_gfw::dpi::{Automaton, RuleSet};
+use intang_gfw::dpi::{shared_paper_rules, Automaton};
 use intang_gfw::tcb::CensorTcb;
 use intang_tcpstack::reasm::SegmentOverlapPolicy;
 use std::net::Ipv4Addr;
@@ -57,7 +57,7 @@ fn syn_flood_evicts_oldest_tcbs() {
 }
 
 fn aut() -> Automaton {
-    Automaton::build(&RuleSet::paper_default())
+    Automaton::build(&shared_paper_rules())
 }
 
 fn fresh_tcb() -> CensorTcb {

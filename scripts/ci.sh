@@ -82,13 +82,6 @@ INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
 # peak past the ceiling.
 INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke --domains 8 --workers 8
-# Censor-profile gate: every profiles/*.toml must parse, round-trip and
-# compile; the checked-in gfw_prior/gfw_evolved files must drive a quick
-# paper sweep byte-identical (rows, events, metrics, diagnoses) to the
-# hard-coded models at 1/2/8 workers under the invariant checker; and the
-# turkmenistan profile must block with spoofed 403 blockpages, zero forged
-# SYN/ACKs, and an outcome grid distinct from the GFW's.
-INTANG_SIMCHECK=1 cargo run --release -p intang-experiments --bin censor_profiles >/dev/null
 # Middlebox-enabled metropolis smoke: the seqfw hop behind the censor must
 # not cost serial/parallel identity.
 INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \

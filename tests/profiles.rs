@@ -1,6 +1,7 @@
-//! Scriptable censor profiles: the checked-in profile files must
-//! reproduce the hard-coded GFW models byte-for-byte, the turkmenistan
-//! profile must behave like a genuinely different censor, and per-device
+//! Scriptable censor profiles: slot configs compiled per device from the
+//! builtin GFW profiles must reproduce the cached builtin configs
+//! byte-for-byte, the turkmenistan profile must behave like a genuinely
+//! different censor and keep the runtime invariants, and per-device
 //! heterogeneity must never cost worker-count determinism.
 
 use intang_core::StrategyKind;
@@ -8,37 +9,25 @@ use intang_experiments::runner::{sweep_with_threads, SweepConfig};
 use intang_experiments::scenario::Scenario;
 use intang_gfw::CensorProfile;
 use intang_telemetry::Counter;
-use std::path::Path;
 
-/// The checked-in profile files, straight from the repository.
-fn checked_in(name: &str) -> CensorProfile {
-    let path = Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("profiles/{name}.toml"));
-    CensorProfile::load(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()))
-}
-
-#[test]
-fn checked_in_profiles_match_the_builtin_constructors() {
-    for name in CensorProfile::BUILTIN_NAMES {
-        let file = checked_in(name);
-        let builtin = CensorProfile::builtin(name).unwrap();
-        assert_eq!(file, builtin, "{name}.toml drifted from the builtin model");
-    }
+fn builtin(name: &str) -> CensorProfile {
+    CensorProfile::builtin(name).unwrap_or_else(|| panic!("`{name}` is a builtin profile"))
 }
 
 #[test]
 fn profile_driven_sweeps_reproduce_builtin_sweeps_at_1_2_8_workers() {
-    // The tentpole promise: compiling the checked-in gfw_prior +
-    // gfw_evolved files onto the dense machinery is invisible — rows,
-    // events, merged metrics and per-trial diagnoses byte-identical to
-    // the hard-coded models, at every worker count.
-    let prior = checked_in("gfw_prior");
-    let evolved = checked_in("gfw_evolved");
-    let builtin = Scenario::smoke(7);
-    let from_files = Scenario::smoke(7).with_profiles(&prior, &evolved).expect("profiles compile");
+    // Compiling gfw_prior + gfw_evolved once per device into every site's
+    // slots is invisible — rows, events, merged metrics and per-trial
+    // diagnoses byte-identical to the cached builtin configs, at every
+    // worker count.
+    let prior = builtin("gfw_prior");
+    let evolved = builtin("gfw_evolved");
+    let cached = Scenario::smoke(7);
+    let per_device = Scenario::smoke(7).with_profiles(&prior, &evolved).expect("profiles compile");
     let cfg = SweepConfig::new(Some(StrategyKind::ImprovedTeardown), true, 3, 1312);
-    let reference = sweep_with_threads(&builtin, &cfg, 1);
+    let reference = sweep_with_threads(&cached, &cfg, 1);
     for workers in [1usize, 2, 8] {
-        let run = sweep_with_threads(&from_files, &cfg, workers);
+        let run = sweep_with_threads(&per_device, &cfg, workers);
         assert_eq!(reference.rows, run.rows, "rows differ at {workers} workers");
         assert_eq!(reference.events, run.events, "events differ at {workers} workers");
         assert_eq!(reference.metrics, run.metrics, "metrics differ at {workers} workers");
@@ -49,8 +38,8 @@ fn profile_driven_sweeps_reproduce_builtin_sweeps_at_1_2_8_workers() {
 #[test]
 fn adaptive_profile_sweeps_match_builtin_too() {
     // Adaptive mode exercises the strategy-selection history as well.
-    let prior = checked_in("gfw_prior");
-    let evolved = checked_in("gfw_evolved");
+    let prior = builtin("gfw_prior");
+    let evolved = builtin("gfw_evolved");
     let cfg = SweepConfig::new(None, true, 2, 99);
     let a = sweep_with_threads(&Scenario::smoke(3), &cfg, 2);
     let b = sweep_with_threads(&Scenario::smoke(3).with_profiles(&prior, &evolved).unwrap(), &cfg, 2);
@@ -68,7 +57,7 @@ fn grid(rows: &[(String, intang_experiments::runner::Aggregate)]) -> String {
 
 #[test]
 fn turkmenistan_outcome_grid_is_distinct_deterministic_and_blockpage_driven() {
-    let tk = checked_in("turkmenistan");
+    let tk = builtin("turkmenistan");
     let scenario = Scenario::smoke(7).with_custom_censor(&tk).expect("profile compiles");
     // No evasion, keyword on: every fetch provokes the censor.
     let cfg = SweepConfig::new(Some(StrategyKind::NoStrategy), true, 3, 1312);
@@ -109,14 +98,37 @@ fn turkmenistan_outcome_grid_is_distinct_deterministic_and_blockpage_driven() {
 }
 
 #[test]
+fn turkmenistan_sweeps_keep_every_runtime_invariant() {
+    // The blockpage injector under the invariant checker, switched on for
+    // this thread and so for every sweep worker: each cell checked, none
+    // with a violation, with and without an evasion strategy.
+    let scenario = Scenario::smoke(2017)
+        .with_custom_censor(&builtin("turkmenistan"))
+        .expect("profile compiles");
+    let cells = (scenario.vantage_points.len() * scenario.websites.len()) as u64;
+    for strategy in [StrategyKind::NoStrategy, StrategyKind::ImprovedTeardown] {
+        let cfg = SweepConfig::new(Some(strategy), true, 3, 2017);
+        let prev = intang_simcheck::set_thread(Some(true));
+        let run = sweep_with_threads(&scenario, &cfg, 2);
+        intang_simcheck::set_thread(prev);
+        assert!(
+            run.metrics.counter(Counter::GfwBlockpagesInjected) > 0,
+            "{strategy:?}: blockpages fire"
+        );
+        assert_eq!(run.checked_cells, cells, "{strategy:?}");
+        assert_eq!(run.violations, 0, "{strategy:?}");
+    }
+}
+
+#[test]
 fn heterogeneous_profiles_keep_worker_count_determinism() {
     // Seeded per-device perturbation draws from the site identity, never
     // from execution order — so a jittered fleet still replays
     // byte-identically at any worker count.
-    let mut evolved = checked_in("gfw_evolved");
+    let mut evolved = builtin("gfw_evolved");
     evolved.het_blacklist_jitter = 0.2;
     evolved.het_resync_jitter = 0.05;
-    let prior = checked_in("gfw_prior");
+    let prior = builtin("gfw_prior");
     let scenario = Scenario::smoke(7).with_profiles(&prior, &evolved).expect("profiles compile");
     let cfg = SweepConfig::new(Some(StrategyKind::ImprovedTeardown), true, 3, 1312);
     let reference = sweep_with_threads(&scenario, &cfg, 1);
@@ -139,7 +151,7 @@ fn metropolis_censor_profile_and_middlebox_knobs_hold_their_contracts() {
     // across the domain split.
     let mut p = MetroParams::new(1_000, 41);
     p.shards = 4;
-    p.censor = Some(checked_in("turkmenistan").compile().expect("profile compiles"));
+    p.censor = Some(builtin("turkmenistan").compile().expect("profile compiles"));
     let reference = run_metropolis_domains(&p, 1, 1);
     assert!(
         reference.run.metrics.counter(Counter::GfwBlockpagesInjected) > 0,

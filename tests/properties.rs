@@ -5,7 +5,7 @@
 //! (the build environment has no registry access, so no proptest); each
 //! test runs a fixed number of deterministic random cases.
 
-use intang_gfw::dpi::{Automaton, RuleSet, StreamMatcher};
+use intang_gfw::dpi::{shared_paper_rules, Automaton, RuleSet, StreamMatcher};
 use intang_packet::frag::{self, OverlapPolicy};
 use intang_packet::tcp::{TcpFlags, TcpOption, TcpRepr};
 use intang_packet::{dns::DnsMessage, IpProtocol, Ipv4Packet, Ipv4Repr, TcpPacket};
@@ -694,7 +694,7 @@ fn wide_checksum_equals_scalar_at_every_length_alignment_and_split() {
 /// positions and arbitrary segmentation across feed calls.
 #[test]
 fn dpi_skip_loop_equals_reference_walk_across_arbitrary_splits() {
-    let aut = Automaton::build(&RuleSet::paper_default());
+    let aut = Automaton::build(&shared_paper_rules());
     let plants: [&[u8]; 4] = [b"ultrasurf", b"facebook.com", b"tras", b"no-op filler"];
     let mut g = Gen::new(0xd121);
     for _ in 0..128 {
