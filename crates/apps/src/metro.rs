@@ -166,12 +166,6 @@ impl MetroHandle {
         self.state.borrow().results.clone()
     }
 
-    /// `(spawned, succeeded, reset, stalled)` aggregate counts.
-    pub fn counts(&self) -> (u64, u64, u64, u64) {
-        let s = self.state.borrow();
-        (s.spawned, s.succeeded, s.reset, s.stalled)
-    }
-
     pub fn live(&self) -> u64 {
         self.state.borrow().live
     }

@@ -1,31 +1,34 @@
-//! Metropolis: one shared world, very many concurrent flows.
+//! Metropolis: one world, very many concurrent flows.
 //!
 //! Where [`crate::trial`] builds one simulation per fetch, this module
-//! builds **one** simulation hosting the whole population: a seeded load
+//! builds **one** world hosting the whole population: a seeded load
 //! generator plans every flow up front (arrival time, client address,
 //! site, ISN, keyword, per-flow INTANG strategy), the
-//! [`intang_apps::metro`] multiplexers host the endpoints, and a single
-//! GFW tap — one shared TCB table, one shared blacklist — watches them
-//! all. That sharing is the point: one flow's detection blacklists a
-//! `(src, dst)` pair and resets *other* flows on it, capacity pressure
-//! evicts TCBs and degrades detection, and resync churn from many flows
-//! counts as storms.
+//! [`intang_apps::metro`] multiplexers host the endpoints, and one INTANG
+//! shim and one GFW tap watch them all. The censor keeps its state in
+//! [`MetroParams::shards`] lanes keyed by [`intang_packet::pair_shard`]
+//! (§2.1: a censor is many devices, each with its own TCB state); within a
+//! lane the state is shared. That sharing is the point: one flow's
+//! detection blacklists a `(src, dst)` pair and resets *other* flows on
+//! it, capacity pressure evicts TCBs and degrades detection, and resync
+//! churn from many flows counts as storms. `shards = 1` is one global
+//! censor: a single lane holding the whole `max_tcbs` budget, with every
+//! draw from the simulation RNG.
 //!
-//! Determinism: [`run_metropolis`]'s event loop is strictly serial. The
-//! parallel runner [`run_metropolis_domains`] splits the world into event
+//! Determinism: [`run_metropolis_domains`] splits the world into event
 //! domains, one [`crate::executor`] unit each, and merges them in domain
 //! order — byte-identical to its `domains = 1` serial reference at any
 //! worker count (asserted by `tests/determinism.rs`).
 
 use crate::runner::MinMaxAvg;
 use intang_apps::metro::{FlowOutcome, FlowResult, FlowSpec, MetroClients, MetroHandle, MetroServers};
-use intang_core::{IntangConfig, IntangElement, IntangHandle, StrategyKind};
+use intang_core::{IntangConfig, IntangElement, StrategyKind};
 use intang_gfw::{EvictionPolicy, GfwConfig, GfwElement, GfwHandle};
 use intang_middlebox::SeqStrictFirewall;
 use intang_netsim::rng::SimRng;
 use intang_netsim::{Duration, Instant, Link, Simulation};
 use intang_telemetry::{classify, FailureVector, TrialEvidence, TrialOutcome};
-use intang_telemetry::{MetricsSheet, RunKnobs, SeriesSheet};
+use intang_telemetry::{Counter, MetricsSheet, RunKnobs, SeriesSheet};
 use std::net::Ipv4Addr;
 
 /// Total client→server hop count of the metropolis path (2 on the censor
@@ -219,13 +222,14 @@ pub fn shard_latency_stats(shards: &[ShardSummary]) -> MinMaxAvg {
 pub struct MetroRun {
     /// Per-flow outcome grid, indexed by flow id.
     pub results: Vec<FlowResult>,
-    /// `(spawned, succeeded, reset, stalled)`.
+    /// `(spawned, succeeded, reset, stalled)`, read from `metrics`.
     pub counts: (u64, u64, u64, u64),
     /// Per-shard summaries in shard order.
     pub shards: Vec<ShardSummary>,
     /// Simulator events processed.
     pub events: u64,
-    /// Cross-flow interference counters from the shared censor.
+    /// Cross-flow interference counters from the censor, read from
+    /// `metrics`.
     pub collateral_resets: u64,
     pub tcbs_evicted: u64,
     pub resync_storms: u64,
@@ -243,32 +247,7 @@ pub struct MetroRun {
 /// poke at the censor or the outcome grid mid-run).
 pub struct MetroParts {
     pub metro: MetroHandle,
-    pub intang: IntangHandle,
     pub gfw: GfwHandle,
-}
-
-/// Build the metropolis simulation without running it (the legacy serial
-/// world: one global censor TCB table, one global shim state, all draws
-/// from the simulation RNG).
-pub fn build_metropolis(p: &MetroParams, world: &MetroWorld) -> (Simulation, MetroParts) {
-    build_metropolis_inner(p, world, 1, 0, false)
-}
-
-/// Build one event domain of a `domains`-way parallel metropolis: the
-/// same topology as [`build_metropolis`], but the metro clients own only
-/// the shards with `shard % domains == domain`, and the censor and shim
-/// run with `state_shards = p.shards` so every piece of cross-flow state
-/// — TCB eviction order and capacity quota, resync windows, sticky
-/// draws, injector RNG streams, learned δ overrides — is partitioned by
-/// the same [`intang_packet::pair_shard`] key the metro flows shard by.
-/// Each shard's event stream is then causally closed, so any grouping of
-/// shards into domains replays identical per-shard bytes.
-///
-/// `domains = 1, domain = 0` is the **serial reference** for the parallel
-/// determinism grid: one simulation hosting all shards under the exact
-/// same sharded-state semantics.
-pub fn build_metropolis_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32) -> (Simulation, MetroParts) {
-    build_metropolis_inner(p, world, domains, domain, true)
 }
 
 /// Per-lane RNG seed bases for the sharded censor and shim — distinct
@@ -276,7 +255,21 @@ pub fn build_metropolis_domain(p: &MetroParams, world: &MetroWorld, domains: u32
 const GFW_LANE_SEED: u64 = 0x4746_575f_4c41_4e45; // "GFW_LANE"
 const SHIM_LANE_SEED: u64 = 0x5348_494d_4c41_4e45; // "SHIMLANE"
 
-fn build_metropolis_inner(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32, sharded_state: bool) -> (Simulation, MetroParts) {
+/// Build one event domain of a `domains`-way parallel metropolis without
+/// running it: the metro clients own only the shards with
+/// `shard % domains == domain`, and the censor and shim run with
+/// `state_shards = p.shards` so every piece of cross-flow state — TCB
+/// eviction order and capacity quota, resync windows, sticky draws,
+/// injector RNG streams, learned δ overrides — is partitioned by the same
+/// [`intang_packet::pair_shard`] key the metro flows shard by. Each
+/// shard's event stream is then causally closed, so any grouping of
+/// shards into domains replays identical per-shard bytes.
+///
+/// `domains = 1, domain = 0` is the **serial reference** for the parallel
+/// determinism grid: one simulation hosting all shards. At `p.shards = 1`
+/// it is the global censor: one lane with the whole `max_tcbs` quota and
+/// every draw from the simulation RNG.
+pub fn build_metropolis_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32) -> (Simulation, MetroParts) {
     let mut sim = Simulation::new(p.seed);
 
     // The INTANG shim fronts every client address; per-flow strategy
@@ -285,8 +278,8 @@ fn build_metropolis_inner(p: &MetroParams, world: &MetroWorld, domains: u32, dom
         strategy: None,
         measure_hops: true,
         prefer_ttl: true,
-        state_shards: if sharded_state { p.shards } else { 1 },
-        shard_seed: if sharded_state { p.seed ^ SHIM_LANE_SEED } else { 0 },
+        state_shards: p.shards,
+        shard_seed: p.seed ^ SHIM_LANE_SEED,
         ..IntangConfig::default()
     };
     let (intang_el, intang) = IntangElement::new(world.clients[0], cfg);
@@ -323,10 +316,8 @@ fn build_metropolis_inner(p: &MetroParams, world: &MetroWorld, domains: u32, dom
     let mut gcfg = p.censor.clone().unwrap_or_else(GfwConfig::evolved);
     gcfg.max_tcbs = p.max_tcbs;
     gcfg.eviction = p.eviction;
-    if sharded_state {
-        gcfg.state_shards = p.shards;
-        gcfg.shard_seed = p.seed ^ GFW_LANE_SEED;
-    }
+    gcfg.state_shards = p.shards;
+    gcfg.shard_seed = p.seed ^ GFW_LANE_SEED;
     let (gfw_el, gfw) = GfwElement::labeled(gcfg, "GFW");
     sim.add_element(Box::new(gfw_el));
 
@@ -350,45 +341,7 @@ fn build_metropolis_inner(p: &MetroParams, world: &MetroWorld, domains: u32, dom
         sim.add_element(Box::new(MetroServers::new(world.sites.clone())));
     }
 
-    (sim, MetroParts { metro, intang, gfw })
-}
-
-/// Run a legacy (global-censor) metropolis world to its horizon on the
-/// calling thread.
-pub fn run_metropolis(p: &MetroParams) -> MetroRun {
-    let sc = intang_simcheck::enabled();
-    if sc {
-        intang_simcheck::begin_trial(p.seed);
-        let _ = intang_simcheck::take_violations();
-    }
-    let world = generate_world(p);
-    let (mut sim, parts) = build_metropolis(p, &world);
-    let events = sim.run_until(p.horizon);
-
-    let mut metrics = MetricsSheet::new();
-    sim.export_metrics(&mut metrics);
-    // One logical censor device per run: tag it at the run level (never
-    // per element — a domain split would multiply the constant).
-    metrics.inc(parts.gfw.profile_tag().device_counter());
-    let series = sim.take_series();
-    let violations = if sc { intang_simcheck::take_violations().len() as u64 } else { 0 };
-
-    let results = parts.metro.results();
-    let shards = aggregate_shards(&results, p.shards);
-    let (spawned, succeeded, reset, stalled) = parts.metro.counts();
-    MetroRun {
-        results,
-        counts: (spawned, succeeded, reset, stalled),
-        shards,
-        events,
-        collateral_resets: parts.gfw.blacklist_collateral_resets(),
-        tcbs_evicted: parts.gfw.tcbs_evicted(),
-        resync_storms: parts.gfw.resync_storms(),
-        metrics,
-        series,
-        order_violations: parts.metro.order_violations(),
-        violations,
-    }
+    (sim, MetroParts { metro, gfw })
 }
 
 /// §5 diagnosis over a metropolis run: how many stalled flows the failure
@@ -440,11 +393,8 @@ pub struct MetroDomainsRun {
 /// only; simulations, wires and `Rc` handles never cross threads.
 struct DomainOut {
     results: Vec<FlowResult>,
-    counts: (u64, u64, u64, u64),
     events: u64,
-    collateral_resets: u64,
-    tcbs_evicted: u64,
-    resync_storms: u64,
+    /// Every element's counters, the run totals among them.
     metrics: MetricsSheet,
     /// Raw per-tick gauge samples (empty unless series telemetry is on);
     /// tick `k` is sampled with every event before `k * CADENCE_US`
@@ -492,11 +442,7 @@ fn run_one_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32
     let violations = if sc { intang_simcheck::take_violations().len() as u64 } else { 0 };
     DomainOut {
         results: parts.metro.results(),
-        counts: parts.metro.counts(),
         events,
-        collateral_resets: parts.gfw.blacklist_collateral_resets(),
-        tcbs_evicted: parts.gfw.tcbs_evicted(),
-        resync_storms: parts.gfw.resync_storms(),
         metrics,
         samples,
         order_violations: parts.metro.order_violations(),
@@ -517,12 +463,11 @@ fn run_one_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32
 /// to the `domains = 1` serial reference at any `(domains, workers,
 /// batching)` combination (asserted by `tests/determinism.rs`).
 ///
-/// Note this is a *different semantics* from the legacy
-/// [`run_metropolis`]: there the censor keeps one global TCB table and
-/// eviction budget; here every lane owns a deterministic share of it.
-/// Cross-flow interference still happens — within a lane — and the
-/// partition itself is part of the modeled deployment (§2.1: sharding is
-/// how real DPI boxes shed state).
+/// Every lane owns a deterministic share of the TCB budget, and
+/// cross-flow interference happens within a lane; the partition is part
+/// of the modeled deployment (§2.1: a censor is many devices, each with
+/// its own state). `p.shards = 1` runs one global censor, and domains
+/// then clamp to 1.
 pub fn run_metropolis_domains(p: &MetroParams, domains: u32, workers: usize) -> MetroDomainsRun {
     let world = generate_world(p);
     run_metropolis_domains_world(p, &world, domains, workers)
@@ -546,39 +491,18 @@ pub fn run_metropolis_domains_world(p: &MetroParams, world: &MetroWorld, domains
     );
     let outs: Vec<DomainOut> = outs.into_iter().map(|o| o.expect("every domain must have run")).collect();
 
-    // Deterministic merge, all of it in domain-index order.
-    let flows = world.specs.len();
-    let mut results = vec![
-        FlowResult {
-            outcome: FlowOutcome::Pending,
-            latency_us: 0,
-            shard: 0,
-        };
-        flows
-    ];
-    for (i, slot) in results.iter_mut().enumerate() {
-        // Every domain's grid carries the full shard column; the owner of
-        // flow i is its shard mod domains.
-        let shard = outs[0].results[i].shard;
-        *slot = outs[(shard % domains) as usize].results[i];
-    }
-    let mut counts = (0u64, 0u64, 0u64, 0u64);
+    // Deterministic merge, all of it in domain-index order. Every domain's
+    // grid carries the full shard column; the owner of flow i is its shard
+    // mod domains.
+    let results: Vec<FlowResult> = (0..world.specs.len())
+        .map(|i| outs[(outs[0].results[i].shard % domains) as usize].results[i])
+        .collect();
     let mut events = 0u64;
-    let mut collateral_resets = 0u64;
-    let mut tcbs_evicted = 0u64;
-    let mut resync_storms = 0u64;
     let mut order_violations = 0u64;
     let mut violations = 0u64;
     let mut metrics = MetricsSheet::new();
     for o in &outs {
-        counts.0 += o.counts.0;
-        counts.1 += o.counts.1;
-        counts.2 += o.counts.2;
-        counts.3 += o.counts.3;
         events += o.events;
-        collateral_resets += o.collateral_resets;
-        tcbs_evicted += o.tcbs_evicted;
-        resync_storms += o.resync_storms;
         order_violations += o.order_violations;
         violations += o.violations;
         metrics.merge(&o.metrics);
@@ -615,19 +539,27 @@ pub fn run_metropolis_domains_world(p: &MetroParams, world: &MetroWorld, domains
         .map(|(d, o)| DomainStats {
             domain: d as u32,
             events: o.events,
-            flows_owned: o.counts.0,
+            flows_owned: o.metrics.counter(Counter::MetroFlowsSpawned),
             busy: o.busy,
         })
         .collect();
+    // Run totals come from the merged sheet: the metro clients and the
+    // censor export exactly the counters their handles read.
+    let counts = (
+        metrics.counter(Counter::MetroFlowsSpawned),
+        metrics.counter(Counter::MetroFlowsSucceeded),
+        metrics.counter(Counter::MetroFlowsReset),
+        metrics.counter(Counter::MetroFlowsStalled),
+    );
     MetroDomainsRun {
         run: MetroRun {
             results,
             counts,
             shards,
             events,
-            collateral_resets,
-            tcbs_evicted,
-            resync_storms,
+            collateral_resets: metrics.counter(Counter::GfwBlacklistCollateralResets),
+            tcbs_evicted: metrics.counter(Counter::GfwTcbsEvicted),
+            resync_storms: metrics.counter(Counter::GfwResyncStorms),
             metrics,
             series,
             order_violations,
@@ -662,15 +594,19 @@ mod tests {
     fn small_world_completes_with_terminal_outcomes() {
         let mut p = MetroParams::new(40, 2017);
         p.shards = 4;
-        let run = run_metropolis(&p);
+        let run = run_metropolis_domains(&p, 1, 1).run;
         let (spawned, succeeded, reset, stalled) = run.counts;
         assert_eq!(spawned, 40);
         assert_eq!(succeeded + reset + stalled, 40, "every flow reaches a terminal state");
         assert!(succeeded > 0, "some flows must fetch their page: {:?}", run.counts);
         assert!(run.results.iter().all(|r| r.outcome != FlowOutcome::Pending));
         assert_eq!(run.order_violations, 0);
-        let total: u64 = run.shards.iter().map(|s| s.flows).sum();
-        assert_eq!(total, 40, "shard summaries partition the grid");
+        let sum = |f: fn(&ShardSummary) -> u64| run.shards.iter().map(f).sum::<u64>();
+        assert_eq!(
+            (sum(|s| s.flows), sum(|s| s.succeeded), sum(|s| s.reset), sum(|s| s.stalled)),
+            run.counts,
+            "shard summaries partition the grid"
+        );
     }
 
     #[test]
@@ -708,7 +644,6 @@ mod tests {
 
     #[test]
     fn middlebox_hop_interferes_at_scale_and_stays_deterministic() {
-        use intang_telemetry::Counter;
         // 1k flows through the seqfw hop: insertion-based strategies leave
         // junk in the box's sequence tracking, real requests then look
         // stale and are dropped — flows stall and the §5 classifier calls
@@ -735,25 +670,24 @@ mod tests {
     fn middlebox_free_runs_report_no_interference() {
         let mut p = MetroParams::new(200, 97);
         p.shards = 4;
-        let run = run_metropolis(&p);
-        assert_eq!(run.metrics.counter(intang_telemetry::Counter::MiddleboxSeqfwBlocked), 0);
+        let run = run_metropolis_domains(&p, 1, 1).run;
+        assert_eq!(run.metrics.counter(Counter::MiddleboxSeqfwBlocked), 0);
         assert_eq!(middlebox_interference_diagnoses(&run), 0);
     }
 
     #[test]
     fn censor_override_retags_the_run() {
         use intang_gfw::CensorProfile;
-        use intang_telemetry::Counter;
         let mut p = MetroParams::new(40, 5);
         p.shards = 4;
-        let stock = run_metropolis(&p);
+        let stock = run_metropolis_domains(&p, 1, 1).run;
         assert_eq!(stock.metrics.counter(Counter::GfwProfileEvolvedDevices), 1);
         assert_eq!(stock.metrics.counter(Counter::GfwProfileTurkmenistanDevices), 0);
         p.censor = Some(CensorProfile::turkmenistan().compile().expect("builtin compiles"));
-        let tk = run_metropolis(&p);
+        let tk = run_metropolis_domains(&p, 1, 1).run;
         assert_eq!(tk.metrics.counter(Counter::GfwProfileTurkmenistanDevices), 1);
         assert_eq!(tk.metrics.counter(Counter::GfwProfileEvolvedDevices), 0);
-        // The domains path tags the merged sheet identically.
+        // A domain split tags the merged sheet once, like the serial run.
         let tk2 = run_metropolis_domains(&p, 2, 2);
         assert_eq!(tk2.run.metrics.counter(Counter::GfwProfileTurkmenistanDevices), 1);
     }

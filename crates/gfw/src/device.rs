@@ -274,16 +274,6 @@ impl GfwHandle {
         self.core.borrow().stats.blacklist_collateral_resets
     }
 
-    /// Resync-storm episodes counted by the window detector.
-    pub fn resync_storms(&self) -> u64 {
-        self.core.borrow().stats.resync_storms
-    }
-
-    /// TCBs evicted under capacity pressure.
-    pub fn tcbs_evicted(&self) -> u64 {
-        self.core.borrow().stats.tcbs_evicted
-    }
-
     pub fn probes_launched(&self) -> u64 {
         self.core.borrow().stats.probes_launched
     }

@@ -86,5 +86,13 @@ INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
 # not cost serial/parallel identity.
 INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke --middlebox
+# Metropolis folded-stack export: the profiled world runs on an executor
+# worker, so the profile is the merge of the worker span sheets; it must
+# be non-empty and every line must parse as `stack<space>count`.
+folded="${TMPDIR:-/tmp}/ci_metro_profile.folded"
+cargo run --release -p intang-experiments --bin metropolis -- --quick --profile-folded "$folded" >/dev/null
+test -s "$folded" || { echo "ci: FAIL: metropolis folded profile is empty" >&2; exit 1; }
+awk 'NF < 2 || $NF !~ /^[0-9]+$/ { print "ci: FAIL: bad folded line: " $0; bad = 1 } END { exit bad }' "$folded"
+rm -f "$folded"
 
 echo "ci: OK"

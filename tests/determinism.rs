@@ -229,54 +229,6 @@ fn scenario_generation_is_pure() {
 }
 
 #[test]
-fn metropolis_is_identical_across_workers_and_batching() {
-    // The serial metropolis matrix: one 5k-flow shared world at a fixed
-    // shard count, re-run with batched event dispatch forced off AND on,
-    // byte-compared against the serial unbatched reference. Batching
-    // partitions *dispatch*; it may not touch outcomes, counts, events,
-    // the merged metrics sheet, or the gauge series. (The shard count
-    // itself is event-loop-visible — it defines the per-shard spawn and
-    // sweep chains — so it is pinned here; the cross-shard and
-    // cross-worker guarantee is the domain grid below.)
-    use intang_experiments::metropolis::{run_metropolis, MetroParams, MetroRun};
-
-    let run_grid_cell = |batching: bool| -> MetroRun {
-        let prev_batch = intang_netsim::batch::set_thread(Some(batching));
-        let prev_series = intang_telemetry::series::set_thread(Some(true));
-        let mut p = MetroParams::new(5_000, 77);
-        p.shards = 8;
-        let run = run_metropolis(&p);
-        intang_telemetry::series::set_thread(prev_series);
-        intang_netsim::batch::set_thread(prev_batch);
-        run
-    };
-
-    let reference = run_grid_cell(false);
-    let ref_grid: Vec<_> = reference.results.iter().map(|r| (r.outcome, r.latency_us)).collect();
-    let (spawned, ..) = reference.counts;
-    assert_eq!(spawned, 5_000);
-    assert_eq!(reference.order_violations, 0);
-
-    for batching in [false, true] {
-        let run = run_grid_cell(batching);
-        let tag = format!("batching={batching}");
-        let grid: Vec<_> = run.results.iter().map(|r| (r.outcome, r.latency_us)).collect();
-        assert_eq!(ref_grid, grid, "per-flow outcome grid differs at {tag}");
-        assert_eq!(reference.counts, run.counts, "counts differ at {tag}");
-        assert_eq!(reference.events, run.events, "events differ at {tag}");
-        assert_eq!(reference.metrics, run.metrics, "merged metrics differ at {tag}");
-        assert_eq!(reference.series, run.series, "gauge series differ at {tag}");
-        assert_eq!(run.order_violations, 0, "ordering regressions at {tag}");
-        // Shard summaries must partition the grid regardless of shape.
-        let (s, ok, rst, stall) = run.counts;
-        assert_eq!(run.shards.iter().map(|x| x.flows).sum::<u64>(), s, "{tag}");
-        assert_eq!(run.shards.iter().map(|x| x.succeeded).sum::<u64>(), ok, "{tag}");
-        assert_eq!(run.shards.iter().map(|x| x.reset).sum::<u64>(), rst, "{tag}");
-        assert_eq!(run.shards.iter().map(|x| x.stalled).sum::<u64>(), stall, "{tag}");
-    }
-}
-
-#[test]
 fn metropolis_domains_are_identical_to_the_serial_reference() {
     // The parallel-metropolis tentpole matrix: one 5k-flow world at 8
     // state shards, split into 1/2/8 event domains on 1/2/8 work-stealing

@@ -132,7 +132,7 @@ fn golden_out_of_order_ip_frag() {
 #[test]
 fn golden_metropolis_collateral() {
     use intang_apps::metro::{FlowOutcome, FlowSpec};
-    use intang_experiments::metropolis::{build_metropolis, MetroParams, MetroWorld};
+    use intang_experiments::metropolis::{build_metropolis_domain, MetroParams, MetroWorld};
     use intang_netsim::Duration;
     use std::net::Ipv4Addr;
 
@@ -172,10 +172,11 @@ fn golden_metropolis_collateral() {
             .collect(),
         strategies: vec![StrategyKind::NoStrategy; 16],
     };
+    // One global censor, built as the serial (single-domain) world.
     let mut p = MetroParams::new(16, 16);
-    p.shards = 4;
+    p.shards = 1;
     p.horizon = Instant(1_000_000);
-    let (mut sim, parts) = build_metropolis(&p, &world);
+    let (mut sim, parts) = build_metropolis_domain(&p, &world, 1, 0);
     sim.trace.enable();
     sim.run_until(p.horizon);
 

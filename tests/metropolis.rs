@@ -3,13 +3,13 @@
 //! that never exchange a byte. Every expectation below is hand-computed
 //! from the topology (50 µs + 1 ms + 2 ms links → ~6 ms RTT, detection of
 //! a t=0 keyword flow lands within ~10 ms) and the configured censor
-//! parameters (90 s pair blacklist, `max_tcbs` + Oldest eviction).
+//! parameters (90 s pair blacklist, `max_tcbs` + Oldest eviction). The
+//! first four cases run one global censor (`shards = 1`); the last two
+//! partition it into 4 lanes and split the world into event domains.
 
 use intang_apps::metro::{FlowOutcome, FlowSpec};
 use intang_core::StrategyKind;
-use intang_experiments::metropolis::{
-    build_metropolis, run_metropolis_domains_world, MetroDomainsRun, MetroParams, MetroParts, MetroWorld,
-};
+use intang_experiments::metropolis::{run_metropolis_domains_world, MetroDomainsRun, MetroParams, MetroWorld};
 use intang_gfw::EvictionPolicy;
 use intang_netsim::{Duration, Instant};
 use std::net::Ipv4Addr;
@@ -38,29 +38,25 @@ fn world(clients: u32, sites: u32, flows: &[(u64, u32, u32, bool, u64)]) -> Metr
     }
 }
 
-/// The same world under the parallel loop: sharded censor/shim lanes,
-/// `domains` event domains on `workers` threads.
-fn run_domains(w: &MetroWorld, max_tcbs: usize, horizon: Instant, domains: u32, workers: usize) -> (Vec<FlowOutcome>, MetroDomainsRun) {
+/// Run the world to `horizon` with the censor and shim state in `shards`
+/// lanes (1 = one global censor), as `domains` event domains on `workers`
+/// threads.
+fn run_world(
+    w: &MetroWorld,
+    shards: u32,
+    max_tcbs: usize,
+    horizon: Instant,
+    domains: u32,
+    workers: usize,
+) -> (Vec<FlowOutcome>, MetroDomainsRun) {
     let mut p = MetroParams::new(w.specs.len() as u32, 42);
-    p.shards = 4;
+    p.shards = shards;
     p.max_tcbs = max_tcbs;
     p.eviction = EvictionPolicy::Oldest;
     p.horizon = horizon;
     let run = run_metropolis_domains_world(&p, w, domains, workers);
     let outcomes = run.run.results.iter().map(|r| r.outcome).collect();
     (outcomes, run)
-}
-
-fn run(w: &MetroWorld, max_tcbs: usize, horizon: Instant) -> (Vec<FlowOutcome>, MetroParts) {
-    let mut p = MetroParams::new(w.specs.len() as u32, 42);
-    p.shards = 4;
-    p.max_tcbs = max_tcbs;
-    p.eviction = EvictionPolicy::Oldest;
-    p.horizon = horizon;
-    let (mut sim, parts) = build_metropolis(&p, w);
-    sim.run_until(horizon);
-    let outcomes = parts.metro.results().iter().map(|r| r.outcome).collect();
-    (outcomes, parts)
 }
 
 #[test]
@@ -77,11 +73,11 @@ fn detection_on_one_flow_resets_a_later_flow_on_the_same_pair() {
             (100_000, 0, 0, false, 0), // benign, same (src, dst): collateral reset
         ],
     );
-    let (outcomes, parts) = run(&w, 65_536, Instant(5_000_000));
+    let (outcomes, run) = run_world(&w, 1, 65_536, Instant(5_000_000), 1, 1);
     assert_eq!(outcomes[0], FlowOutcome::Reset, "keyword flow is detected and reset");
     assert_eq!(outcomes[1], FlowOutcome::Reset, "benign flow on the blacklisted pair is collateral");
     assert!(
-        parts.gfw.blacklist_collateral_resets() > 0,
+        run.run.collateral_resets > 0,
         "the censor attributes flow 1's resets to collateral (got 0)"
     );
 }
@@ -100,7 +96,7 @@ fn benign_flow_from_a_different_client_is_untouched() {
             (100_000, 1, 0, false, 0), // different client, same site: untouched
         ],
     );
-    let (outcomes, _parts) = run(&w, 65_536, Instant(5_000_000));
+    let (outcomes, _) = run_world(&w, 1, 65_536, Instant(5_000_000), 1, 1);
     assert_eq!(outcomes[1], FlowOutcome::Reset, "same-pair flow is collateral");
     assert_eq!(outcomes[2], FlowOutcome::Success, "different-client flow sails through");
 }
@@ -119,7 +115,7 @@ fn blacklist_expiry_at_ninety_seconds_restores_the_pair() {
             (95_000_000, 0, 0, false, 0), // 95 s > 90.01 s: expired, succeeds
         ],
     );
-    let (outcomes, _parts) = run(&w, 65_536, Instant(120_000_000));
+    let (outcomes, _) = run_world(&w, 1, 65_536, Instant(120_000_000), 1, 1);
     assert_eq!(outcomes[1], FlowOutcome::Reset, "retry inside the 90 s window is collateral");
     assert_eq!(outcomes[2], FlowOutcome::Success, "retry after expiry completes normally");
 }
@@ -139,15 +135,15 @@ fn tcb_eviction_under_capacity_pressure_degrades_detection_exactly_as_configured
     ];
     let w = world(3, 2, flows);
 
-    let (outcomes, parts) = run(&w, 2, Instant(5_000_000));
-    assert_eq!(parts.gfw.tcbs_evicted(), 1, "exactly one eviction: flow 0's TCB, the oldest");
+    let (outcomes, run) = run_world(&w, 1, 2, Instant(5_000_000), 1, 1);
+    assert_eq!(run.run.tcbs_evicted, 1, "exactly one eviction: flow 0's TCB, the oldest");
     assert_eq!(outcomes[0], FlowOutcome::Success, "evicted TCB means the keyword goes unscanned");
     assert_eq!(outcomes[1], FlowOutcome::Success);
     assert_eq!(outcomes[2], FlowOutcome::Success);
 
     // Control: ample capacity, identical world — detection works again.
-    let (outcomes, parts) = run(&w, 65_536, Instant(5_000_000));
-    assert_eq!(parts.gfw.tcbs_evicted(), 0, "no pressure, no evictions");
+    let (outcomes, run) = run_world(&w, 1, 65_536, Instant(5_000_000), 1, 1);
+    assert_eq!(run.run.tcbs_evicted, 0, "no pressure, no evictions");
     assert_eq!(outcomes[0], FlowOutcome::Reset, "with its TCB intact the keyword flow is detected");
     assert_eq!(outcomes[1], FlowOutcome::Success);
     assert_eq!(outcomes[2], FlowOutcome::Success);
@@ -178,7 +174,7 @@ fn interference_expectations_hold_unchanged_under_the_parallel_loop() {
         FlowOutcome::Success,
     ];
     for (domains, workers) in [(1u32, 1usize), (2, 2), (4, 4)] {
-        let (outcomes, run) = run_domains(&w, 65_536, Instant(120_000_000), domains, workers);
+        let (outcomes, run) = run_world(&w, 4, 65_536, Instant(120_000_000), domains, workers);
         assert_eq!(
             outcomes, expected,
             "interference outcomes differ at {domains} domains, {workers} workers"
@@ -208,7 +204,7 @@ fn per_lane_eviction_quota_degrades_detection_identically_at_every_domain_count(
     let w = world(1, 1, flows);
 
     for (domains, workers) in [(1u32, 1usize), (2, 2), (4, 4)] {
-        let (outcomes, run) = run_domains(&w, 8, Instant(5_000_000), domains, workers);
+        let (outcomes, run) = run_world(&w, 4, 8, Instant(5_000_000), domains, workers);
         let tag = format!("{domains} domains, {workers} workers");
         assert_eq!(run.run.tcbs_evicted, 1, "exactly one lane eviction at {tag}");
         assert_eq!(
@@ -220,7 +216,7 @@ fn per_lane_eviction_quota_degrades_detection_identically_at_every_domain_count(
         assert_eq!(outcomes[2], FlowOutcome::Success, "{tag}");
 
         // Control: ample per-lane quota, identical world — detection works.
-        let (outcomes, run) = run_domains(&w, 65_536, Instant(5_000_000), domains, workers);
+        let (outcomes, run) = run_world(&w, 4, 65_536, Instant(5_000_000), domains, workers);
         assert_eq!(run.run.tcbs_evicted, 0, "no pressure, no evictions at {tag}");
         assert_eq!(
             outcomes[0],
