@@ -6,7 +6,7 @@
 //! replacing the two hosts with two multiplexing elements:
 //!
 //! * [`MetroClients`] (leftmost): hosts every client flow. Per-flow state
-//!   (a dedicated [`TcpEndpoint`], HTTP fetch machine, outcome slot) lives
+//!   (a dedicated [`TcpEndpoint`], an `HttpFetch`, outcome slot) lives
 //!   in **shards** — flow-keyed hash maps partitioned by
 //!   [`intang_packet::pair_shard`] of the flow's *address pair* (never the
 //!   ports, see [`shard_of`]) — the same partition key the sharded censor
@@ -16,10 +16,18 @@
 //!   **event domains** (one [`Simulation`] per worker thread) without
 //!   changing a single emitted byte.
 //! * [`MetroServers`] (rightmost): hosts every origin site. One small
-//!   endpoint per *connection*, created on the first SYN and reaped as soon
-//!   as the request is answered and every socket has settled (a TTL timer
-//!   remains as a backstop for conversations that never complete), so the
-//!   steady-state cost of finished flows is zero.
+//!   endpoint and one `HttpServe` per *connection*, created on the first
+//!   SYN and reaped as soon as the request is answered and every socket has
+//!   settled (a TTL timer remains as a backstop for conversations that
+//!   never complete), so the steady-state cost of finished flows is zero.
+//!
+//! Both elements only host the two HTTP machines of [`crate::http`], the
+//! same ones a per-trial host runs, and a flow's outcome comes from the
+//! same definition as a trial's: [`TrialOutcome::of_fetch`] over (response
+//! complete, resets seen), resets first. A flow's evidence is its socket's
+//! reset plus the resets the INTANG shim saw on it, and it ends when the
+//! flow retires (on its fetch's end, or at the horizon); a trial's evidence
+//! runs to its horizon.
 //!
 //! Everything in between — the INTANG shim, middleboxes, the GFW tap — is
 //! the ordinary single-flow path, now observing (and entangling) all flows
@@ -34,11 +42,12 @@
 //! grouping of shards into domains replays each shard's exact serial event
 //! stream.
 
+use crate::http::{FetchEnd, HttpFetch, HttpServe, Reply};
 use intang_netsim::{Ctx, Direction, Duration, Element, Instant, Simulation};
 use intang_packet::http::{HttpRequest, HttpResponse};
 use intang_packet::{FourTuple, FxHashMap, Ipv4Packet, TcpPacket, Wire};
-use intang_tcpstack::{SocketHandle, StackProfile, TcpEndpoint};
-use intang_telemetry::{Counter, GaugeId, GaugeSample, HistId, MetricsSheet};
+use intang_tcpstack::{StackProfile, TcpEndpoint};
+use intang_telemetry::{span, Counter, GaugeId, GaugeSample, HistId, MetricsSheet, SpanId, TrialOutcome};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -76,17 +85,32 @@ pub struct FlowSpec {
     pub request_delay: Duration,
 }
 
-/// Terminal classification of one flow (the §3.4 taxonomy, per flow).
+/// Terminal classification of one flow: the §3.4 taxonomy per flow,
+/// decided at retirement by [`TrialOutcome::of_fetch`], the definition
+/// trials use, over the flow's evidence up to that moment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowOutcome {
     /// Never reached a terminal state (only visible mid-run).
     Pending,
-    /// Complete HTTP response received.
+    /// Complete HTTP response received, and no reset seen.
     Success,
-    /// Torn down by a reset (censor type-1/type-2, or blacklist collateral).
+    /// Failure 2: a reset was seen, by the socket or by the shim (censor
+    /// type-1/type-2, blacklist collateral, or a blockpage censor's reset
+    /// after its spoofed response).
     Reset,
-    /// Hung: no response and no reset by the horizon (Failure 1).
+    /// Failure 1: no response and no reset before the socket closed or the
+    /// run ended.
     Stalled,
+}
+
+impl From<TrialOutcome> for FlowOutcome {
+    fn from(o: TrialOutcome) -> FlowOutcome {
+        match o {
+            TrialOutcome::Success => FlowOutcome::Success,
+            TrialOutcome::Failure1 => FlowOutcome::Stalled,
+            TrialOutcome::Failure2 => FlowOutcome::Reset,
+        }
+    }
 }
 
 /// Result slot for one flow, indexed by flow id.
@@ -110,27 +134,11 @@ pub fn shard_of(tuple: &FourTuple, shards: u32) -> u32 {
     intang_packet::pair_shard(tuple.src, tuple.dst, shards)
 }
 
-/// Fetch progress of one live flow.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    /// SYN sent, waiting for the handshake.
-    Connecting,
-    /// Established at `since`; the request goes out at
-    /// `since + request_delay`.
-    Established { since: Instant },
-    /// Request sent; reading the response.
-    Awaiting,
-}
-
 /// Per-flow state: its own tiny TCP endpoint plus the fetch machine.
 struct FlowCell {
     tuple: FourTuple,
     ep: TcpEndpoint,
-    sock: SocketHandle,
-    phase: Phase,
-    request: Rc<Vec<u8>>,
-    request_delay: Duration,
-    rx: Vec<u8>,
+    fetch: HttpFetch,
     started: Instant,
 }
 
@@ -207,10 +215,11 @@ pub struct MetroClients {
     req_keyword: Rc<Vec<u8>>,
     req_benign: Rc<Vec<u8>>,
     tx_scratch: Vec<Wire>,
-    /// Invoked once per retired flow (the experiment wires this to
-    /// `IntangHandle::retire_flow` so shim-side per-flow state dies with
-    /// the flow).
-    on_retire: Option<Box<dyn Fn(FourTuple)>>,
+    /// Invoked once per retired flow; returns the resets the shim saw on
+    /// it (the experiment wires this to `IntangHandle::retire_flow`, so
+    /// shim-side per-flow state dies with the flow and its reset count
+    /// joins the flow's evidence).
+    on_retire: Option<Box<dyn Fn(FourTuple) -> u64>>,
     /// `intang_simcheck::enabled()` cached at construction.
     sc: bool,
 }
@@ -304,8 +313,8 @@ impl MetroClients {
     }
 
     /// Install the per-flow retirement hook (e.g. the INTANG shim's
-    /// `retire_flow`).
-    pub fn set_retire_hook(&mut self, f: Box<dyn Fn(FourTuple)>) {
+    /// `retire_flow`), which returns the resets the shim saw on the flow.
+    pub fn set_retire_hook(&mut self, f: Box<dyn Fn(FourTuple) -> u64>) {
         self.on_retire = Some(f);
     }
 
@@ -381,11 +390,7 @@ impl MetroClients {
             FlowCell {
                 tuple,
                 ep,
-                sock,
-                phase: Phase::Connecting,
-                request,
-                request_delay: spec.request_delay,
-                rx: Vec::new(),
+                fetch: HttpFetch::new(sock, request, spec.request_delay),
                 started: ctx.now,
             },
         );
@@ -403,69 +408,25 @@ impl MetroClients {
         let shard = self.shard_idx[id as usize] as usize;
         let Some(cell) = self.shards[shard].get_mut(&id) else { return };
         let now = ctx.now;
-        let mut done: Option<(FlowOutcome, u64)> = None;
-        {
-            let sock = cell.ep.socket(cell.sock);
-            if cell.phase == Phase::Connecting {
-                if sock.is_established() {
-                    cell.phase = Phase::Established { since: now };
-                } else if sock.is_closed() {
-                    let o = if sock.reset_by_peer {
-                        FlowOutcome::Reset
-                    } else {
-                        FlowOutcome::Stalled
-                    };
-                    done = Some((o, 0));
-                }
-            }
-            if let Phase::Established { since } = cell.phase {
-                if now >= since + cell.request_delay {
-                    sock.send(&cell.request, now.micros());
-                    cell.phase = Phase::Awaiting;
-                } else if sock.reset_by_peer || sock.is_closed() {
-                    let o = if sock.reset_by_peer {
-                        FlowOutcome::Reset
-                    } else {
-                        FlowOutcome::Stalled
-                    };
-                    done = Some((o, 0));
-                }
-            }
-            if cell.phase == Phase::Awaiting && done.is_none() {
-                let reset = sock.reset_by_peer;
-                let closed = sock.is_closed() || sock.peer_closed();
-                sock.drain_recv_into(&mut cell.rx);
-                if HttpResponse::is_complete(&cell.rx) {
-                    done = Some((FlowOutcome::Success, now.micros().saturating_sub(cell.started.micros())));
-                } else if reset {
-                    done = Some((FlowOutcome::Reset, 0));
-                } else if closed {
-                    done = Some((FlowOutcome::Stalled, 0));
-                }
-            }
-            if done.is_some() {
-                // Best-effort graceful teardown: the FIN rides the final
-                // transmit below; the cell itself is dropped right after.
-                sock.close(now.micros());
-            }
-        }
+        let end = cell.fetch.poll(&mut cell.ep, now);
+        // When the fetch ends this is the cell's last transmit (it carries
+        // a completed fetch's FIN); the cell is dropped right after.
         let mut scratch = std::mem::take(&mut self.tx_scratch);
         cell.ep.poll_transmit_into(&mut scratch);
         for w in scratch.drain(..) {
             ctx.send(Direction::ToServer, w);
         }
         self.tx_scratch = scratch;
-        match done {
-            Some((outcome, latency_us)) => {
+        match end {
+            Some(end) => {
                 self.note_event(id, now);
-                self.retire(id, outcome, latency_us);
+                self.retire(id, end, now);
             }
             None => {
-                let mut wake = cell.ep.next_deadline().map(Instant);
-                if let Phase::Established { since } = cell.phase {
-                    let due = since + cell.request_delay;
-                    wake = Some(wake.map_or(due, |w| w.min(due)));
-                }
+                let wake = [cell.ep.next_deadline().map(Instant), cell.fetch.wake_at()]
+                    .into_iter()
+                    .flatten()
+                    .min();
                 if let Some(at) = wake {
                     let at = at.max(Instant(now.micros() + 1));
                     ctx.set_timer(at, CLIENT_TCP_BASE | u64::from(id));
@@ -474,11 +435,19 @@ impl MetroClients {
         }
     }
 
-    /// Drop a flow's cell and record its terminal outcome.
-    fn retire(&mut self, id: u32, outcome: FlowOutcome, latency_us: u64) {
+    /// Drop a flow's cell and record its outcome: the fetch's own evidence
+    /// plus the resets the shim saw on the flow, through the one §3.4
+    /// definition.
+    fn retire(&mut self, id: u32, end: FetchEnd, now: Instant) {
         let shard = self.shard_idx[id as usize] as usize;
         let Some(cell) = self.shards[shard].remove(&id) else { return };
         self.route.remove(&(cell.tuple.src, cell.tuple.src_port));
+        let shim_resets = self.on_retire.as_ref().map_or(0, |f| f(cell.tuple));
+        let outcome = FlowOutcome::from(TrialOutcome::of_fetch(end.complete, shim_resets + u64::from(end.reset)));
+        let latency_us = match outcome {
+            FlowOutcome::Success => now.micros().saturating_sub(cell.started.micros()),
+            _ => 0,
+        };
         {
             let mut st = self.state.borrow_mut();
             st.live -= 1;
@@ -498,9 +467,6 @@ impl MetroClients {
         if self.sc {
             intang_simcheck::flow_retired(u64::from(id));
         }
-        if let Some(f) = &self.on_retire {
-            f(cell.tuple);
-        }
     }
 }
 
@@ -510,6 +476,7 @@ impl Element for MetroClients {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _dir: Direction, wire: Wire) {
+        let _s = span(SpanId::Tcpstack);
         let id = {
             let Ok(ip) = Ipv4Packet::new_checked(&wire[..]) else { return };
             let Ok(tcp) = TcpPacket::new_checked(ip.payload()) else { return };
@@ -529,6 +496,7 @@ impl Element for MetroClients {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        let _s = span(SpanId::Tcpstack);
         let arg = (token & 0xFFFF_FFFF) as u32;
         match token >> 32 {
             k if k == CLIENT_TCP_BASE >> 32 => {
@@ -542,14 +510,15 @@ impl Element for MetroClients {
             }
             k if k == SPAWN_BASE >> 32 => self.spawn_due(ctx, arg as usize),
             k if k == FINISH_BASE >> 32 => {
-                // End of the world for one shard: every still-live flow is
-                // stalled, swept in spec order — never the shard maps.
+                // End of the world for one shard: every still-live flow
+                // retires with no response and an open socket, swept in
+                // spec order — never the shard maps.
                 let shard = arg as usize;
                 for i in 0..self.shard_flow_ids[shard].len() {
                     let id = self.shard_flow_ids[shard][i];
                     if self.shards[shard].contains_key(&id) {
                         self.note_event(id, ctx.now);
-                        self.retire(id, FlowOutcome::Stalled, 0);
+                        self.retire(id, FetchEnd::default(), ctx.now);
                     }
                 }
             }
@@ -590,12 +559,11 @@ fn srv_token_key(token: u64) -> (Ipv4Addr, u16) {
     (addr, (token & 0xFFFF) as u16)
 }
 
-/// One accepted connection on the server side.
+/// One connection on the server side.
 struct ServerCell {
     ep: TcpEndpoint,
-    sock: Option<SocketHandle>,
-    rx: Vec<u8>,
-    served: bool,
+    /// The accepted connection (`None` until the handshake completes).
+    serve: Option<HttpServe>,
 }
 
 /// The origin-site multiplexer element (rightmost, egress `ToClient`).
@@ -611,11 +579,10 @@ pub struct MetroServers {
     sites: Vec<Ipv4Addr>,
     profile: StackProfile,
     cells: FxHashMap<(Ipv4Addr, u16), ServerCell>,
-    response: Rc<Vec<u8>>,
+    reply: Reply,
     /// Hard per-cell lifetime.
     ttl: Duration,
     tx_scratch: Vec<Wire>,
-    served: u64,
 }
 
 impl MetroServers {
@@ -624,38 +591,19 @@ impl MetroServers {
             sites,
             profile: StackProfile::linux_4_4(),
             cells: FxHashMap::default(),
-            response: Rc::new(HttpResponse::ok(b"<html>metropolis says hello</html>").encode()),
+            reply: Reply::Canned(Rc::new(HttpResponse::ok(b"<html>metropolis says hello</html>").encode())),
             ttl: Duration::from_secs(30),
             tx_scratch: Vec::new(),
-            served: 0,
         }
-    }
-
-    /// Requests fully answered over the run.
-    pub fn served(&self) -> u64 {
-        self.served
     }
 
     fn pump_cell(&mut self, ctx: &mut Ctx<'_>, key: (Ipv4Addr, u16)) {
         let Some(cell) = self.cells.get_mut(&key) else { return };
-        if cell.sock.is_none() {
-            cell.sock = cell.ep.take_accepted().pop();
+        if cell.serve.is_none() {
+            cell.serve = cell.ep.take_accepted().pop().map(HttpServe::new);
         }
-        let mut answered = false;
-        if let Some(h) = cell.sock {
-            if !cell.served {
-                let now = ctx.now.micros();
-                let sock = cell.ep.socket(h);
-                sock.drain_recv_into(&mut cell.rx);
-                if HttpRequest::is_complete(&cell.rx) {
-                    sock.send(&self.response, now);
-                    sock.close(now);
-                    cell.served = true;
-                    answered = true;
-                } else if sock.is_closed() || sock.reset_by_peer {
-                    cell.served = true;
-                }
-            }
+        if let Some(serve) = &mut cell.serve {
+            serve.poll(&mut cell.ep, &self.reply, ctx.now);
         }
         let mut scratch = std::mem::take(&mut self.tx_scratch);
         cell.ep.poll_transmit_into(&mut scratch);
@@ -663,7 +611,7 @@ impl MetroServers {
             ctx.send(Direction::ToClient, w);
         }
         self.tx_scratch = scratch;
-        let reap = cell.served && cell.ep.all_settled();
+        let reap = cell.serve.as_ref().is_some_and(HttpServe::is_done) && cell.ep.all_settled();
         let deadline = cell.ep.next_deadline();
         if reap {
             // Answered and fully wound down: the cell is garbage now, not
@@ -674,9 +622,6 @@ impl MetroServers {
             let at = Instant(d).max(Instant(ctx.now.micros() + 1));
             ctx.set_timer(at, srv_token(SRV_KIND_TCP, key));
         }
-        if answered {
-            self.served += 1;
-        }
     }
 }
 
@@ -686,6 +631,7 @@ impl Element for MetroServers {
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _dir: Direction, wire: Wire) {
+        let _s = span(SpanId::Tcpstack);
         let key = {
             let Ok(ip) = Ipv4Packet::new_checked(&wire[..]) else { return };
             let dst = ip.dst_addr();
@@ -702,15 +648,7 @@ impl Element for MetroServers {
                 }
                 let mut ep = TcpEndpoint::new(dst, self.profile);
                 ep.listen(METRO_PORT);
-                self.cells.insert(
-                    key,
-                    ServerCell {
-                        ep,
-                        sock: None,
-                        rx: Vec::new(),
-                        served: false,
-                    },
-                );
+                self.cells.insert(key, ServerCell { ep, serve: None });
                 ctx.set_timer(ctx.now + self.ttl, srv_token(SRV_KIND_EXPIRE, key));
             }
             key
@@ -722,6 +660,7 @@ impl Element for MetroServers {
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+        let _s = span(SpanId::Tcpstack);
         let key = srv_token_key(token);
         match token >> SRV_KIND_SHIFT {
             SRV_KIND_TCP => {

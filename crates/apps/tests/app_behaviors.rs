@@ -27,7 +27,7 @@ fn http_client_reports_reset_when_censored() {
         Direction::ToServer,
     );
     sim.add_link(Link::new(Duration::from_millis(3), 3));
-    let (gfw, _h) = GfwElement::new(GfwConfig::evolved().deterministic());
+    let (gfw, censor) = GfwElement::new(GfwConfig::evolved().deterministic());
     sim.add_element(Box::new(gfw));
     sim.add_link(Link::new(Duration::from_millis(4), 4));
     let (_i, sh) = add_host(
@@ -41,7 +41,10 @@ fn http_client_reports_reset_when_censored() {
     sh.with_tcp(|t| t.listen(80));
     sim.run_until(Instant(12_000_000));
     let rep = report.borrow();
-    assert!(rep.request_sent);
+    assert!(
+        !censor.detections().is_empty(),
+        "the request went out and the censor saw its keyword"
+    );
     assert!(rep.reset, "the injected volley reset the client socket");
     assert!(!rep.succeeded());
 }

@@ -249,14 +249,16 @@ impl IntangHandle {
         self.shim.borrow().fwd.as_ref().map_or(0, |f| f.responses_delivered)
     }
 
-    /// Drop one flow's strategy state (and any unconsumed preset). Called
-    /// by metropolis load generators when a flow retires; without it a
-    /// million-flow run would hold per-flow state for every flow ever
-    /// spawned.
-    pub fn retire_flow(&self, tuple: FourTuple) {
+    /// Drop one flow's strategy state (and any unconsumed preset), and
+    /// return the resets the shim saw on the flow ([`FlowState`]'s
+    /// `resets_seen`; 0 for a flow it never tracked). Called by metropolis
+    /// load generators when a flow retires: the count is part of the
+    /// flow's outcome evidence, and without the drop a million-flow run
+    /// would hold per-flow state for every flow ever spawned.
+    pub fn retire_flow(&self, tuple: FourTuple) -> u64 {
         let mut s = self.shim.borrow_mut();
-        s.flows.remove(&tuple);
         s.strategy_presets.remove(&tuple);
+        s.flows.remove(&tuple).map_or(0, |(flow, _)| u64::from(flow.resets_seen))
     }
 
     /// Pre-register the strategy one specific flow will use, overriding
@@ -599,21 +601,10 @@ impl Shim {
                 }
                 let lane = self.lane_of(tuple.src, tuple.dst);
                 let mut reprobe: Option<Ipv4Addr> = None;
-                if let Some((flow, strat)) = self.flows.get_mut(&tuple) {
+                if let Some((flow, _)) = self.flows.get_mut(&tuple) {
                     if seg_flags.syn() && seg_flags.ack() {
                         flow.synack_seen = true;
                         flow.server_isn = Some(tcp.seq_number());
-                        let seg = TcpRepr::parse(&tcp);
-                        let rng = if self.shard_rngs.is_empty() {
-                            &mut *ctx.rng
-                        } else {
-                            &mut self.shard_rngs[lane as usize]
-                        };
-                        let mut sctx = ShimCtx::new(ctx.now, rng, tuple.src, self.cfg.redundancy);
-                        strat.on_synack(&mut sctx, flow, &seg);
-                        for (w, d) in std::mem::take(&mut sctx.injections) {
-                            ctx.send_delayed(Direction::ToServer, w, d);
-                        }
                     }
                     if classify_flags(seg_flags).is_some() {
                         flow.resets_seen += 1;

@@ -2,9 +2,10 @@
 //! strategy catalogue.
 //!
 //! INTANG dictates "specific interception points and the corresponding
-//! actions to take at each point" (§6). The shim calls a strategy at three
-//! points — the initial SYN, the returning SYN/ACK, and the first payload
-//! (the request) — which is where every strategy in the paper acts.
+//! actions to take at each point" (§6). The shim calls a strategy at two
+//! points — the initial SYN and the first payload (the request) — which is
+//! where every strategy in the paper acts. The returning SYN/ACK only
+//! updates [`FlowState`] (`synack_seen`, `server_isn`).
 
 use crate::insertion::Discrepancy;
 use intang_netsim::{Duration, Instant, SimRng};
@@ -251,10 +252,6 @@ pub trait Strategy {
     fn on_syn(&mut self, _ctx: &mut ShimCtx<'_>, _flow: &mut FlowState, _seg: &TcpRepr) -> Verdict {
         Verdict::Forward
     }
-
-    /// The SYN/ACK arrived from the server (insertions rarely fire here,
-    /// but strategies may take notes).
-    fn on_synack(&mut self, _ctx: &mut ShimCtx<'_>, _flow: &mut FlowState, _seg: &TcpRepr) {}
 
     /// The first payload-bearing segment (the request) is leaving.
     fn on_first_payload(&mut self, _ctx: &mut ShimCtx<'_>, _flow: &mut FlowState, _seg: &TcpRepr) -> Verdict {

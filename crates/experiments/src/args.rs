@@ -1,7 +1,7 @@
 //! Minimal flag parsing shared by the experiment binaries.
 
 /// The usage text printed by `--help` and on parse errors.
-const USAGE: &str = "flags: --trials N        trials per cell (default: per-experiment)\n       --seed S          master seed (default 2017)\n       --quick           shrink the scenario for a fast smoke run\n       --smoke           alias for --quick\n       --telemetry PATH  write JSONL metrics + failure diagnoses to PATH\n                         (INTANG_TELEMETRY env is the fallback)\n       --progress        live sweep console on stderr\n                         (INTANG_PROGRESS=1 env is the fallback)\n       --profile-folded PATH\n                         enable the span profiler and write folded stacks\n                         to PATH (one 'a;b;c nanos' line per stack)\n       --censor-profile SPEC\n                         run every censor device from a profile: a builtin\n                         name (gfw_prior, gfw_evolved, turkmenistan) or\n                         the path to a profile file";
+const USAGE: &str = "flags: --trials N        trials per cell (default: per-experiment)\n       --seed S          master seed (default 2017)\n       --quick           shrink the scenario for a fast smoke run\n       --smoke           alias for --quick\n       --telemetry PATH  write JSONL metrics + failure diagnoses to PATH\n       --progress        live sweep console on stderr\n       --profile-folded PATH\n                         enable the span profiler and write folded stacks\n                         to PATH (one 'a;b;c nanos' line per stack)\n       --censor-profile SPEC\n                         run every censor device from a profile: a builtin\n                         name (gfw_prior, gfw_evolved, turkmenistan) or\n                         the path to a profile file";
 
 /// Parsed common flags.
 #[derive(Debug, Clone)]
@@ -11,11 +11,9 @@ pub struct CommonArgs {
     pub seed: u64,
     /// Shrink the scenario for quick runs.
     pub quick: bool,
-    /// JSONL telemetry output path (`--telemetry PATH`, or the
-    /// `INTANG_TELEMETRY` environment variable when the flag is absent).
+    /// JSONL telemetry output path (`--telemetry PATH`).
     pub telemetry: Option<String>,
-    /// Live sweep console on stderr (`--progress`, or `INTANG_PROGRESS=1`
-    /// when the flag is absent).
+    /// Live sweep console on stderr (`--progress`).
     pub progress: bool,
     /// Folded-stack output path (`--profile-folded PATH`); also enables
     /// span profiling for the run.
@@ -82,12 +80,6 @@ impl CommonArgs {
                 }
                 other => return Err(format!("unknown flag {other}")),
             }
-        }
-        if out.telemetry.is_none() {
-            out.telemetry = std::env::var("INTANG_TELEMETRY").ok().filter(|p| !p.is_empty());
-        }
-        if !out.progress {
-            out.progress = matches!(std::env::var("INTANG_PROGRESS"), Ok(v) if !v.is_empty() && v != "0");
         }
         Ok(out)
     }

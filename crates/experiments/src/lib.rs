@@ -15,7 +15,7 @@
 //! * [`runner`] — repeated-trial sweeps with per-strategy aggregation and
 //!   min/max/avg across vantage points (Table 4's presentation);
 //! * [`report`] — text/markdown table rendering;
-//! * [`telemetry`] — JSONL export (`--telemetry` / `INTANG_TELEMETRY`) of
+//! * [`telemetry`] — JSONL export (`--telemetry PATH`) of
 //!   each sweep's merged metrics sheet and per-trial §5 failure diagnoses.
 //!
 //! The binaries (`table1` … `table6`, `hypotheses`, `figures`, `tor_vpn`,

@@ -354,7 +354,7 @@ pub fn middlebox_interference_diagnoses(run: &MetroRun) -> u64 {
         return 0;
     }
     let ev = TrialEvidence::from_sheet(&run.metrics);
-    match classify(TrialOutcome::SilentFailure, &ev) {
+    match classify(TrialOutcome::Failure1, &ev) {
         Some(FailureVector::MiddleboxInterference) => stalled,
         _ => 0,
     }
@@ -688,8 +688,16 @@ mod tests {
         assert_eq!(tk.metrics.counter(Counter::GfwProfileTurkmenistanDevices), 1);
         assert_eq!(tk.metrics.counter(Counter::GfwProfileEvolvedDevices), 0);
         // A domain split tags the merged sheet once, like the serial run.
-        let tk2 = run_metropolis_domains(&p, 2, 2);
-        assert_eq!(tk2.run.metrics.counter(Counter::GfwProfileTurkmenistanDevices), 1);
+        let tk2 = run_metropolis_domains(&p, 2, 2).run;
+        assert_eq!(tk2.metrics.counter(Counter::GfwProfileTurkmenistanDevices), 1);
+        // The blockpage censor answers a forbidden request with a spoofed
+        // 403 and then resets: each blockpage flow is Failure 2, not a
+        // Success, exactly as a trial scores it.
+        for run in [&tk, &tk2] {
+            let blockpages = run.metrics.counter(Counter::GfwBlockpagesInjected);
+            assert!(blockpages > 0, "the keyword flows must draw blockpages");
+            assert_eq!(run.counts.2, blockpages, "every blockpage flow is a reset: {:?}", run.counts);
+        }
     }
 
     #[test]

@@ -5,8 +5,7 @@
 //! Purely observational — workers update a few atomics per *cell* (never
 //! per event), the line is throttled to a few redraws per second, and
 //! everything is written to stderr so piped experiment output (tables,
-//! JSONL) is untouched. Enabled per run with `--progress` or
-//! `INTANG_PROGRESS=1`.
+//! JSONL) is untouched. Enabled per run with `--progress`.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};

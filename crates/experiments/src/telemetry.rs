@@ -1,7 +1,6 @@
 //! JSONL telemetry export for the experiment binaries.
 //!
-//! When a binary is run with `--telemetry out.jsonl` (or with
-//! `INTANG_TELEMETRY=out.jsonl` in the environment) every sweep it
+//! When a binary is run with `--telemetry out.jsonl` every sweep it
 //! executes appends two kinds of records to the file:
 //!
 //! * one `metrics` record — the sweep's merged [`MetricsSheet`] snapshot
@@ -60,7 +59,7 @@ impl TelemetrySink {
         TelemetrySink { w: JsonlWriter::new(w) }
     }
 
-    /// Sink for the parsed `--telemetry` / `INTANG_TELEMETRY` setting;
+    /// Sink for the parsed `--telemetry` setting;
     /// `None` when telemetry is off. A path that cannot be opened is a
     /// hard error — silently dropping requested telemetry would be worse —
     /// but it is reported as a usage error (status 2), not a panic.
@@ -69,7 +68,7 @@ impl TelemetrySink {
             Ok(sink) => sink,
             Err(e) => {
                 eprintln!("error: cannot open telemetry file {path:?}: {e}");
-                eprintln!("hint: check that the parent directory exists and is writable,\n      or drop --telemetry / unset INTANG_TELEMETRY to disable telemetry");
+                eprintln!("hint: check that the parent directory exists and is writable,\n      or drop --telemetry to disable telemetry");
                 std::process::exit(2);
             }
         })

@@ -12,7 +12,7 @@ use intang_middlebox::{FieldFilter, FilterSpec, FragmentHandler, SeqStrictFirewa
 use intang_netsim::{Direction, Duration, Instant, Link, Simulation};
 use intang_packet::http::HttpRequest;
 use intang_telemetry::metrics::{ADAPTIVE_SLOT, OUTCOME_FAILURE1, OUTCOME_FAILURE2, OUTCOME_SUCCESS};
-use intang_telemetry::{span, Counter, FailureVector, HistId, MetricsSheet, SeriesSheet, SpanId, TrialEvidence, TrialOutcome};
+use intang_telemetry::{span, Counter, FailureVector, HistId, MetricsSheet, SeriesSheet, SpanId, TrialEvidence};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
@@ -36,28 +36,9 @@ fn encoded_request(target: &str, host: &str) -> Rc<Vec<u8>> {
     })
 }
 
-/// The paper's outcome taxonomy (§3.4).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Outcome {
-    /// HTTP response received, no resets from the censor.
-    Success,
-    /// No response and no resets (the connection hung).
-    Failure1,
-    /// Reset packets received (type-1 or type-2).
-    Failure2,
-}
-
-impl Outcome {
-    /// Telemetry view of the taxonomy ([`intang_telemetry`] keeps its own
-    /// enum so the crate stays dependency-free).
-    pub fn telemetry(self) -> TrialOutcome {
-        match self {
-            Outcome::Success => TrialOutcome::Success,
-            Outcome::Failure1 => TrialOutcome::SilentFailure,
-            Outcome::Failure2 => TrialOutcome::ResetFailure,
-        }
-    }
-}
+/// The paper's outcome taxonomy (§3.4): one type with telemetry's, so
+/// trials, metropolis flows and the §5 diagnosis share one definition.
+pub use intang_telemetry::TrialOutcome as Outcome;
 
 /// Everything defining one trial.
 pub struct TrialSpec<'a> {
@@ -414,14 +395,7 @@ pub fn classify(sim: &Simulation, parts: &TrialParts, spec: &TrialSpec<'_>) -> T
     let report = parts.report.borrow();
     let stats = parts.intang.stats();
     let resets = stats.type1_resets_seen + stats.type2_resets_seen;
-    let got_response = report.response.is_some();
-    let outcome = if resets > 0 || report.reset {
-        Outcome::Failure2
-    } else if got_response {
-        Outcome::Success
-    } else {
-        Outcome::Failure1
-    };
+    let outcome = report.outcome(resets);
     let detections: usize = parts.gfw_handles.iter().map(|h| h.detections().len()).sum();
 
     // Pull the per-element counters into one sheet, then stamp the
@@ -447,7 +421,7 @@ pub fn classify(sim: &Simulation, parts: &TrialParts, spec: &TrialSpec<'_>) -> T
     metrics.observe(HistId::TrialResetsSeen, resets);
     let dpi_bytes = metrics.counter(Counter::GfwDpiBytesScanned);
     metrics.observe(HistId::TrialDpiBytes, dpi_bytes);
-    let failure_vector = intang_telemetry::classify(outcome.telemetry(), &TrialEvidence::from_sheet(&metrics));
+    let failure_vector = intang_telemetry::classify(outcome, &TrialEvidence::from_sheet(&metrics));
 
     TrialResult {
         outcome,

@@ -1,5 +1,6 @@
-//! Per-trial failure diagnosis: map an unsuccessful trial onto exactly one
-//! of the paper's §5 failure vectors.
+//! The §3.4 outcome taxonomy ([`TrialOutcome`], with the one outcome
+//! definition of an HTTP fetch) and per-trial failure diagnosis: map an
+//! unsuccessful trial onto exactly one of the paper's §5 failure vectors.
 //!
 //! §5 of the paper attributes residual failures to a small set of causes:
 //! the GFW resetting the connection before the request is even sent
@@ -14,23 +15,32 @@
 
 use crate::metrics::{Counter, MetricsSheet};
 
-/// Paper outcome taxonomy for one trial (§4.2): success, Failure 1
-/// (silent hang — no data and no resets), Failure 2 (reset teardown).
+/// The paper's outcome taxonomy (§3.4), for a trial and for a metropolis
+/// flow alike: Success, Failure 1 (silent hang — no data and no resets),
+/// Failure 2 (reset teardown).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrialOutcome {
+    /// HTTP response received, no resets from the censor.
     Success,
-    /// Failure 1: the connection hangs without ever seeing a reset.
-    SilentFailure,
-    /// Failure 2: the connection is torn down by injected resets.
-    ResetFailure,
+    /// Failure 1: no response and no resets (the connection hung).
+    Failure1,
+    /// Failure 2: reset packets received (type-1 or type-2).
+    Failure2,
 }
 
 impl TrialOutcome {
-    pub fn name(self) -> &'static str {
-        match self {
-            TrialOutcome::Success => "success",
-            TrialOutcome::SilentFailure => "failure1_silent",
-            TrialOutcome::ResetFailure => "failure2_reset",
+    /// The one outcome definition of an HTTP fetch. Resets are checked
+    /// first, because that is how §3.4 defines Failure 2: a fetch that saw
+    /// any reset failed, even if its response arrived. `resets_seen` is
+    /// the fetch's whole reset evidence (the shim's count plus the
+    /// socket's own reset).
+    pub fn of_fetch(response_complete: bool, resets_seen: u64) -> TrialOutcome {
+        if resets_seen > 0 {
+            TrialOutcome::Failure2
+        } else if response_complete {
+            TrialOutcome::Success
+        } else {
+            TrialOutcome::Failure1
         }
     }
 }
@@ -141,8 +151,8 @@ impl TrialEvidence {
 pub fn classify(outcome: TrialOutcome, ev: &TrialEvidence) -> Option<FailureVector> {
     match outcome {
         TrialOutcome::Success => None,
-        TrialOutcome::ResetFailure => Some(classify_reset(ev)),
-        TrialOutcome::SilentFailure => Some(classify_silent(ev)),
+        TrialOutcome::Failure2 => Some(classify_reset(ev)),
+        TrialOutcome::Failure1 => Some(classify_silent(ev)),
     }
 }
 
@@ -179,6 +189,15 @@ mod tests {
     }
 
     #[test]
+    fn a_fetch_that_saw_a_reset_is_failure2_even_with_a_response() {
+        assert_eq!(TrialOutcome::of_fetch(true, 0), TrialOutcome::Success);
+        assert_eq!(TrialOutcome::of_fetch(false, 0), TrialOutcome::Failure1);
+        // A blockpage censor answers, then resets: still censored.
+        assert_eq!(TrialOutcome::of_fetch(true, 1), TrialOutcome::Failure2);
+        assert_eq!(TrialOutcome::of_fetch(false, 4), TrialOutcome::Failure2);
+    }
+
+    #[test]
     fn success_has_no_vector() {
         assert_eq!(classify(TrialOutcome::Success, &base()), None);
         // Even with noisy counters, success is success.
@@ -199,7 +218,7 @@ mod tests {
             gfw_detections: 1,
             ..base()
         };
-        assert_eq!(classify(TrialOutcome::ResetFailure, &ev), Some(FailureVector::ResetPreRequest));
+        assert_eq!(classify(TrialOutcome::Failure2, &ev), Some(FailureVector::ResetPreRequest));
     }
 
     #[test]
@@ -210,14 +229,14 @@ mod tests {
             gfw_detections: 1,
             ..base()
         };
-        assert_eq!(classify(TrialOutcome::ResetFailure, &ev), Some(FailureVector::ResetPostRequest));
+        assert_eq!(classify(TrialOutcome::Failure2, &ev), Some(FailureVector::ResetPostRequest));
         // Resets in both windows count as post-request (the request made
         // it out; the earlier resets didn't kill the flow).
         let both = TrialEvidence {
             resets_pre_request: 1,
             ..ev
         };
-        assert_eq!(classify(TrialOutcome::ResetFailure, &both), Some(FailureVector::ResetPostRequest));
+        assert_eq!(classify(TrialOutcome::Failure2, &both), Some(FailureVector::ResetPostRequest));
     }
 
     #[test]
@@ -230,7 +249,7 @@ mod tests {
             resets_post_request: 2,
             ..base()
         };
-        assert_eq!(classify(TrialOutcome::ResetFailure, &ev), Some(FailureVector::BlacklistResidual));
+        assert_eq!(classify(TrialOutcome::Failure2, &ev), Some(FailureVector::BlacklistResidual));
         // Forged SYN/ACK alone is blacklist evidence too.
         let synack_only = TrialEvidence {
             forged_synacks: 1,
@@ -238,7 +257,7 @@ mod tests {
             ..base()
         };
         assert_eq!(
-            classify(TrialOutcome::ResetFailure, &synack_only),
+            classify(TrialOutcome::Failure2, &synack_only),
             Some(FailureVector::BlacklistResidual)
         );
     }
@@ -252,7 +271,7 @@ mod tests {
             resets_post_request: 2,
             ..base()
         };
-        assert_eq!(classify(TrialOutcome::ResetFailure, &ev), Some(FailureVector::ResyncTriggered));
+        assert_eq!(classify(TrialOutcome::Failure2, &ev), Some(FailureVector::ResyncTriggered));
         // A resync without a detection is not the resync vector — the
         // resets must be attributable to the re-detection.
         let no_detect = TrialEvidence {
@@ -260,10 +279,7 @@ mod tests {
             resets_post_request: 2,
             ..base()
         };
-        assert_eq!(
-            classify(TrialOutcome::ResetFailure, &no_detect),
-            Some(FailureVector::ResetPostRequest)
-        );
+        assert_eq!(classify(TrialOutcome::Failure2, &no_detect), Some(FailureVector::ResetPostRequest));
     }
 
     #[test]
@@ -274,16 +290,13 @@ mod tests {
             middlebox_drops: 2,
             ..base()
         };
-        assert_eq!(
-            classify(TrialOutcome::SilentFailure, &ev),
-            Some(FailureVector::MiddleboxInterference)
-        );
+        assert_eq!(classify(TrialOutcome::Failure1, &ev), Some(FailureVector::MiddleboxInterference));
         let null_routed = TrialEvidence {
             ip_blocked_drops: 5,
             ..base()
         };
         assert_eq!(
-            classify(TrialOutcome::SilentFailure, &null_routed),
+            classify(TrialOutcome::Failure1, &null_routed),
             Some(FailureVector::MiddleboxInterference)
         );
         // An injected path-MTU clamp silently eating frames presents the
@@ -293,7 +306,7 @@ mod tests {
             ..base()
         };
         assert_eq!(
-            classify(TrialOutcome::SilentFailure, &clamped),
+            classify(TrialOutcome::Failure1, &clamped),
             Some(FailureVector::MiddleboxInterference)
         );
     }
@@ -301,14 +314,14 @@ mod tests {
     #[test]
     fn timeout_vector() {
         // §5: silent hang with no drop evidence at all.
-        assert_eq!(classify(TrialOutcome::SilentFailure, &base()), Some(FailureVector::Timeout));
+        assert_eq!(classify(TrialOutcome::Failure1, &base()), Some(FailureVector::Timeout));
     }
 
     #[test]
     fn unclassified_surfaces_instrumentation_gaps() {
         // A reset failure with zero reset counters means a plumbing bug;
         // it must not be silently folded into another vector.
-        assert_eq!(classify(TrialOutcome::ResetFailure, &base()), Some(FailureVector::Unclassified));
+        assert_eq!(classify(TrialOutcome::Failure2, &base()), Some(FailureVector::Unclassified));
     }
 
     #[test]
@@ -328,8 +341,8 @@ mod tests {
                                 gfw_detections: e,
                                 ..base()
                             };
-                            assert!(classify(TrialOutcome::ResetFailure, &ev).is_some());
-                            assert!(classify(TrialOutcome::SilentFailure, &ev).is_some());
+                            assert!(classify(TrialOutcome::Failure2, &ev).is_some());
+                            assert!(classify(TrialOutcome::Failure1, &ev).is_some());
                         }
                     }
                 }

@@ -18,9 +18,10 @@
 //!   workers retire per-cell results in stealing order, the fold observes
 //!   them in cell-index order, and only the out-of-order reorder window is
 //!   ever buffered (constant memory in the sweep size).
-//! * [`diagnose`] — the per-trial failure-diagnosis pass: classifies every
-//!   unsuccessful trial into one of the paper's §5 failure vectors from
-//!   the trial's counters.
+//! * [`diagnose`] — the §3.4 outcome taxonomy ([`TrialOutcome`], with the
+//!   one definition every HTTP fetch maps through) and the per-trial
+//!   failure-diagnosis pass: classifies every unsuccessful trial into one
+//!   of the paper's §5 failure vectors from the trial's counters.
 //! * [`json`] — a minimal JSONL writer (std-only; the build environment has
 //!   no registry access) used to export metrics snapshots and diagnosis
 //!   records.

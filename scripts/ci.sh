@@ -56,7 +56,7 @@ cargo run --release -p intang-experiments --bin bench_sweep -- --smoke
 # Observability overhead: with the whole observability stack explicitly
 # disabled the same smoke gate must still pass — the dormant span sites,
 # gauge hooks and flight checks may not cost measurable throughput.
-INTANG_SERIES=0 INTANG_SPANS=0 INTANG_FLIGHT=0 INTANG_PROGRESS=0 \
+INTANG_SERIES=0 INTANG_SPANS=0 INTANG_FLIGHT=0 \
     cargo run --release -p intang-experiments --bin bench_sweep -- --smoke
 # Folded-stack export smoke: the instrumented pass must produce a
 # non-empty profile where every line parses as `stack<space>count`.
@@ -86,6 +86,12 @@ INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
 # not cost serial/parallel identity.
 INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke --middlebox
+# Blockpage-censor metropolis smoke: the Turkmenistan profile answers a
+# forbidden request with a spoofed 403 and then resets. Its blockpage path
+# must keep zero simcheck violations and serial/parallel identity at
+# metropolis scale.
+INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
+    cargo run --release -p intang-experiments --bin metropolis -- --smoke --censor-profile turkmenistan
 # Metropolis folded-stack export: the profiled world runs on an executor
 # worker, so the profile is the merge of the worker span sheets; it must
 # be non-empty and every line must parse as `stack<space>count`.
