@@ -573,7 +573,7 @@ struct ServerCell {
 /// flows cost nothing. A cell is reaped the moment its request has been
 /// answered (or torn down) *and* every socket has settled into
 /// CLOSED/TIME_WAIT ([`TcpEndpoint::all_settled`]); the expiry timer
-/// ([`Self::ttl`] after creation) is only the backstop for conversations
+/// (`ttl` after creation) is only the backstop for conversations
 /// that never complete. Stray timers for a reaped key are no-ops.
 pub struct MetroServers {
     sites: Vec<Ipv4Addr>,

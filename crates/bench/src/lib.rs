@@ -59,7 +59,7 @@ pub mod harness {
         ns
     }
 
-    /// Like [`bench`], also reporting MiB/s for `bytes` processed per iter.
+    /// Like [`bench()`], also reporting MiB/s for `bytes` processed per iter.
     pub fn bench_bytes<R>(name: &str, bytes: u64, f: impl FnMut() -> R) -> f64 {
         let ns = bench(name, f);
         let mibs = bytes as f64 / (ns / 1e9) / (1024.0 * 1024.0);
@@ -67,7 +67,7 @@ pub mod harness {
         ns
     }
 
-    /// Like [`bench`], also reporting elements/s for `n` items per iter.
+    /// Like [`bench()`], also reporting elements/s for `n` items per iter.
     pub fn bench_elems<R>(name: &str, n: u64, f: impl FnMut() -> R) -> f64 {
         let ns = bench(name, f);
         let rate = n as f64 / (ns / 1e9);

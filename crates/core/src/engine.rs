@@ -9,7 +9,7 @@ use crate::dns_forwarder::DnsForwarder;
 use crate::measure::{classify_flags, ResetSignature};
 use crate::select::History;
 use crate::strategies;
-use crate::strategy::{FlowState, ShimCtx, Strategy, StrategyKind, Verdict};
+use crate::strategy::{FlowState, ShimCtx, StrategyKind, Verdict};
 use crate::ttl::HopEstimator;
 use intang_netsim::{Ctx, Direction, Duration, Element, Instant};
 use intang_packet::{FourTuple, FxHashMap, IpProtocol, Ipv4Packet, TcpPacket, TcpRepr, Wire};
@@ -24,6 +24,16 @@ const TOKEN_FWD: u64 = 2;
 /// Cached hop estimates live this long (the paper's cache entries expire
 /// to track route changes).
 const HOPS_CACHE_TTL_US: u64 = 120 * 1_000_000;
+
+/// Robustness mode: re-protections allowed per flow; beyond this the
+/// retransmission is forwarded unprotected (retry abandoned — better a
+/// censored attempt than an insertion storm on a collapsed path).
+const MAX_REPROTECTS: u32 = 4;
+
+/// Robustness mode: linear backoff, so re-protection `n` delays its
+/// insertions by `n ×` this, giving a congested path room before the next
+/// volley.
+const REPROTECT_BACKOFF: Duration = Duration::from_millis(15);
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -53,11 +63,13 @@ pub struct IntangConfig {
     /// Forward UDP DNS over TCP to this clean resolver (§6).
     pub dns_forward: Option<Ipv4Addr>,
     /// Robustness mode for hostile paths (fault-injection runs set this):
-    /// retransmission-aware re-protection with bounded retry + backoff, and
-    /// TTL re-probing after route disturbance. `None` keeps the legacy
-    /// behavior exactly — unbounded first-payload re-protection, no SYN
-    /// re-protection, no backoff — so fault-free runs are byte-identical.
-    pub robustness: Option<RobustnessConfig>,
+    /// re-protect a retransmitted SYN or request, bounded and backed off
+    /// (`MAX_REPROTECTS`, `REPROTECT_BACKOFF`), and re-probe a
+    /// destination's hop count after a pre-request censor reset. `false`
+    /// keeps the legacy behavior exactly — unbounded request
+    /// re-protection, no SYN re-protection, no backoff, no re-probe — so
+    /// fault-free runs are byte-identical.
+    pub robust: bool,
     /// Number of independent draw/learning lanes. 1 (the default) is the
     /// exact legacy shim: strategy randomness from the simulation RNG, δ
     /// overrides shared per destination. Values > 1 give each address-pair
@@ -71,36 +83,6 @@ pub struct IntangConfig {
     pub shard_seed: u64,
 }
 
-/// Knobs for the engine's fault-tolerance responses.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RobustnessConfig {
-    /// Re-apply `on_syn` protection when the client stack retransmits its
-    /// SYN (the original insertions may have been lost with it).
-    pub reprotect_syn: bool,
-    /// Re-protections allowed per flow; beyond this the retransmission is
-    /// forwarded unprotected (retry abandoned — better a censored attempt
-    /// than an insertion storm on a collapsed path).
-    pub max_reprotects: u32,
-    /// Linear backoff: re-protection `n` delays its insertions by `n ×
-    /// backoff`, giving a congested path room before the next volley.
-    pub backoff: Duration,
-    /// On a pre-request censor reset, invalidate the destination's cached
-    /// hop estimate: the TTL-scoped insertion evidently died short of the
-    /// censor, which after a route flap means the estimate is stale.
-    pub reprobe_on_reset: bool,
-}
-
-impl Default for RobustnessConfig {
-    fn default() -> Self {
-        RobustnessConfig {
-            reprotect_syn: true,
-            max_reprotects: 4,
-            backoff: Duration::from_millis(15),
-            reprobe_on_reset: true,
-        }
-    }
-}
-
 impl Default for IntangConfig {
     fn default() -> Self {
         IntangConfig {
@@ -112,7 +94,7 @@ impl Default for IntangConfig {
             prefer_ttl: true,
             max_probe_ttl: 24,
             dns_forward: None,
-            robustness: None,
+            robust: false,
             state_shards: 1,
             shard_seed: 0,
         }
@@ -155,7 +137,7 @@ pub struct IntangStats {
 
 struct Shim {
     cfg: IntangConfig,
-    flows: FxHashMap<FourTuple, (FlowState, Box<dyn Strategy>)>,
+    flows: FxHashMap<FourTuple, FlowState>,
     estimator: HopEstimator,
     hops_cache: TwoLevelCache<Ipv4Addr, u8>,
     history: Rc<RefCell<History>>,
@@ -233,22 +215,6 @@ impl IntangHandle {
         s.hops_cache.get(&server, 0)
     }
 
-    pub fn history(&self) -> Rc<RefCell<History>> {
-        self.shim.borrow().history.clone()
-    }
-
-    pub fn strategy_of(&self, tuple: FourTuple) -> Option<StrategyKind> {
-        self.shim.borrow().flows.get(&tuple).map(|(f, _)| f.strategy)
-    }
-
-    pub fn dns_queries_forwarded(&self) -> u64 {
-        self.shim.borrow().fwd.as_ref().map_or(0, |f| f.queries_forwarded)
-    }
-
-    pub fn dns_responses_delivered(&self) -> u64 {
-        self.shim.borrow().fwd.as_ref().map_or(0, |f| f.responses_delivered)
-    }
-
     /// Drop one flow's strategy state (and any unconsumed preset), and
     /// return the resets the shim saw on the flow ([`FlowState`]'s
     /// `resets_seen`; 0 for a flow it never tracked). Called by metropolis
@@ -258,7 +224,7 @@ impl IntangHandle {
     pub fn retire_flow(&self, tuple: FourTuple) -> u64 {
         let mut s = self.shim.borrow_mut();
         s.strategy_presets.remove(&tuple);
-        s.flows.remove(&tuple).map_or(0, |(flow, _)| u64::from(flow.resets_seen))
+        s.flows.remove(&tuple).map_or(0, |flow| u64::from(flow.resets_seen))
     }
 
     /// Pre-register the strategy one specific flow will use, overriding
@@ -274,15 +240,6 @@ impl IntangHandle {
     pub fn seed_hops(&self, server: Ipv4Addr, hops: u8) {
         let mut s = self.shim.borrow_mut();
         s.hops_cache.put(server, hops, 0, u64::MAX / 2);
-    }
-
-    /// The learned per-destination δ, if the §7.1 iteration adjusted it.
-    /// Sharded shims scope learning per lane; this reads the lane a flow
-    /// from `client` to `server` would use.
-    pub fn delta_for_pair(&self, client: Ipv4Addr, server: Ipv4Addr) -> Option<u8> {
-        let s = self.shim.borrow();
-        let lane = s.lane_of(client, server);
-        s.delta_overrides.get(&(lane, server)).copied()
     }
 
     /// The learned per-destination δ in the legacy single-lane shim.
@@ -444,21 +401,20 @@ impl Shim {
                 .remove(&tuple)
                 .or(self.cfg.strategy)
                 .unwrap_or_else(|| self.history.borrow().choose(server, &StrategyKind::adaptive_pool()));
-            let mut flow = FlowState::new(tuple, kind);
-            flow.prefer_ttl = self.cfg.prefer_ttl;
             let delta = self.delta_overrides.get(&(lane, server)).copied().unwrap_or(self.cfg.delta);
-            let strat = strategies::build(kind, delta);
-            self.flows.insert(tuple, (flow, strat));
+            let mut flow = FlowState::new(tuple, kind, delta);
+            flow.prefer_ttl = self.cfg.prefer_ttl;
+            self.flows.insert(tuple, flow);
             self.stats.flows += 1;
         }
 
         // Hop measurement gate: flows whose strategy wants TTL scoping wait
         // for an estimate.
         if self.cfg.measure_hops && self.flows.contains_key(&tuple) {
-            let have = self.flows.get(&tuple).expect("checked").0.hops.is_some();
+            let have = self.flows.get(&tuple).expect("checked").hops.is_some();
             if !have {
                 if let Some(h) = self.hops_cache.get(&server, ctx.now.micros()) {
-                    self.flows.get_mut(&tuple).expect("checked").0.hops = Some(h);
+                    self.flows.get_mut(&tuple).expect("checked").hops = Some(h);
                 } else if self.estimator.is_measuring(server) {
                     self.estimator.hold(server, wire);
                     return;
@@ -475,44 +431,36 @@ impl Shim {
             }
         }
 
-        let Some((flow, strat)) = self.flows.get_mut(&tuple) else {
+        let Some(flow) = self.flows.get_mut(&tuple) else {
             // Untracked traffic (probe RST cleanups, mid-flow packets from
             // before the shim attached): pass through.
             ctx.send(Direction::ToServer, wire);
             return;
         };
 
-        let robust = self.cfg.robustness.clone();
+        let robust = self.cfg.robust;
         // Extra delay applied to this round of insertions (robustness-mode
         // linear backoff on re-protected retransmissions; ZERO otherwise).
         let mut backoff_extra = Duration::ZERO;
         let (verdict, injections) = {
-            // Keyed on the flow's own source address, not the element-wide
-            // `client`: in metropolis mode one shim fronts many client
-            // addresses, and injections must be forged as the flow's owner.
             let rng = if self.shard_rngs.is_empty() {
                 &mut *ctx.rng
             } else {
                 &mut self.shard_rngs[lane as usize]
             };
-            let mut sctx = ShimCtx::new(ctx.now, rng, tuple.src, self.cfg.redundancy);
+            let mut sctx = ShimCtx::new(rng, self.cfg.redundancy);
             let verdict = if seg.flags.syn() && !seg.flags.ack() && flow.client_isn.is_none() {
                 flow.client_isn = Some(seg.seq);
-                strat.on_syn(&mut sctx, flow, seg)
-            } else if seg.flags.syn()
-                && !seg.flags.ack()
-                && flow.client_isn == Some(seg.seq)
-                && robust.as_ref().is_some_and(|r| r.reprotect_syn)
-            {
+                strategies::on_syn(&mut sctx, flow, seg)
+            } else if robust && seg.flags.syn() && !seg.flags.ack() && flow.client_isn == Some(seg.seq) {
                 // Robustness: the client stack retransmitted its SYN, so the
                 // insertions sent alongside the original likely died on the
                 // same loss burst — re-protect, within budget.
-                let r = robust.as_ref().expect("guard checked");
-                if flow.reprotect_count < r.max_reprotects {
+                if flow.reprotect_count < MAX_REPROTECTS {
                     flow.reprotect_count += 1;
                     self.stats.reprotects += 1;
-                    backoff_extra = r.backoff * u64::from(flow.reprotect_count);
-                    strat.on_syn(&mut sctx, flow, seg)
+                    backoff_extra = REPROTECT_BACKOFF * u64::from(flow.reprotect_count);
+                    strategies::on_syn(&mut sctx, flow, seg)
                 } else {
                     self.stats.retries_abandoned += 1;
                     Verdict::Forward
@@ -522,21 +470,18 @@ impl Shim {
                 // shim re-protects like the original (bounded and backed off
                 // in robustness mode, unbounded otherwise).
                 let retransmission = flow.first_payload_sent;
-                let budget_left = robust.as_ref().is_none_or(|r| flow.reprotect_count < r.max_reprotects);
-                if retransmission && !budget_left {
+                if retransmission && robust && flow.reprotect_count >= MAX_REPROTECTS {
                     self.stats.retries_abandoned += 1;
                     Verdict::Forward
                 } else {
-                    if retransmission {
-                        if let Some(r) = robust.as_ref() {
-                            flow.reprotect_count += 1;
-                            self.stats.reprotects += 1;
-                            backoff_extra = r.backoff * u64::from(flow.reprotect_count);
-                        }
+                    if retransmission && robust {
+                        flow.reprotect_count += 1;
+                        self.stats.reprotects += 1;
+                        backoff_extra = REPROTECT_BACKOFF * u64::from(flow.reprotect_count);
                     }
                     flow.first_payload_sent = true;
                     flow.first_payload_seq = Some(seg.seq);
-                    strat.on_first_payload(&mut sctx, flow, seg)
+                    strategies::on_first_payload(&mut sctx, flow, seg)
                 }
             } else {
                 Verdict::Forward
@@ -601,7 +546,7 @@ impl Shim {
                 }
                 let lane = self.lane_of(tuple.src, tuple.dst);
                 let mut reprobe: Option<Ipv4Addr> = None;
-                if let Some((flow, _)) = self.flows.get_mut(&tuple) {
+                if let Some(flow) = self.flows.get_mut(&tuple) {
                     if seg_flags.syn() && seg_flags.ack() {
                         flow.synack_seen = true;
                         flow.server_isn = Some(tcp.seq_number());
@@ -617,7 +562,7 @@ impl Shim {
                             // censor — after a route flap that is the
                             // signature of a stale hop estimate, so drop it
                             // and re-measure on the next flow.
-                            if self.cfg.robustness.as_ref().is_some_and(|r| r.reprobe_on_reset) && flow.hops.is_some() {
+                            if self.cfg.robust && flow.hops.is_some() {
                                 reprobe = Some(tuple.dst);
                             }
                         }

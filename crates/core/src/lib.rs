@@ -32,6 +32,6 @@ pub mod strategies;
 pub mod strategy;
 pub mod ttl;
 
-pub use engine::{IntangConfig, IntangElement, IntangHandle, IntangStats, RobustnessConfig};
+pub use engine::{IntangConfig, IntangElement, IntangHandle, IntangStats};
 pub use insertion::{Discrepancy, InsertionKind};
 pub use strategy::{StrategyId, StrategyKind};

@@ -1,13 +1,16 @@
-//! All evasion strategies the paper measures, implemented against the
-//! [`crate::strategy::Strategy`] interception interface.
+//! Every evasion strategy the paper measures, as the shim's two
+//! interception hooks: [`on_syn`] and [`on_first_payload`] each `match` on
+//! the flow's [`StrategyKind`] and run that strategy's action at that
+//! point. A strategy that does not act at a hook forwards the packet
+//! untouched.
 //!
 //! Timing convention: insertion packets are injected at offset 0 (with
 //! redundancy, §3.4), and the original packet is forwarded after
-//! [`crate::strategy::ShimCtx::after_redundancy`] so it always trails its
-//! insertions on the wire.
+//! [`ShimCtx::after_redundancy`] so it always trails its insertions on the
+//! wire.
 
 use crate::insertion::{Discrepancy, InsertionKind, InsertionSpec};
-use crate::strategy::{FlowState, ShimCtx, Strategy, StrategyKind, Verdict};
+use crate::strategy::{FlowState, ShimCtx, StrategyKind, Verdict};
 use intang_netsim::Duration;
 use intang_packet::{frag, IpProtocol, Ipv4Repr, PacketBuilder, TcpFlags, TcpRepr, Wire};
 
@@ -15,9 +18,77 @@ use intang_packet::{frag, IpProtocol, Ipv4Repr, PacketBuilder, TcpFlags, TcpRepr
 /// outside any plausible receive window (§5.1).
 const OUT_OF_WINDOW: u32 = 0x4000_0000;
 
+/// Payload split point for out-of-order TCP segments: the sensitive
+/// content must not fit entirely in the head (HTTP keywords sit after
+/// `GET /`; DNS names after the 14-byte header+frame).
+const SEG_CUT: usize = 8;
+
+/// The flow's first SYN is leaving the client.
+pub fn on_syn(ctx: &mut ShimCtx<'_>, flow: &FlowState, seg: &TcpRepr) -> Verdict {
+    use StrategyKind::*;
+    let spec = match flow.strategy {
+        // §3.2 TCB creation: a fake SYN (wrong ISN) before the real
+        // handshake, so the censor anchors on a bogus sequence. Defeated by
+        // the evolved model's resynchronization on the SYN/ACK (§4).
+        TcbCreationSyn(disc) => fake_syn(flow, seg, disc, 0x00ff_00ff),
+        // Fig. 3, first half: the same fake SYN defeats the old model.
+        TcbCreationResyncDesync => fake_syn(flow, seg, best_disc(flow, InsertionKind::Syn), 0x0f0f_0f0f),
+        // Fig. 4, first half: a fake SYN/ACK creates a *reversed* TCB on
+        // the evolved model (it monitors the wrong direction). It must
+        // never reach the server (whose RST would tear the reversed TCB
+        // down), so it is TTL-scoped.
+        TeardownTcbReversal => {
+            let mut spec = spec_for(flow, seg, InsertionKind::SynAck, Discrepancy::SmallTtl);
+            spec.seq = ctx.rng.next_u32();
+            spec.ack = ctx.rng.next_u32();
+            spec
+        }
+        // No other strategy acts on the SYN.
+        _ => return Verdict::Forward,
+    };
+    insert(ctx, &spec)
+}
+
+/// The first payload-bearing segment (the request) is leaving; a
+/// retransmission of it comes here again.
+pub fn on_first_payload(ctx: &mut ShimCtx<'_>, flow: &FlowState, seg: &TcpRepr) -> Verdict {
+    use StrategyKind::*;
+    match flow.strategy {
+        NoStrategy | TcbCreationSyn(_) => Verdict::Forward,
+        OutOfOrderIpFrag => out_of_order_ip_frag(ctx, flow, seg),
+        OutOfOrderTcpSeg => out_of_order_tcp_seg(ctx, flow, seg),
+        InOrderOverlap(disc) => insert(ctx, &in_order_junk(flow, seg, disc)),
+        // §7.1: the junk prefill crafted with a Table 5-safe discrepancy
+        // (TTL when measured, MD5 otherwise) to dodge middleboxes and
+        // server side effects.
+        ImprovedInOrderOverlap => insert(ctx, &in_order_junk(flow, seg, best_disc(flow, InsertionKind::Data))),
+        // §3.2 TCB teardown with an RST / RST-ACK / FIN insertion packet.
+        TeardownRst(disc) => insert(ctx, &spec_for(flow, seg, InsertionKind::Rst, disc)),
+        TeardownRstAck(disc) => insert(ctx, &spec_for(flow, seg, InsertionKind::RstAck, disc)),
+        TeardownFin(disc) => insert(ctx, &spec_for(flow, seg, InsertionKind::Fin, disc)),
+        // Fig. 4, second half: an RST insertion tears down the old
+        // model's TCB.
+        TeardownTcbReversal => insert(ctx, &best_rst(flow, seg)),
+        // §7.1: the RST covers the teardown outcome (old model / lucky
+        // evolved), the desync packet the resynchronization outcome
+        // (Hypothesized New Behavior 3).
+        ImprovedTeardown => insert_then_desync(ctx, flow, seg, &best_rst(flow, seg)),
+        // Fig. 3, second half: a second fake SYN forces the evolved model
+        // into the resynchronization state, and the desync packet makes it
+        // re-anchor on garbage. It cannot precede the SYN/ACK (§5.2): the
+        // censor would re-anchor from the SYN/ACK's ACK. Here the handshake
+        // is complete, so it sticks.
+        TcbCreationResyncDesync => {
+            let syn2 = fake_syn(flow, seg, best_disc(flow, InsertionKind::Syn), 0x5a5a_5a5a);
+            insert_then_desync(ctx, flow, seg, &syn2)
+        }
+        WestChamber => west_chamber(ctx, flow, seg),
+    }
+}
+
 /// Build an insertion spec for the flow, defaulting unset fields from the
 /// intercepted segment.
-fn spec_for(flow: &FlowState, seg: &TcpRepr, kind: InsertionKind, disc: Discrepancy, delta: u8) -> InsertionSpec {
+fn spec_for(flow: &FlowState, seg: &TcpRepr, kind: InsertionKind, disc: Discrepancy) -> InsertionSpec {
     InsertionSpec {
         src: flow.tuple.src,
         dst: flow.tuple.dst,
@@ -28,7 +99,7 @@ fn spec_for(flow: &FlowState, seg: &TcpRepr, kind: InsertionKind, disc: Discrepa
         ack: seg.ack,
         payload: Vec::new(),
         disc,
-        ttl_limit: flow.insertion_ttl(delta),
+        ttl_limit: flow.insertion_ttl(),
     }
 }
 
@@ -48,148 +119,41 @@ fn best_disc(flow: &FlowState, kind: InsertionKind) -> Discrepancy {
     }
 }
 
-// ---------------------------------------------------------------------
-// §3.2 existing strategies
-// ---------------------------------------------------------------------
-
-/// TCB creation: a fake SYN (wrong ISN) before the real handshake, so the
-/// censor anchors on a bogus sequence. Defeated by the evolved model's
-/// resynchronization on the SYN/ACK (§4).
-pub struct TcbCreationSyn {
-    pub disc: Discrepancy,
-    pub delta: u8,
+/// A teardown RST with the best Table 5 discrepancy (the improved and
+/// combined strategies).
+fn best_rst(flow: &FlowState, seg: &TcpRepr) -> InsertionSpec {
+    spec_for(flow, seg, InsertionKind::Rst, best_disc(flow, InsertionKind::Rst))
 }
 
-impl Strategy for TcbCreationSyn {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::TcbCreationSyn(self.disc)
-    }
-
-    fn on_syn(&mut self, ctx: &mut ShimCtx<'_>, flow: &mut FlowState, seg: &TcpRepr) -> Verdict {
-        let mut spec = spec_for(flow, seg, InsertionKind::Syn, self.disc, self.delta);
-        spec.seq = seg.seq.wrapping_add(OUT_OF_WINDOW) ^ 0x00ff_00ff;
-        ctx.inject(spec.build(), Duration::ZERO);
-        Verdict::ForwardDelayed(ctx.after_redundancy())
-    }
+/// A fake SYN whose ISN sits out of window, scrambled by `isn_mask`.
+fn fake_syn(flow: &FlowState, seg: &TcpRepr, disc: Discrepancy, isn_mask: u32) -> InsertionSpec {
+    let mut spec = spec_for(flow, seg, InsertionKind::Syn, disc);
+    spec.seq = seg.seq.wrapping_add(OUT_OF_WINDOW) ^ isn_mask;
+    spec
 }
 
-/// Out-of-order overlapping IP fragments: garbage tail first (the censor
-/// keeps it, first-wins), real tail second (receivers keep it, last-wins),
-/// then the head to fill the gap (§3.2).
-pub struct OutOfOrderIpFrag;
-
-impl Strategy for OutOfOrderIpFrag {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::OutOfOrderIpFrag
-    }
-
-    fn on_first_payload(&mut self, ctx: &mut ShimCtx<'_>, flow: &mut FlowState, seg: &TcpRepr) -> Verdict {
-        let segment = seg.emit(flow.tuple.src, flow.tuple.dst);
-        // Cut right after the TCP header, rounded up to fragment granularity.
-        let header_len = usize::from(segment[12] >> 4) * 4;
-        let cut = (header_len + 7) & !7;
-        if segment.len() <= cut {
-            return Verdict::Forward; // nothing beyond the header to hide
-        }
-        let ident = ctx.rng.next_u16();
-        let base = Ipv4Repr {
-            ident,
-            ..Ipv4Repr::new(flow.tuple.src, flow.tuple.dst, IpProtocol::Tcp)
-        };
-        let tail_real = &segment[cut..];
-        let tail_junk: Vec<u8> = (0..tail_real.len()).map(|_| (ctx.rng.next_u16() & 0x7f) as u8 | 0x20).collect();
-        let head = &segment[..cut];
-        ctx.inject_once(frag::raw_fragment(&base, cut, false, &tail_junk), Duration::ZERO);
-        ctx.inject_once(frag::raw_fragment(&base, cut, false, tail_real), Duration::from_millis(2));
-        ctx.inject_once(frag::raw_fragment(&base, 0, true, head), Duration::from_millis(4));
-        Verdict::Replace
-    }
+/// §3.2 in-order data overlapping: junk at the request's sequence fills
+/// the censor's buffer, so the real request then looks like stale data.
+fn in_order_junk(flow: &FlowState, seg: &TcpRepr, disc: Discrepancy) -> InsertionSpec {
+    let mut spec = spec_for(flow, seg, InsertionKind::Data, disc);
+    spec.payload = vec![b'J'; seg.payload.len()];
+    spec
 }
 
-/// Out-of-order overlapping TCP segments: real tail first, garbage tail
-/// second (the Khattak-model censor prefers the latter), then the head.
-pub struct OutOfOrderTcpSeg;
-
-/// Payload split point: the sensitive content must not fit entirely in the
-/// head (HTTP keywords sit after `GET /`; DNS names after the 14-byte
-/// header+frame).
-const SEG_CUT: usize = 8;
-
-impl Strategy for OutOfOrderTcpSeg {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::OutOfOrderTcpSeg
-    }
-
-    fn on_first_payload(&mut self, ctx: &mut ShimCtx<'_>, flow: &mut FlowState, seg: &TcpRepr) -> Verdict {
-        if seg.payload.len() <= SEG_CUT {
-            return Verdict::Forward;
-        }
-        let cut = SEG_CUT;
-        let mk = |seq: u32, payload: Vec<u8>, ack: u32| {
-            PacketBuilder::tcp(flow.tuple.src, flow.tuple.dst, flow.tuple.src_port, flow.tuple.dst_port)
-                .seq(seq)
-                .ack(ack)
-                .flags(TcpFlags::PSH_ACK)
-                .payload(&payload)
-                .build()
-        };
-        let tail_real = seg.payload[cut..].to_vec();
-        let tail_junk: Vec<u8> = (0..tail_real.len()).map(|_| (ctx.rng.next_u16() & 0x7f) as u8 | 0x20).collect();
-        let head = seg.payload[..cut].to_vec();
-        let tail_seq = seg.seq.wrapping_add(cut as u32);
-        ctx.inject_once(mk(tail_seq, tail_real, seg.ack), Duration::ZERO);
-        ctx.inject_once(mk(tail_seq, tail_junk, seg.ack), Duration::from_millis(2));
-        ctx.inject_once(mk(seg.seq, head, seg.ack), Duration::from_millis(4));
-        Verdict::Replace
-    }
+/// Inject `spec` with redundancy and forward the original after every
+/// copy.
+fn insert(ctx: &mut ShimCtx<'_>, spec: &InsertionSpec) -> Verdict {
+    ctx.inject(spec.build(), Duration::ZERO);
+    Verdict::ForwardDelayed(ctx.after_redundancy())
 }
 
-/// In-order data overlapping: prefill the censor's buffer with junk at the
-/// current sequence; the real request then looks like stale data (§3.2).
-pub struct InOrderOverlap {
-    pub disc: Discrepancy,
-    pub delta: u8,
+/// As [`insert`], with a desynchronization packet riding after every copy
+/// and the original 10 ms behind it.
+fn insert_then_desync(ctx: &mut ShimCtx<'_>, flow: &FlowState, seg: &TcpRepr, spec: &InsertionSpec) -> Verdict {
+    ctx.inject(spec.build(), Duration::ZERO);
+    ctx.inject_once(desync_packet(flow, seg), ctx.after_redundancy());
+    Verdict::ForwardDelayed(ctx.after_redundancy() + Duration::from_millis(10))
 }
-
-impl Strategy for InOrderOverlap {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::InOrderOverlap(self.disc)
-    }
-
-    fn on_first_payload(&mut self, ctx: &mut ShimCtx<'_>, flow: &mut FlowState, seg: &TcpRepr) -> Verdict {
-        let mut spec = spec_for(flow, seg, InsertionKind::Data, self.disc, self.delta);
-        spec.payload = vec![b'J'; seg.payload.len()];
-        ctx.inject(spec.build(), Duration::ZERO);
-        Verdict::ForwardDelayed(ctx.after_redundancy())
-    }
-}
-
-/// TCB teardown with RST / RST-ACK / FIN insertion packets (§3.2).
-pub struct Teardown {
-    pub kind: InsertionKind,
-    pub disc: Discrepancy,
-    pub delta: u8,
-}
-
-impl Strategy for Teardown {
-    fn kind(&self) -> StrategyKind {
-        match self.kind {
-            InsertionKind::Rst => StrategyKind::TeardownRst(self.disc),
-            InsertionKind::RstAck => StrategyKind::TeardownRstAck(self.disc),
-            _ => StrategyKind::TeardownFin(self.disc),
-        }
-    }
-
-    fn on_first_payload(&mut self, ctx: &mut ShimCtx<'_>, flow: &mut FlowState, seg: &TcpRepr) -> Verdict {
-        let spec = spec_for(flow, seg, self.kind, self.disc, self.delta);
-        ctx.inject(spec.build(), Duration::ZERO);
-        Verdict::ForwardDelayed(ctx.after_redundancy())
-    }
-}
-
-// ---------------------------------------------------------------------
-// §5.2 / §7.1 new and improved strategies
-// ---------------------------------------------------------------------
 
 /// The desynchronization building block (§5.1): a 1-byte data packet with
 /// an out-of-window sequence number. Inherently ignored by the server
@@ -203,113 +167,55 @@ fn desync_packet(flow: &FlowState, seg: &TcpRepr) -> Wire {
         .build()
 }
 
-/// Improved TCB teardown (§7.1): RST insertion followed by a
-/// desynchronization packet, covering both the teardown outcome (old
-/// model / lucky evolved) and the resynchronization outcome (Hypothesized
-/// New Behavior 3).
-pub struct ImprovedTeardown {
-    pub delta: u8,
+/// §3.2 out-of-order overlapping IP fragments: garbage tail first (the
+/// censor keeps it, first-wins), real tail second (receivers keep it,
+/// last-wins), then the head to fill the gap.
+fn out_of_order_ip_frag(ctx: &mut ShimCtx<'_>, flow: &FlowState, seg: &TcpRepr) -> Verdict {
+    let segment = seg.emit(flow.tuple.src, flow.tuple.dst);
+    // Cut right after the TCP header, rounded up to fragment granularity.
+    let header_len = usize::from(segment[12] >> 4) * 4;
+    let cut = (header_len + 7) & !7;
+    if segment.len() <= cut {
+        return Verdict::Forward; // nothing beyond the header to hide
+    }
+    let ident = ctx.rng.next_u16();
+    let base = Ipv4Repr {
+        ident,
+        ..Ipv4Repr::new(flow.tuple.src, flow.tuple.dst, IpProtocol::Tcp)
+    };
+    let tail_real = &segment[cut..];
+    let tail_junk: Vec<u8> = (0..tail_real.len()).map(|_| (ctx.rng.next_u16() & 0x7f) as u8 | 0x20).collect();
+    let head = &segment[..cut];
+    ctx.inject_once(frag::raw_fragment(&base, cut, false, &tail_junk), Duration::ZERO);
+    ctx.inject_once(frag::raw_fragment(&base, cut, false, tail_real), Duration::from_millis(2));
+    ctx.inject_once(frag::raw_fragment(&base, 0, true, head), Duration::from_millis(4));
+    Verdict::Replace
 }
 
-impl Strategy for ImprovedTeardown {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::ImprovedTeardown
+/// §3.2 out-of-order overlapping TCP segments: real tail first, garbage
+/// tail second (the Khattak-model censor prefers the latter), then the
+/// head.
+fn out_of_order_tcp_seg(ctx: &mut ShimCtx<'_>, flow: &FlowState, seg: &TcpRepr) -> Verdict {
+    if seg.payload.len() <= SEG_CUT {
+        return Verdict::Forward;
     }
-
-    fn on_first_payload(&mut self, ctx: &mut ShimCtx<'_>, flow: &mut FlowState, seg: &TcpRepr) -> Verdict {
-        let disc = best_disc(flow, InsertionKind::Rst);
-        let rst = spec_for(flow, seg, InsertionKind::Rst, disc, self.delta);
-        ctx.inject(rst.build(), Duration::ZERO);
-        // The desync packet rides after every RST copy.
-        ctx.inject_once(desync_packet(flow, seg), ctx.after_redundancy());
-        Verdict::ForwardDelayed(ctx.after_redundancy() + Duration::from_millis(10))
-    }
-}
-
-/// Improved in-order data overlapping (§7.1): junk prefill crafted with
-/// Table 5-safe insertion discrepancies (TTL when measured, MD5 otherwise)
-/// to dodge middleboxes and server side effects.
-pub struct ImprovedInOrderOverlap {
-    pub delta: u8,
-}
-
-impl Strategy for ImprovedInOrderOverlap {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::ImprovedInOrderOverlap
-    }
-
-    fn on_first_payload(&mut self, ctx: &mut ShimCtx<'_>, flow: &mut FlowState, seg: &TcpRepr) -> Verdict {
-        let disc = best_disc(flow, InsertionKind::Data);
-        let mut spec = spec_for(flow, seg, InsertionKind::Data, disc, self.delta);
-        spec.payload = vec![b'J'; seg.payload.len()];
-        ctx.inject(spec.build(), Duration::ZERO);
-        Verdict::ForwardDelayed(ctx.after_redundancy())
-    }
-}
-
-/// TCB creation + Resync/Desync (Fig. 3): fake SYN before the handshake
-/// (defeats the old model), a second fake SYN after it to force the
-/// evolved model into the resynchronization state, then a desync packet so
-/// it re-anchors on garbage.
-pub struct TcbCreationResyncDesync {
-    pub delta: u8,
-}
-
-impl Strategy for TcbCreationResyncDesync {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::TcbCreationResyncDesync
-    }
-
-    fn on_syn(&mut self, ctx: &mut ShimCtx<'_>, flow: &mut FlowState, seg: &TcpRepr) -> Verdict {
-        let disc = best_disc(flow, InsertionKind::Syn);
-        let mut spec = spec_for(flow, seg, InsertionKind::Syn, disc, self.delta);
-        spec.seq = seg.seq.wrapping_add(OUT_OF_WINDOW) ^ 0x0f0f_0f0f;
-        ctx.inject(spec.build(), Duration::ZERO);
-        Verdict::ForwardDelayed(ctx.after_redundancy())
-    }
-
-    fn on_first_payload(&mut self, ctx: &mut ShimCtx<'_>, flow: &mut FlowState, seg: &TcpRepr) -> Verdict {
-        // The second fake SYN cannot precede the SYN/ACK (§5.2): the censor
-        // would re-anchor from the SYN/ACK's ACK. Here the handshake is
-        // complete, so it sticks.
-        let disc = best_disc(flow, InsertionKind::Syn);
-        let mut syn2 = spec_for(flow, seg, InsertionKind::Syn, disc, self.delta);
-        syn2.seq = seg.seq.wrapping_add(OUT_OF_WINDOW) ^ 0x5a5a_5a5a;
-        ctx.inject(syn2.build(), Duration::ZERO);
-        ctx.inject_once(desync_packet(flow, seg), ctx.after_redundancy());
-        Verdict::ForwardDelayed(ctx.after_redundancy() + Duration::from_millis(10))
-    }
-}
-
-/// TCB teardown + TCB reversal (Fig. 4): a fake SYN/ACK before the real
-/// handshake creates a *reversed* TCB on the evolved model (it monitors
-/// the wrong direction); an RST insertion after the handshake tears down
-/// the old model's TCB.
-pub struct TeardownTcbReversal {
-    pub delta: u8,
-}
-
-impl Strategy for TeardownTcbReversal {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::TeardownTcbReversal
-    }
-
-    fn on_syn(&mut self, ctx: &mut ShimCtx<'_>, flow: &mut FlowState, seg: &TcpRepr) -> Verdict {
-        // The fake SYN/ACK must never reach the server (it would answer
-        // with an RST that tears the reversed TCB down) — TTL-scope it.
-        let mut spec = spec_for(flow, seg, InsertionKind::SynAck, Discrepancy::SmallTtl, self.delta);
-        spec.seq = ctx.rng.next_u32();
-        spec.ack = ctx.rng.next_u32();
-        ctx.inject(spec.build(), Duration::ZERO);
-        Verdict::ForwardDelayed(ctx.after_redundancy())
-    }
-
-    fn on_first_payload(&mut self, ctx: &mut ShimCtx<'_>, flow: &mut FlowState, seg: &TcpRepr) -> Verdict {
-        let disc = best_disc(flow, InsertionKind::Rst);
-        let rst = spec_for(flow, seg, InsertionKind::Rst, disc, self.delta);
-        ctx.inject(rst.build(), Duration::ZERO);
-        Verdict::ForwardDelayed(ctx.after_redundancy())
-    }
+    let cut = SEG_CUT;
+    let mk = |seq: u32, payload: Vec<u8>, ack: u32| {
+        PacketBuilder::tcp(flow.tuple.src, flow.tuple.dst, flow.tuple.src_port, flow.tuple.dst_port)
+            .seq(seq)
+            .ack(ack)
+            .flags(TcpFlags::PSH_ACK)
+            .payload(&payload)
+            .build()
+    };
+    let tail_real = seg.payload[cut..].to_vec();
+    let tail_junk: Vec<u8> = (0..tail_real.len()).map(|_| (ctx.rng.next_u16() & 0x7f) as u8 | 0x20).collect();
+    let head = seg.payload[..cut].to_vec();
+    let tail_seq = seg.seq.wrapping_add(cut as u32);
+    ctx.inject_once(mk(tail_seq, tail_real, seg.ack), Duration::ZERO);
+    ctx.inject_once(mk(tail_seq, tail_junk, seg.ack), Duration::from_millis(2));
+    ctx.inject_once(mk(seg.seq, head, seg.ack), Duration::from_millis(4));
+    Verdict::Replace
 }
 
 /// The West Chamber Project baseline (§2.2): RSTs at the censor from both
@@ -317,77 +223,46 @@ impl Strategy for TeardownTcbReversal {
 /// the server — on-path censors attribute packets by address, not travel
 /// direction, so the tap processes it as server traffic while the real
 /// server discards it (the destination isn't the server).
-pub struct WestChamber {
-    pub delta: u8,
-}
-
-impl Strategy for WestChamber {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::WestChamber
+fn west_chamber(ctx: &mut ShimCtx<'_>, flow: &FlowState, seg: &TcpRepr) -> Verdict {
+    // Client-side RST (the original tool used checksum corruption).
+    let spec = spec_for(flow, seg, InsertionKind::Rst, Discrepancy::BadChecksum);
+    ctx.inject(spec.build(), Duration::ZERO);
+    // Spoofed server-side RST: src is the *server*, sequence is the
+    // server's next expected byte as observed from the SYN/ACK.
+    if let Some(server_isn) = flow.server_isn {
+        let spoofed = PacketBuilder::tcp(flow.tuple.dst, flow.tuple.src, flow.tuple.dst_port, flow.tuple.src_port)
+            .seq(server_isn.wrapping_add(1))
+            .flags(TcpFlags::RST)
+            .bad_checksum()
+            .build();
+        intang_simcheck::expect_bad_checksum(&spoofed);
+        ctx.inject(spoofed, Duration::from_millis(2));
     }
-
-    fn on_first_payload(&mut self, ctx: &mut ShimCtx<'_>, flow: &mut FlowState, seg: &TcpRepr) -> Verdict {
-        // Client-side RST (the original tool used checksum corruption).
-        let spec = spec_for(flow, seg, InsertionKind::Rst, Discrepancy::BadChecksum, self.delta);
-        ctx.inject(spec.build(), Duration::ZERO);
-        // Spoofed server-side RST: src is the *server*, sequence is the
-        // server's next expected byte as observed from the SYN/ACK.
-        if let Some(server_isn) = flow.server_isn {
-            let spoofed = PacketBuilder::tcp(flow.tuple.dst, flow.tuple.src, flow.tuple.dst_port, flow.tuple.src_port)
-                .seq(server_isn.wrapping_add(1))
-                .flags(TcpFlags::RST)
-                .bad_checksum()
-                .build();
-            intang_simcheck::expect_bad_checksum(&spoofed);
-            ctx.inject(spoofed, Duration::from_millis(2));
-        }
-        Verdict::ForwardDelayed(ctx.after_redundancy())
-    }
-}
-
-/// Instantiate a strategy object from its kind.
-pub fn build(kind: StrategyKind, delta: u8) -> Box<dyn Strategy> {
-    match kind {
-        StrategyKind::NoStrategy => Box::new(crate::strategy::NoStrategy),
-        StrategyKind::TcbCreationSyn(disc) => Box::new(TcbCreationSyn { disc, delta }),
-        StrategyKind::OutOfOrderIpFrag => Box::new(OutOfOrderIpFrag),
-        StrategyKind::OutOfOrderTcpSeg => Box::new(OutOfOrderTcpSeg),
-        StrategyKind::InOrderOverlap(disc) => Box::new(InOrderOverlap { disc, delta }),
-        StrategyKind::TeardownRst(disc) => Box::new(Teardown {
-            kind: InsertionKind::Rst,
-            disc,
-            delta,
-        }),
-        StrategyKind::TeardownRstAck(disc) => Box::new(Teardown {
-            kind: InsertionKind::RstAck,
-            disc,
-            delta,
-        }),
-        StrategyKind::TeardownFin(disc) => Box::new(Teardown {
-            kind: InsertionKind::Fin,
-            disc,
-            delta,
-        }),
-        StrategyKind::ImprovedTeardown => Box::new(ImprovedTeardown { delta }),
-        StrategyKind::ImprovedInOrderOverlap => Box::new(ImprovedInOrderOverlap { delta }),
-        StrategyKind::TcbCreationResyncDesync => Box::new(TcbCreationResyncDesync { delta }),
-        StrategyKind::TeardownTcbReversal => Box::new(TeardownTcbReversal { delta }),
-        StrategyKind::WestChamber => Box::new(WestChamber { delta }),
-    }
+    Verdict::ForwardDelayed(ctx.after_redundancy())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use intang_netsim::{Instant, SimRng};
+    use crate::strategy::StrategyId;
+    use intang_netsim::SimRng;
     use intang_packet::{FourTuple, Ipv4Packet, TcpPacket};
     use std::net::Ipv4Addr;
 
-    fn flow() -> FlowState {
+    type Hook = fn(&mut ShimCtx<'_>, &FlowState, &TcpRepr) -> Verdict;
+
+    fn flow(kind: StrategyKind) -> FlowState {
         let tuple = FourTuple::new(Ipv4Addr::new(10, 0, 0, 1), 40_000, Ipv4Addr::new(93, 184, 216, 34), 80);
-        let mut f = FlowState::new(tuple, StrategyKind::NoStrategy);
+        let mut f = FlowState::new(tuple, kind, 2);
         f.hops = Some(14);
         f
+    }
+
+    fn syn_seg() -> TcpRepr {
+        let mut syn = TcpRepr::new(40_000, 80);
+        syn.seq = 1000;
+        syn.flags = TcpFlags::SYN;
+        syn
     }
 
     fn request_seg() -> TcpRepr {
@@ -399,21 +274,41 @@ mod tests {
         seg
     }
 
-    fn run_first_payload(strategy: &mut dyn Strategy, redundancy: u32) -> (Verdict, Vec<(intang_packet::Wire, u64)>) {
+    fn run(hook: Hook, kind: StrategyKind, seg: &TcpRepr, redundancy: u32) -> (Verdict, Vec<(Wire, u64)>) {
         let mut rng = SimRng::seed_from(7);
-        let mut ctx = ShimCtx::new(Instant::ZERO, &mut rng, Ipv4Addr::new(10, 0, 0, 1), redundancy);
-        let mut f = flow();
-        let v = strategy.on_first_payload(&mut ctx, &mut f, &request_seg());
+        let mut ctx = ShimCtx::new(&mut rng, redundancy);
+        let v = hook(&mut ctx, &flow(kind), seg);
         (v, ctx.injections.into_iter().map(|(w, d)| (w, d.micros())).collect())
+    }
+
+    fn run_first_payload(kind: StrategyKind, redundancy: u32) -> (Verdict, Vec<(Wire, u64)>) {
+        run(on_first_payload, kind, &request_seg(), redundancy)
+    }
+
+    #[test]
+    fn hooks_a_strategy_does_not_define_forward_untouched() {
+        use StrategyKind::*;
+        for kind in (0..20).map(|i| StrategyKind::from_id(StrategyId(i)).expect("ids 0..20 are assigned")) {
+            let acts_on_syn = matches!(kind, TcbCreationSyn(_) | TcbCreationResyncDesync | TeardownTcbReversal);
+            let acts_on_request = !matches!(kind, NoStrategy | TcbCreationSyn(_));
+            let hooks: [(&str, Hook, TcpRepr, bool); 2] = [
+                ("on_syn", on_syn, syn_seg(), acts_on_syn),
+                ("on_first_payload", on_first_payload, request_seg(), acts_on_request),
+            ];
+            for (name, hook, seg, acts) in hooks {
+                let (v, inj) = run(hook, kind, &seg, 3);
+                if acts {
+                    assert!(v != Verdict::Forward && !inj.is_empty(), "{kind:?} acts at {name}");
+                } else {
+                    assert_eq!((v, inj.len()), (Verdict::Forward, 0), "{kind:?} forwards untouched at {name}");
+                }
+            }
+        }
     }
 
     #[test]
     fn in_order_overlap_injects_matching_junk() {
-        let mut s = InOrderOverlap {
-            disc: Discrepancy::BadChecksum,
-            delta: 2,
-        };
-        let (v, inj) = run_first_payload(&mut s, 3);
+        let (v, inj) = run_first_payload(StrategyKind::InOrderOverlap(Discrepancy::BadChecksum), 3);
         assert_eq!(inj.len(), 3, "redundancy 3");
         assert!(matches!(v, Verdict::ForwardDelayed(_)));
         let ip = Ipv4Packet::new_checked(&inj[0].0[..]).unwrap();
@@ -425,12 +320,7 @@ mod tests {
 
     #[test]
     fn teardown_rst_uses_current_seq_and_ttl() {
-        let mut s = Teardown {
-            kind: InsertionKind::Rst,
-            disc: Discrepancy::SmallTtl,
-            delta: 2,
-        };
-        let (_, inj) = run_first_payload(&mut s, 1);
+        let (_, inj) = run_first_payload(StrategyKind::TeardownRst(Discrepancy::SmallTtl), 1);
         let ip = Ipv4Packet::new_checked(&inj[0].0[..]).unwrap();
         assert_eq!(ip.ttl(), 12, "hops(14) - delta(2)");
         let t = TcpPacket::new_checked(ip.payload()).unwrap();
@@ -440,8 +330,7 @@ mod tests {
 
     #[test]
     fn improved_teardown_appends_desync_packet() {
-        let mut s = ImprovedTeardown { delta: 2 };
-        let (v, inj) = run_first_payload(&mut s, 3);
+        let (v, inj) = run_first_payload(StrategyKind::ImprovedTeardown, 3);
         assert_eq!(inj.len(), 4, "3 RSTs + 1 desync");
         let (desync_wire, desync_delay) = &inj[3];
         assert!(*desync_delay > inj[2].1, "desync rides after the RSTs");
@@ -458,8 +347,7 @@ mod tests {
 
     #[test]
     fn ooo_tcp_seg_order_real_junk_head() {
-        let mut s = OutOfOrderTcpSeg;
-        let (v, inj) = run_first_payload(&mut s, 1);
+        let (v, inj) = run_first_payload(StrategyKind::OutOfOrderTcpSeg, 1);
         assert_eq!(v, Verdict::Replace);
         assert_eq!(inj.len(), 3);
         let req = request_seg();
@@ -481,8 +369,7 @@ mod tests {
 
     #[test]
     fn ooo_ip_frag_produces_three_fragments() {
-        let mut s = OutOfOrderIpFrag;
-        let (v, inj) = run_first_payload(&mut s, 1);
+        let (v, inj) = run_first_payload(StrategyKind::OutOfOrderIpFrag, 1);
         assert_eq!(v, Verdict::Replace);
         assert_eq!(inj.len(), 3);
         let frags: Vec<_> = inj
@@ -498,7 +385,7 @@ mod tests {
         assert_eq!(frags[2].0, 0, "head fills the gap last");
         assert!(frags[2].1, "head has more-fragments set");
         // Reassembling all three LastWins (server-style) restores the real segment.
-        let all: Vec<intang_packet::Wire> = inj.iter().map(|(w, _)| w.clone()).collect();
+        let all: Vec<Wire> = inj.iter().map(|(w, _)| w.clone()).collect();
         let whole = intang_packet::frag::reassemble(intang_packet::frag::OverlapPolicy::LastWins, all).unwrap();
         let ip = Ipv4Packet::new_checked(&whole[..]).unwrap();
         let t = TcpPacket::new_checked(ip.payload()).unwrap();
@@ -507,16 +394,9 @@ mod tests {
 
     #[test]
     fn reversal_synack_is_ttl_scoped_random() {
-        let mut s = TeardownTcbReversal { delta: 2 };
-        let mut rng = SimRng::seed_from(3);
-        let mut ctx = ShimCtx::new(Instant::ZERO, &mut rng, Ipv4Addr::new(10, 0, 0, 1), 1);
-        let mut f = flow();
-        let mut syn = TcpRepr::new(40_000, 80);
-        syn.seq = 1000;
-        syn.flags = TcpFlags::SYN;
-        let v = s.on_syn(&mut ctx, &mut f, &syn);
+        let (v, inj) = run(on_syn, StrategyKind::TeardownTcbReversal, &syn_seg(), 1);
         assert!(matches!(v, Verdict::ForwardDelayed(_)));
-        let ip = Ipv4Packet::new_checked(&ctx.injections[0].0[..]).unwrap();
+        let ip = Ipv4Packet::new_checked(&inj[0].0[..]).unwrap();
         assert_eq!(ip.ttl(), 12);
         let t = TcpPacket::new_checked(ip.payload()).unwrap();
         assert_eq!(t.flags(), TcpFlags::SYN_ACK);
@@ -525,7 +405,7 @@ mod tests {
 
     #[test]
     fn best_disc_falls_back_without_hops() {
-        let mut f = flow();
+        let mut f = flow(StrategyKind::NoStrategy);
         f.hops = None;
         assert_eq!(best_disc(&f, InsertionKind::Rst), Discrepancy::Md5Option);
         assert_eq!(best_disc(&f, InsertionKind::Data), Discrepancy::Md5Option);
@@ -536,27 +416,5 @@ mod tests {
         );
         f.hops = Some(10);
         assert_eq!(best_disc(&f, InsertionKind::Rst), Discrepancy::SmallTtl);
-    }
-
-    #[test]
-    fn build_covers_every_kind() {
-        use Discrepancy::*;
-        for kind in [
-            StrategyKind::NoStrategy,
-            StrategyKind::TcbCreationSyn(SmallTtl),
-            StrategyKind::OutOfOrderIpFrag,
-            StrategyKind::OutOfOrderTcpSeg,
-            StrategyKind::InOrderOverlap(BadAck),
-            StrategyKind::TeardownRst(SmallTtl),
-            StrategyKind::TeardownRstAck(BadChecksum),
-            StrategyKind::TeardownFin(SmallTtl),
-            StrategyKind::ImprovedTeardown,
-            StrategyKind::ImprovedInOrderOverlap,
-            StrategyKind::TcbCreationResyncDesync,
-            StrategyKind::TeardownTcbReversal,
-            StrategyKind::WestChamber,
-        ] {
-            assert_eq!(build(kind, 2).kind(), kind);
-        }
     }
 }

@@ -1,16 +1,18 @@
-//! The strategy framework: per-flow state, interception verdicts, and the
-//! strategy catalogue.
+//! The strategy catalogue and what the shim hands it: per-flow state,
+//! interception verdicts and the injection collector.
 //!
 //! INTANG dictates "specific interception points and the corresponding
-//! actions to take at each point" (§6). The shim calls a strategy at two
-//! points — the initial SYN and the first payload (the request) — which is
-//! where every strategy in the paper acts. The returning SYN/ACK only
-//! updates [`FlowState`] (`synack_seen`, `server_isn`).
+//! actions to take at each point" (§6). A strategy is a [`StrategyKind`]
+//! value that the flow carries in [`FlowState::strategy`]; at the two
+//! points where every strategy in the paper acts — the initial SYN and the
+//! first payload (the request) — the shim calls
+//! [`crate::strategies::on_syn`] and [`crate::strategies::on_first_payload`],
+//! which `match` on that kind. The returning SYN/ACK only updates
+//! [`FlowState`] (`synack_seen`, `server_isn`).
 
 use crate::insertion::Discrepancy;
-use intang_netsim::{Duration, Instant, SimRng};
-use intang_packet::{FourTuple, TcpRepr, Wire};
-use std::net::Ipv4Addr;
+use intang_netsim::{Duration, SimRng};
+use intang_packet::{FourTuple, Wire};
 
 /// Identifiers for every strategy the paper measures, in Table 1 / Table 4
 /// order.
@@ -170,14 +172,16 @@ pub struct FlowState {
     /// The outcome was already pushed into the selection history.
     pub outcome_recorded: bool,
     /// Times this flow's protection was re-applied to a retransmission
-    /// (bounded by `RobustnessConfig::max_reprotects` when robustness mode
-    /// is on; unbounded otherwise).
+    /// (bounded in the engine's robustness mode; unbounded otherwise).
     pub reprotect_count: u32,
     pub strategy: StrategyKind,
+    /// δ subtracted from the hop estimate for TTL-scoped insertions (§7.1),
+    /// fixed when the flow is created.
+    pub delta: u8,
 }
 
 impl FlowState {
-    pub fn new(tuple: FourTuple, strategy: StrategyKind) -> FlowState {
+    pub fn new(tuple: FourTuple, strategy: StrategyKind, delta: u8) -> FlowState {
         FlowState {
             tuple,
             client_isn: None,
@@ -192,21 +196,20 @@ impl FlowState {
             outcome_recorded: false,
             reprotect_count: 0,
             strategy,
+            delta,
         }
     }
 
     /// TTL that should pass the censor but die before the server
     /// (hops − δ, §7.1).
-    pub fn insertion_ttl(&self, delta: u8) -> Option<u8> {
-        self.hops.map(|h| h.saturating_sub(delta).max(1))
+    pub fn insertion_ttl(&self) -> Option<u8> {
+        self.hops.map(|h| h.saturating_sub(self.delta).max(1))
     }
 }
 
 /// Side-effect collector handed to strategies.
 pub struct ShimCtx<'a> {
-    pub now: Instant,
     pub rng: &'a mut SimRng,
-    pub client: Ipv4Addr,
     /// Insertion redundancy: each injected packet is sent this many times,
     /// 20 ms apart (§3.4).
     pub redundancy: u32,
@@ -215,11 +218,9 @@ pub struct ShimCtx<'a> {
 }
 
 impl<'a> ShimCtx<'a> {
-    pub fn new(now: Instant, rng: &'a mut SimRng, client: Ipv4Addr, redundancy: u32) -> ShimCtx<'a> {
+    pub fn new(rng: &'a mut SimRng, redundancy: u32) -> ShimCtx<'a> {
         ShimCtx {
-            now,
             rng,
-            client,
             redundancy,
             injections: Vec::new(),
         }
@@ -244,58 +245,17 @@ impl<'a> ShimCtx<'a> {
     }
 }
 
-/// A strategy reacts to the shim's interception points.
-pub trait Strategy {
-    fn kind(&self) -> StrategyKind;
-
-    /// The flow's first SYN is leaving the client.
-    fn on_syn(&mut self, _ctx: &mut ShimCtx<'_>, _flow: &mut FlowState, _seg: &TcpRepr) -> Verdict {
-        Verdict::Forward
-    }
-
-    /// The first payload-bearing segment (the request) is leaving.
-    fn on_first_payload(&mut self, _ctx: &mut ShimCtx<'_>, _flow: &mut FlowState, _seg: &TcpRepr) -> Verdict {
-        Verdict::Forward
-    }
-}
-
-/// The do-nothing baseline.
-pub struct NoStrategy;
-
-impl Strategy for NoStrategy {
-    fn kind(&self) -> StrategyKind {
-        StrategyKind::NoStrategy
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::Ipv4Addr;
 
     #[test]
     fn ids_are_unique() {
-        use Discrepancy::*;
-        let all = [
-            StrategyKind::NoStrategy,
-            StrategyKind::TcbCreationSyn(SmallTtl),
-            StrategyKind::TcbCreationSyn(BadChecksum),
-            StrategyKind::OutOfOrderIpFrag,
-            StrategyKind::OutOfOrderTcpSeg,
-            StrategyKind::InOrderOverlap(SmallTtl),
-            StrategyKind::InOrderOverlap(BadAck),
-            StrategyKind::InOrderOverlap(BadChecksum),
-            StrategyKind::InOrderOverlap(NoFlag),
-            StrategyKind::TeardownRst(SmallTtl),
-            StrategyKind::TeardownRst(BadChecksum),
-            StrategyKind::TeardownRstAck(SmallTtl),
-            StrategyKind::TeardownRstAck(BadChecksum),
-            StrategyKind::TeardownFin(SmallTtl),
-            StrategyKind::TeardownFin(BadChecksum),
-            StrategyKind::ImprovedTeardown,
-            StrategyKind::ImprovedInOrderOverlap,
-            StrategyKind::TcbCreationResyncDesync,
-            StrategyKind::TeardownTcbReversal,
-        ];
+        let all: Vec<StrategyKind> = (0..20)
+            .map(|i| StrategyKind::from_id(StrategyId(i)).expect("ids 0..20 are assigned"))
+            .collect();
+        assert_eq!(StrategyKind::from_id(StrategyId(20)), None, "0..20 is every id");
         let mut ids: Vec<_> = all.iter().map(|k| k.id()).collect();
         ids.sort();
         ids.dedup();
@@ -305,7 +265,7 @@ mod tests {
     #[test]
     fn redundancy_spacing_is_twenty_ms() {
         let mut rng = SimRng::seed_from(1);
-        let mut ctx = ShimCtx::new(Instant::ZERO, &mut rng, Ipv4Addr::new(10, 0, 0, 1), 3);
+        let mut ctx = ShimCtx::new(&mut rng, 3);
         ctx.inject(vec![1, 2, 3].into(), Duration::ZERO);
         let delays: Vec<u64> = ctx.injections.iter().map(|(_, d)| d.micros()).collect();
         assert_eq!(delays, vec![0, 20_000, 40_000]);
@@ -315,11 +275,11 @@ mod tests {
     #[test]
     fn insertion_ttl_applies_delta() {
         let tuple = FourTuple::new(Ipv4Addr::new(10, 0, 0, 1), 1, Ipv4Addr::new(1, 1, 1, 1), 80);
-        let mut f = FlowState::new(tuple, StrategyKind::NoStrategy);
-        assert_eq!(f.insertion_ttl(2), None);
+        let mut f = FlowState::new(tuple, StrategyKind::NoStrategy, 2);
+        assert_eq!(f.insertion_ttl(), None);
         f.hops = Some(14);
-        assert_eq!(f.insertion_ttl(2), Some(12));
+        assert_eq!(f.insertion_ttl(), Some(12));
         f.hops = Some(2);
-        assert_eq!(f.insertion_ttl(2), Some(1), "clamped to at least 1");
+        assert_eq!(f.insertion_ttl(), Some(1), "clamped to at least 1");
     }
 }

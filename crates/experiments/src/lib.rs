@@ -35,7 +35,7 @@ pub mod trial;
 pub mod trial_dns;
 pub mod trial_tor;
 
-pub use runner::{sweep, Aggregate, SweepConfig};
+pub use runner::{Aggregate, SweepConfig};
 pub use scenario::{Scenario, VantagePoint, Website};
 pub use trial::{run_http_trial, Outcome, TrialSpec};
 

@@ -136,20 +136,9 @@ pub struct CellRun {
     pub series: Option<Box<SeriesSheet>>,
 }
 
-/// Run `cfg.trials` trials of one (vantage point, site) cell.
-pub fn run_cell(vp: &VantagePoint, vp_idx: usize, site: &Website, site_idx: usize, cfg: &SweepConfig) -> Aggregate {
-    run_cell_counted(vp, vp_idx, site, site_idx, cfg).0
-}
-
-/// As [`run_cell`], additionally returning the simulation events processed
-/// (the sweep executor's throughput metric).
-pub fn run_cell_counted(vp: &VantagePoint, vp_idx: usize, site: &Website, site_idx: usize, cfg: &SweepConfig) -> (Aggregate, u64) {
-    let cell = run_cell_telemetry(vp, vp_idx, site, site_idx, cfg);
-    (cell.agg, cell.events)
-}
-
-/// As [`run_cell_counted`] with the full telemetry: the cell's merged
-/// [`MetricsSheet`] and a [`TrialDiagnosis`] for every unsuccessful trial.
+/// Run `cfg.trials` trials of one (vantage point, site) cell: outcome
+/// counts, events processed, the cell's merged [`MetricsSheet`] and a
+/// [`TrialDiagnosis`] for every unsuccessful trial.
 pub fn run_cell_telemetry(vp: &VantagePoint, vp_idx: usize, site: &Website, site_idx: usize, cfg: &SweepConfig) -> CellRun {
     let mut agg = Aggregate::default();
     let mut events = 0u64;
@@ -246,13 +235,21 @@ pub fn run_cell_telemetry(vp: &VantagePoint, vp_idx: usize, site: &Website, site
     }
 }
 
-/// Worker count for [`sweep`]: the `INTANG_THREADS` environment variable
-/// when set to a positive integer, else the machine's available
-/// parallelism.
+/// Worker count for a sweep: the `INTANG_THREADS` environment variable
+/// when set, else the machine's available parallelism. A value that is not
+/// a positive integer prints an error naming the variable and exits with
+/// status 2 (the CLI no-panic contract).
 pub fn worker_count() -> usize {
-    match std::env::var("INTANG_THREADS").ok().and_then(|s| s.parse::<usize>().ok()) {
-        Some(n) if n >= 1 => n,
-        _ => std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(1),
+    use std::num::NonZeroUsize;
+    let Some(v) = std::env::var_os("INTANG_THREADS") else {
+        return std::thread::available_parallelism().map(NonZeroUsize::get).unwrap_or(1);
+    };
+    match v.to_str().and_then(|s| s.parse::<NonZeroUsize>().ok()) {
+        Some(n) => n.get(),
+        None => {
+            eprintln!("error: INTANG_THREADS needs a positive integer, got {v:?}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -302,14 +299,6 @@ impl SweepRun {
         }
         all
     }
-}
-
-/// Per-vantage-point aggregates over all sites.
-///
-/// Thin wrapper over [`sweep_with_threads`] at [`worker_count`] workers;
-/// the result is independent of the worker count.
-pub fn sweep(scenario: &Scenario, cfg: &SweepConfig) -> Vec<(String, Aggregate)> {
-    sweep_with_threads(scenario, cfg, worker_count()).rows
 }
 
 /// The streaming merge's accumulated state: per-VP rows, the one merged

@@ -5,7 +5,7 @@ use crate::scenario::{VantagePoint, Website};
 use intang_apps::host::add_host;
 use intang_apps::http::{listen, HttpClientDriver, HttpServerDriver};
 use intang_core::select::History;
-use intang_core::{IntangConfig, IntangElement, RobustnessConfig, StrategyKind};
+use intang_core::{IntangConfig, IntangElement, StrategyKind};
 use intang_faults::FaultPlan;
 use intang_gfw::{GfwElement, GfwHandle};
 use intang_middlebox::{FieldFilter, FilterSpec, FragmentHandler, SeqStrictFirewall, StatefulFirewall};
@@ -167,19 +167,13 @@ pub fn build_http_sim(spec: &TrialSpec<'_>) -> (Simulation, TrialParts) {
         // server; TTL scoping cannot win, so INTANG leans on the other
         // Table 5 discrepancies there.
         prefer_ttl: !vp.abroad,
+        // A faulted trial runs the engine's robustness responses.
+        robust: spec.faults.is_some(),
         ..IntangConfig::default()
     };
     if spec.strategy == Some(StrategyKind::NoStrategy) {
         // The baseline also skips measurement probes.
         cfg.measure_hops = false;
-    }
-    if let Some(plan) = &spec.faults {
-        cfg.robustness = Some(RobustnessConfig {
-            reprotect_syn: plan.client.reprotect_syn,
-            max_reprotects: plan.client.max_reprotects,
-            backoff: plan.client.backoff,
-            reprobe_on_reset: plan.client.reprobe_on_reset,
-        });
     }
     let (intang_el, intang) = match &spec.history {
         Some(h) => IntangElement::with_history(vp.addr, cfg, h.clone()),

@@ -14,8 +14,10 @@
 //! * mid-trial **route flaps** that change a link's hop count (and thereby
 //!   the TTL distance INTANG measured);
 //! * censor-side **chaos** mapped onto `GfwConfig`'s `chaos_*` knobs;
-//! * middlebox profile perturbation;
-//! * the client **robustness** responses the engine should enable.
+//! * middlebox profile perturbation.
+//!
+//! A trial that has a plan also runs the INTANG engine in its robustness
+//! mode (`IntangConfig::robust`).
 //!
 //! Determinism contract: `FaultPlan::derive(cfg, trial_seed)` is a pure
 //! function of its arguments. The trial seed already encodes (master seed,
@@ -113,31 +115,8 @@ impl CensorChaos {
     }
 }
 
-/// Client-engine robustness knobs a fault run enables (mirrors
-/// `intang_core::RobustnessConfig`, re-declared here because the core
-/// crate does not depend on this one).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ClientRobustness {
-    pub reprotect_syn: bool,
-    pub max_reprotects: u32,
-    pub backoff: Duration,
-    pub reprobe_on_reset: bool,
-}
-
-impl Default for ClientRobustness {
-    fn default() -> ClientRobustness {
-        ClientRobustness {
-            reprotect_syn: true,
-            max_reprotects: 4,
-            backoff: Duration::from_millis(15),
-            reprobe_on_reset: true,
-        }
-    }
-}
-
 /// The realized fault schedule for ONE trial: which links hurt and how,
-/// when routes flap, how the censor misbehaves, and which robustness
-/// responses the client engine turns on.
+/// when routes flap, and how the censor and middleboxes misbehave.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultPlan {
     /// Faults on the client's access link.
@@ -152,7 +131,6 @@ pub struct FaultPlan {
     /// Perturbed `drop_no_flag` probability for the mid-path field filter,
     /// if the plan perturbs the middlebox profile at all.
     pub midpath_drop_no_flag: Option<f64>,
-    pub client: ClientRobustness,
 }
 
 impl FaultPlan {
@@ -177,7 +155,6 @@ impl FaultPlan {
             route_flaps: route_flaps(&mut rng, ri),
             censor: censor_chaos(&mut rng, ci),
             midpath_drop_no_flag: midpath_perturbation(&mut rng, mi),
-            client: ClientRobustness::default(),
         })
     }
 

@@ -309,11 +309,6 @@ impl GfwHandle {
         }
     }
 
-    /// Number of censor-state lanes the device was configured with.
-    pub fn state_lanes(&self) -> usize {
-        self.core.borrow().lanes.len()
-    }
-
     /// Which censor profile this device was compiled from.
     pub fn profile_tag(&self) -> crate::config::ProfileTag {
         self.core.borrow().cfg.profile_tag

@@ -1,14 +1,17 @@
 #!/usr/bin/env sh
-# Tier-1 CI gate: formatting, lints, build, the full test suite, then
-# smoke-test the sweep executor (bench_sweep --quick also verifies that
-# parallel aggregates, metrics sheets and diagnoses are byte-identical to
-# the serial run, exiting non-zero if not).
+# Tier-1 CI gate: formatting, lints, rustdoc links, build, the full test
+# suite, then smoke-test the sweep executor (bench_sweep --quick also
+# verifies that parallel aggregates, metrics sheets and diagnoses are
+# byte-identical to the serial run, exiting non-zero if not).
 set -eu
 
 cd "$(dirname "$0")/.."
 
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc gate: an intra-doc link to a deleted, renamed or private item
+# fails CI instead of rotting silently.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo build --release --all-targets
 cargo test -q --release --workspace
 # Benchmark digest gate: the quick-size workloads of the repository

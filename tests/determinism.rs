@@ -2,7 +2,7 @@
 //! run — the property every measurement in EXPERIMENTS.md rests on.
 
 use intang_core::StrategyKind;
-use intang_experiments::runner::{run_cell, sweep_with_threads, SweepConfig};
+use intang_experiments::runner::{run_cell_telemetry, sweep_with_threads, SweepConfig};
 use intang_experiments::scenario::Scenario;
 use intang_experiments::trial::{run_http_trial, Outcome, TrialSpec};
 use intang_faults::FaultConfig;
@@ -74,8 +74,8 @@ fn different_seeds_vary_stochastic_outcomes() {
 fn whole_cells_replay_bit_identically() {
     let s = Scenario::smoke(7);
     let cfg = SweepConfig::new(Some(StrategyKind::ImprovedTeardown), true, 5, 1312);
-    let a = run_cell(&s.vantage_points[0], 0, &s.websites[0], 0, &cfg);
-    let b = run_cell(&s.vantage_points[0], 0, &s.websites[0], 0, &cfg);
+    let a = run_cell_telemetry(&s.vantage_points[0], 0, &s.websites[0], 0, &cfg).agg;
+    let b = run_cell_telemetry(&s.vantage_points[0], 0, &s.websites[0], 0, &cfg).agg;
     assert_eq!(a, b);
 }
 
