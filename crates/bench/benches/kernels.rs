@@ -3,7 +3,7 @@
 //! node-by-node walk, RFC 1624 incremental checksum update vs a full
 //! header re-sum, and the shard-arena lease/return cycle vs fresh heap
 //! allocation. These isolate the kernels that the batched engine leans on;
-//! `scripts/ci.sh` runs this bench under `INTANG_BENCH_BUDGET_MS` as a
+//! `scripts/ci.sh` runs this bench with `--quick` (40 ms per case) as a
 //! smoke test (it asserts kernel/reference agreement on every iteration,
 //! so a silently-diverging kernel fails CI here before the property suite).
 

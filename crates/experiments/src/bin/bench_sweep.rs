@@ -164,8 +164,24 @@ fn smoke_gate() -> ! {
     }
 }
 
+/// `INTANG_ALLOC_GATE=<max>`: the steady-state allocs/trial ceiling, when
+/// set. Read at startup so a bad value fails before the timed run: anything
+/// but a finite positive number prints an error naming the variable and
+/// exits with status 2 (the CLI no-panic contract).
+fn alloc_gate() -> Option<f64> {
+    let v = std::env::var_os("INTANG_ALLOC_GATE")?;
+    match v.to_str().and_then(|s| s.parse::<f64>().ok()).filter(|c| c.is_finite() && *c > 0.0) {
+        Some(ceiling) => Some(ceiling),
+        None => {
+            eprintln!("error: INTANG_ALLOC_GATE needs a positive number, got {v:?}");
+            std::process::exit(2);
+        }
+    }
+}
+
 fn main() {
     let args = CommonArgs::parse();
+    let alloc_gate = alloc_gate();
     let quick = args.quick;
     if std::env::args().any(|a| a == "--smoke") {
         smoke_gate();
@@ -281,12 +297,11 @@ fn main() {
     );
     drop(steady_runs);
 
-    // Allocation ceiling gate (CI): INTANG_ALLOC_GATE=<max> fails the run
-    // if the steady-state heap-allocation rate regresses past the ceiling.
-    // Requires the counting allocator — a gate that cannot count must fail
-    // loudly rather than pass vacuously.
-    if let Ok(gate) = std::env::var("INTANG_ALLOC_GATE") {
-        let ceiling: f64 = gate.parse().expect("INTANG_ALLOC_GATE must be a number");
+    // Allocation ceiling gate (CI): fails the run if the steady-state
+    // heap-allocation rate regresses past the ceiling. Requires the
+    // counting allocator — a gate that cannot count must fail loudly
+    // rather than pass vacuously.
+    if let Some(ceiling) = alloc_gate {
         match allocs_per_trial {
             Some(a) if a < ceiling => {
                 eprintln!("  alloc gate: {a:.1} allocs/trial < ceiling {ceiling}");

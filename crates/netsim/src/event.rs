@@ -21,17 +21,28 @@
 //! The epoch only advances when the front heap is empty (a cascade or an
 //! overflow migration), which is what makes the split sound: every front
 //! event precedes every upper-level event, and upper levels are totally
-//! ordered among themselves by the shared cursor prefix. Slot storage and
-//! the front heap's buffer are recycled through a thread-local pool across
-//! `EventQueue` lifetimes (a simulation is built per trial), so queue
-//! construction and steady-state operation stay off the allocator.
+//! ordered among themselves by the shared cursor prefix.
+//!
+//! **Memory is bounded by live events.** Every upper-level event sits in
+//! one node of a single slab, threaded into its slot's singly linked list;
+//! a free list recycles nodes. A push takes a free node, and a cascade
+//! relinks each node into its lower slot, freeing only the nodes whose
+//! events enter the front heap. The slab grows only when the free list is
+//! empty, so its length is the peak number of upper-level events — not
+//! the sum of every slot's own peak, which per-slot buckets would each
+//! keep as capacity. Order within a slot list is irrelevant: the front
+//! heap orders by `(time, insertion-seq)` whatever order entries arrive
+//! in. The slab and the front heap's buffer are recycled through a
+//! thread-local pool across `EventQueue` lifetimes (a simulation is built
+//! per trial), so queue construction and steady-state operation stay off
+//! the allocator.
 //!
 //! Pop order is **exactly** `(time, insertion-seq)` — identical to the old
 //! heap, including pushes scheduled in the past (they clamp to the cursor's
 //! epoch and pop immediately, still ordered by their original timestamp).
 //! Golden traces and the determinism suite depend on this;
-//! `tests/properties.rs` drives a randomized interleaving against a
-//! reference heap to lock it in.
+//! `tests/properties.rs` drives randomized interleavings, shallow and at
+//! metropolis depth, against a reference heap to lock it in.
 
 use crate::element::Direction;
 use crate::time::Instant;
@@ -84,6 +95,19 @@ impl Ord for FrontItem {
     }
 }
 
+/// One slab node: an upper-level event and the next node on its list.
+#[derive(Debug)]
+struct Node {
+    /// The event while the node is on a slot list; `None` on the free
+    /// list, so a freed node holds no packet buffer.
+    q: Option<Queued>,
+    /// Next node on the same slot list or the free list; [`NIL`] ends it.
+    next: u32,
+}
+
+/// End-of-list marker for slot lists and the free list.
+const NIL: u32 = u32::MAX;
+
 /// The front tier spans one `1 << L0_BITS` µs epoch of the cursor.
 const L0_BITS: usize = 12;
 /// Bits per upper wheel level; each upper level has 64 slots.
@@ -95,17 +119,32 @@ const UP_LEVELS: usize = 5;
 const HORIZON_BITS: u32 = (L0_BITS + LEVEL_BITS * UP_LEVELS) as u32;
 const TOTAL_SLOTS: usize = UP_LEVELS * SLOTS;
 
+/// Where an event time belongs relative to the cursor.
+enum Place {
+    /// The cursor's epoch: the front heap.
+    Front,
+    /// Upper level `up`, slot `slot`.
+    Upper { up: usize, slot: usize },
+    /// Beyond the wheel horizon.
+    Overflow,
+}
+
 /// Deterministic event queue: pops strictly in `(time, insertion order)`.
 #[derive(Debug)]
 pub struct EventQueue {
     /// Current-epoch events, popped directly.
     front: BinaryHeap<FrontItem>,
-    /// `TOTAL_SLOTS` upper-level buckets, level-major (recycled via the
-    /// thread-local storage pool). Bucket vectors keep their capacity
-    /// across reuse, so the steady state allocates nothing.
-    slots: Vec<Vec<Queued>>,
-    /// Per-upper-level occupancy bitmap: bit `s` set ⇔
-    /// `slots[u * SLOTS + s]` is non-empty.
+    /// Every upper-level event, one node each, plus the free nodes
+    /// (recycled via the thread-local storage pool). Grows only when the
+    /// free list is empty, so its length is the peak upper-level count.
+    nodes: Vec<Node>,
+    /// First node of each upper-level slot's list, level-major; [`NIL`]
+    /// when the slot is empty.
+    heads: [u32; TOTAL_SLOTS],
+    /// First node of the free list.
+    free: u32,
+    /// Per-upper-level occupancy bitmap: bit `s` set ⇔ slot `s` of that
+    /// level has a non-empty list.
     occ_up: [u64; UP_LEVELS],
     /// The wheel cursor: a lower bound on every event time in the wheel
     /// (monotone; only ever advanced to popped times / cascade slot bases).
@@ -131,12 +170,12 @@ impl Default for EventQueue {
     }
 }
 
-/// Retired queue storage: the upper-level slot table plus the front heap's
-/// buffer, both capacity-warm.
-type RetiredStorage = (Vec<Vec<Queued>>, Vec<FrontItem>);
+/// Retired queue storage: the node slab plus the front heap's buffer,
+/// both empty but capacity-warm.
+type RetiredStorage = (Vec<Node>, Vec<FrontItem>);
 
 std::thread_local! {
-    /// Retired (slots, front-buffer) storage, capacity-warm. A simulation
+    /// Retired (slab, front-buffer) storage, capacity-warm. A simulation
     /// is built per trial; recycling keeps queue construction off the
     /// allocator.
     static STORAGE_POOL: std::cell::RefCell<Vec<RetiredStorage>> = const { std::cell::RefCell::new(Vec::new()) };
@@ -145,42 +184,40 @@ std::thread_local! {
 /// Max retired storages kept per thread (sims rarely nest deeper).
 const STORAGE_POOL_CAP: usize = 4;
 
+/// Slab index of node `n`.
+fn ix(n: u32) -> usize {
+    usize::try_from(n).expect("node indices fit usize")
+}
+
 impl Drop for EventQueue {
     fn drop(&mut self) {
-        // Clear only the buckets the bitmaps say are occupied (a dropped
-        // mid-run queue may hold events), then hand the storage back.
-        for (u, &bits) in self.occ_up.iter().enumerate() {
-            let mut word = bits;
-            while word != 0 {
-                let s = word.trailing_zeros() as usize;
-                word &= word - 1;
-                self.slots[u * SLOTS + s].clear();
-            }
-        }
-        let storage = std::mem::take(&mut self.slots);
+        // Clearing the slab drops any events a mid-run queue still holds;
+        // the emptied storage goes back to the pool.
+        let mut nodes = std::mem::take(&mut self.nodes);
+        nodes.clear();
         let mut front_buf = std::mem::take(&mut self.front).into_vec();
         front_buf.clear();
-        if storage.len() == TOTAL_SLOTS {
-            let _ = STORAGE_POOL.try_with(|pool| {
-                let mut pool = pool.borrow_mut();
-                if pool.len() < STORAGE_POOL_CAP {
-                    pool.push((storage, front_buf));
-                }
-            });
-        }
+        let _ = STORAGE_POOL.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            if pool.len() < STORAGE_POOL_CAP {
+                pool.push((nodes, front_buf));
+            }
+        });
     }
 }
 
 impl EventQueue {
     pub fn new() -> Self {
-        let (slots, front_buf) = STORAGE_POOL
+        let (nodes, front_buf) = STORAGE_POOL
             .try_with(|pool| pool.borrow_mut().pop())
             .ok()
             .flatten()
-            .unwrap_or_else(|| (std::iter::repeat_with(Vec::new).take(TOTAL_SLOTS).collect(), Vec::new()));
+            .unwrap_or_default();
         EventQueue {
             front: BinaryHeap::from(front_buf),
-            slots,
+            nodes,
+            heads: [NIL; TOTAL_SLOTS],
+            free: NIL,
             occ_up: [0; UP_LEVELS],
             wheel_now: 0,
             upper_len: 0,
@@ -202,31 +239,68 @@ impl EventQueue {
         self.insert(Queued { at, seq, event });
     }
 
-    /// Place one entry into the front heap, an upper-level slot, or the
-    /// overflow. Past-due times clamp to the cursor (current epoch), where
-    /// the front heap's `(at, seq)` order still yields them first.
-    fn insert(&mut self, q: Queued) {
-        let t = q.at.0.max(self.wheel_now);
+    /// Where time `at` belongs. Past-due times clamp to the cursor (current
+    /// epoch), where the front heap's `(at, seq)` order still yields them
+    /// first.
+    fn place(&self, at: Instant) -> Place {
+        let t = at.0.max(self.wheel_now);
         let masked = t ^ self.wheel_now;
         if masked >> L0_BITS == 0 {
             // Same epoch as the cursor: the common, cascade-free case.
-            self.front.push(FrontItem(q));
-            return;
+            return Place::Front;
         }
         if masked >> HORIZON_BITS != 0 {
-            if self.overflow_min.is_none_or(|m| (q.at, q.seq) < m) {
-                self.overflow_min = Some((q.at, q.seq));
-            }
-            self.overflow.push(q);
-            return;
+            return Place::Overflow;
         }
         // The highest differing bit picks the upper level; within it, the
         // time's own 6-bit block picks the slot.
         let up = ((63 - masked.leading_zeros()) as usize - L0_BITS) / LEVEL_BITS;
         let slot = ((t >> (L0_BITS + up * LEVEL_BITS)) & (SLOTS - 1) as u64) as usize;
+        Place::Upper { up, slot }
+    }
+
+    /// Place one entry into the front heap, an upper-level slot, or the
+    /// overflow.
+    fn insert(&mut self, q: Queued) {
+        match self.place(q.at) {
+            Place::Front => self.front.push(FrontItem(q)),
+            Place::Upper { up, slot } => {
+                let n = self.alloc_node(q);
+                self.link(up, slot, n);
+                self.upper_len += 1;
+            }
+            Place::Overflow => {
+                if self.overflow_min.is_none_or(|m| (q.at, q.seq) < m) {
+                    self.overflow_min = Some((q.at, q.seq));
+                }
+                self.overflow.push(q);
+            }
+        }
+    }
+
+    /// A node holding `q`: the head of the free list, else a new one.
+    fn alloc_node(&mut self, q: Queued) -> u32 {
+        if self.free == NIL {
+            let n = u32::try_from(self.nodes.len())
+                .ok()
+                .filter(|&n| n != NIL)
+                .expect("upper-level events fit u32 node indices");
+            self.nodes.push(Node { q: Some(q), next: NIL });
+            return n;
+        }
+        let n = self.free;
+        let node = &mut self.nodes[ix(n)];
+        self.free = node.next;
+        node.q = Some(q);
+        n
+    }
+
+    /// Push node `n` onto the list of upper level `up`, slot `slot`.
+    fn link(&mut self, up: usize, slot: usize, n: u32) {
+        let head = &mut self.heads[up * SLOTS + slot];
+        self.nodes[ix(n)].next = *head;
+        *head = n;
         self.occ_up[up] |= 1 << slot;
-        self.slots[up * SLOTS + slot].push(q);
-        self.upper_len += 1;
     }
 
     /// Refill the wheel from overflow once it drains. Sound because every
@@ -241,6 +315,12 @@ impl EventQueue {
         for q in pending {
             self.insert(q);
         }
+    }
+
+    /// The earliest occupied upper slot as `(level, slot)`, if any.
+    fn first_upper(&self) -> Option<(usize, usize)> {
+        let up = self.occ_up.iter().position(|&bits| bits != 0)?;
+        Some((up, self.occ_up[up].trailing_zeros() as usize))
     }
 
     pub fn pop(&mut self) -> Option<(Instant, Event)> {
@@ -258,30 +338,44 @@ impl EventQueue {
                 self.wheel_now = self.wheel_now.max(q.at.0);
                 return Some((q.at, q.event));
             }
-            if self.upper_len == 0 {
+            let Some((up, slot)) = self.first_upper() else {
                 self.migrate_overflow();
                 continue;
+            };
+            self.cascade(up, slot);
+        }
+    }
+
+    /// Advance the cursor to the base time of upper slot `(up, slot)` — the
+    /// earliest occupied one — and move its entries down: each lands in the
+    /// (new) front epoch or a strictly lower upper level. Upper levels are
+    /// totally ordered: every level-u event precedes every level-(u+1)
+    /// event (shared cursor prefix above block u). Nodes that stay upper
+    /// are relinked in place; only those entering the front are freed.
+    fn cascade(&mut self, up: usize, slot: usize) {
+        let shift = L0_BITS + up * LEVEL_BITS;
+        let base = (self.wheel_now & (!0u64 << (shift + LEVEL_BITS))) | ((slot as u64) << shift);
+        debug_assert!(base > self.wheel_now);
+        self.wheel_now = base;
+        self.occ_up[up] &= !(1 << slot);
+        let mut n = std::mem::replace(&mut self.heads[up * SLOTS + slot], NIL);
+        while n != NIL {
+            let node = &mut self.nodes[ix(n)];
+            let next = node.next;
+            let at = node.q.as_ref().expect("a listed node holds an event").at;
+            match self.place(at) {
+                Place::Upper { up: lower, slot } => self.link(lower, slot, n),
+                Place::Front => {
+                    let node = &mut self.nodes[ix(n)];
+                    let q = node.q.take().expect("a listed node holds an event");
+                    node.next = self.free;
+                    self.free = n;
+                    self.upper_len -= 1;
+                    self.front.push(FrontItem(q));
+                }
+                Place::Overflow => unreachable!("a cascading event shares the cursor's prefix above its level"),
             }
-            // Cascade: advance the cursor to the earliest occupied upper
-            // slot's base time and re-insert its entries — each lands in
-            // the (new) front epoch or a strictly lower upper level. Upper
-            // levels are totally ordered: every level-u event precedes
-            // every level-(u+1) event (shared cursor prefix above block u).
-            let up = (0..UP_LEVELS).find(|&u| self.occ_up[u] != 0).expect("upper_len > 0");
-            let slot = self.occ_up[up].trailing_zeros() as usize;
-            let shift = L0_BITS + up * LEVEL_BITS;
-            let base = (self.wheel_now & (!0u64 << (shift + LEVEL_BITS))) | ((slot as u64) << shift);
-            debug_assert!(base > self.wheel_now);
-            self.wheel_now = base;
-            let idx = up * SLOTS + slot;
-            let mut bucket = std::mem::take(&mut self.slots[idx]);
-            self.occ_up[up] &= !(1 << slot);
-            self.upper_len -= bucket.len();
-            for q in bucket.drain(..) {
-                self.insert(q);
-            }
-            // Hand the (empty) allocation back so reuse stays alloc-free.
-            self.slots[idx] = bucket;
+            n = next;
         }
     }
 
@@ -317,10 +411,16 @@ impl EventQueue {
         if let Some(FrontItem(q)) = self.front.peek() {
             return Some(q.at);
         }
-        if self.upper_len > 0 {
-            let up = (0..UP_LEVELS).find(|&u| self.occ_up[u] != 0).expect("upper_len > 0");
-            let slot = self.occ_up[up].trailing_zeros() as usize;
-            return self.slots[up * SLOTS + slot].iter().map(|q| q.at).min();
+        if let Some((up, slot)) = self.first_upper() {
+            let mut n = self.heads[up * SLOTS + slot];
+            let mut min: Option<Instant> = None;
+            while n != NIL {
+                let node = &self.nodes[ix(n)];
+                let at = node.q.as_ref().expect("a listed node holds an event").at;
+                min = Some(min.map_or(at, |m| m.min(at)));
+                n = node.next;
+            }
+            return min;
         }
         self.overflow_min.map(|(at, _)| at)
     }
@@ -519,5 +619,39 @@ mod tests {
         q.push(Instant(20), Event::Timer { elem: 0, token: 2 });
         q.push(Instant(50), Event::Timer { elem: 0, token: 3 });
         assert_eq!(drain(&mut q), vec![(20, 2), (50, 0), (50, 3)]);
+    }
+
+    #[test]
+    fn slab_never_outgrows_the_peak_upper_occupancy() {
+        // ~2k resident events, each re-armed 4 ms to 250 ms out (level 1,
+        // the first upper level, spilling into level 2), churned until the
+        // cursor has swept all 64 level-1 slots several times. Per-slot
+        // storage would keep each slot's own peak; the slab may hold only
+        // the peak of the total.
+        let mut q = EventQueue::new();
+        let mut rng = 0x2017_u64;
+        let mut delay = move || {
+            rng ^= rng << 13;
+            rng ^= rng >> 7;
+            rng ^= rng << 17;
+            4_096 + rng % 250_000
+        };
+        for _ in 0..2_000 {
+            q.push(Instant(delay()), Event::Timer { elem: 0, token: 0 });
+        }
+        // Bit `s` set: the cursor's epoch has sat in level-1 slot `s`.
+        let cursor_slot = |q: &EventQueue| 1u64 << ((q.wheel_now >> L0_BITS) & (SLOTS as u64 - 1));
+        let (mut peak, mut visited) = (q.upper_len, cursor_slot(&q));
+        assert!(q.nodes.len() <= peak);
+        for _ in 0..40_000 {
+            let (at, _) = q.pop().expect("resident events");
+            q.push(Instant(at.0 + delay()), Event::Timer { elem: 0, token: 0 });
+            peak = peak.max(q.upper_len);
+            visited |= cursor_slot(&q);
+            assert!(q.nodes.len() <= peak, "slab {} > peak upper occupancy {peak}", q.nodes.len());
+        }
+        assert_eq!(visited, u64::MAX, "the cursor passed through every level-1 slot");
+        assert!(q.wheel_now > 4 * ((SLOTS as u64) << L0_BITS), "and swept level 1 repeatedly");
+        assert!(q.structural_imbalance().is_none());
     }
 }

@@ -5,6 +5,11 @@
 //! the GFW prefers one copy, the server another. [`SegmentOverlapPolicy`]
 //! makes that choice a first-class parameter shared by the server stack and
 //! the censor model.
+//!
+//! A drained [`Assembler`] holds no heap memory: buffered segments live in a
+//! `BTreeMap`, and pulling the last of them replaces the map with a fresh
+//! one, so every censor TCB and socket that has consumed its data costs only
+//! its inline fields, not an empty B-tree leaf.
 
 use std::collections::BTreeMap;
 
@@ -171,6 +176,11 @@ impl Assembler {
         while let Some(seg) = self.segments.remove(&self.head) {
             self.head += seg.len() as u64;
             out.extend_from_slice(&seg);
+        }
+        if self.segments.is_empty() {
+            // An emptied `BTreeMap` keeps its root leaf; a fresh one owns
+            // no heap memory, so a drained assembler holds none.
+            self.segments = BTreeMap::new();
         }
         if self.simcheck {
             self.validate("pull");

@@ -45,9 +45,9 @@ cargo test -q --release --test properties
 cargo test -q --release --test determinism
 INTANG_BATCH=0 cargo run --release -p intang-experiments --bin bench_sweep -- --quick >/dev/null
 # Kernel microbench smoke: asserts kernel/reference agreement on real
-# iterations (a tiny time budget keeps it a compile-and-agree check, not a
-# measurement).
-INTANG_BENCH_BUDGET_MS=20 cargo bench -q -p intang-bench --bench kernels >/dev/null
+# iterations (`--quick`, 40 ms per case, keeps it a compile-and-agree
+# check, not a measurement).
+cargo bench -q -p intang-bench --bench kernels -- --quick >/dev/null
 # Allocation ceiling: steady-state heap allocations per trial must stay
 # under 100 (the shard arenas' reason to exist; the seed was ~307).
 INTANG_ALLOC_GATE=100 cargo run --release -p intang-experiments --features alloc-count --bin bench_sweep -- --quick >/dev/null

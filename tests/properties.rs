@@ -486,7 +486,7 @@ fn event_queue_matches_reference_heap() {
         for _ in 0..g.range(1, 150) {
             if reference.is_empty() || g.below(5) < 3 {
                 let at = match g.below(10) {
-                    // Beyond the 2^36 µs wheel horizon (overflow list).
+                    // Mostly beyond the 2^42 µs wheel horizon (overflow list).
                     0 => 1 + (g.u64() >> g.below(24)),
                     // Time zero / far in the past of anything popped so far.
                     1 => g.u64() % 3,
@@ -517,6 +517,85 @@ fn event_queue_matches_reference_heap() {
         }
         assert!(q.is_empty());
         assert_eq!(q.pop().map(|_| ()), None);
+    }
+}
+
+/// The same contract at metropolis depth. The shallow cases above never
+/// hold more than ~150 events, so they never reuse a freed wheel node or
+/// relink a full slot. Here 10k or more events (about 12k) stay resident
+/// in the metro timer mix — link-scale hops that carry packets, ~1 s
+/// re-arms and 30 s backstops, plus same-time ties — while pushes and pops
+/// interleave against a reference heap; each delivered wire must be the
+/// one pushed.
+#[test]
+fn event_queue_matches_reference_heap_at_metro_depth() {
+    use intang_netsim::event::{Event, EventQueue};
+    use intang_netsim::{Direction, Instant};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    for case in 0..2u64 {
+        let mut g = Gen::new(0xde_e9 ^ (case << 8));
+        let mut q = EventQueue::new();
+        let mut reference: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+        let (mut now, mut seq, mut delivers) = (0u64, 0u64, 0usize);
+        let mut last_at = 0u64;
+        // Fill to 12k, churn 60k steps at 10k or more, then drain.
+        let (fill, churn) = (12_000u64, 72_000u64);
+        for step in 0.. {
+            let push = step < fill || (step < churn && (reference.len() < 10_000 || g.bool()));
+            if !push && reference.is_empty() {
+                break;
+            }
+            if push {
+                let at = match g.below(20) {
+                    // Link hops: a packet in flight.
+                    0..=9 => now + 500 + g.u64() % 2_500,
+                    // Client and server-cell re-arms, 0.5–1 s out.
+                    10..=15 => now + 500_000 + g.u64() % 500_000,
+                    // 30 s backstops.
+                    16..=17 => now + 30_000_000 + g.u64() % 1_000,
+                    // A tie with the latest pushed time.
+                    _ => last_at.max(now),
+                };
+                let event = if at < now + 3_000 && g.below(4) != 0 {
+                    delivers += 1;
+                    Event::Deliver {
+                        elem: 1,
+                        dir: Direction::ToServer,
+                        wire: seq.to_le_bytes().to_vec().into(),
+                        cause: None,
+                    }
+                } else {
+                    Event::Timer { elem: 0, token: seq }
+                };
+                q.push(Instant(at), event);
+                reference.push(Reverse((at, seq)));
+                last_at = at;
+                seq += 1;
+            } else {
+                let Reverse((want_at, want_seq)) = reference.pop().expect("checked non-empty");
+                let (got_at, ev) = q.pop().expect("wheel agrees queue is non-empty");
+                let got_seq = match ev {
+                    Event::Timer { token, .. } => token,
+                    Event::Deliver { wire, .. } => {
+                        delivers -= 1;
+                        u64::from_le_bytes(wire.as_slice().try_into().expect("an 8-byte wire"))
+                    }
+                };
+                assert_eq!((got_at.0, got_seq), (want_at, want_seq), "case {case} step {step}");
+                now = got_at.0;
+            }
+            assert_eq!(q.len(), reference.len(), "case {case} step {step}");
+            assert_eq!(q.deliver_len(), delivers, "case {case} step {step}");
+            assert_eq!(
+                q.peek_time().map(|t| t.0),
+                reference.peek().map(|Reverse((at, _))| *at),
+                "case {case} step {step}"
+            );
+        }
+        assert!(q.is_empty(), "case {case}: drained with the reference");
+        assert!(now >= 30_000_000, "case {case}: the backstops fired");
     }
 }
 
