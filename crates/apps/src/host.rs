@@ -69,8 +69,6 @@ struct HostCore {
     tcp: TcpEndpoint,
     udp: UdpLayer,
     driver: Box<dyn HostDriver>,
-    /// Raw ICMP datagrams received (consumed by probing tools).
-    icmp_rx: Vec<Wire>,
 }
 
 /// The element. Cheap [`HostHandle`] clones give tests and tools access to
@@ -96,7 +94,6 @@ impl HostElement {
             tcp: TcpEndpoint::new(addr, profile),
             udp,
             driver,
-            icmp_rx: Vec::new(),
         }));
         (
             HostElement {
@@ -123,14 +120,6 @@ impl HostElement {
 impl HostHandle {
     pub fn with_tcp<R>(&self, f: impl FnOnce(&mut TcpEndpoint) -> R) -> R {
         f(&mut self.core.borrow_mut().tcp)
-    }
-
-    pub fn with_udp<R>(&self, f: impl FnOnce(&mut UdpLayer) -> R) -> R {
-        f(&mut self.core.borrow_mut().udp)
-    }
-
-    pub fn take_icmp(&self) -> Vec<Wire> {
-        std::mem::take(&mut self.core.borrow_mut().icmp_rx)
     }
 
     pub fn addr(&self) -> Ipv4Addr {
@@ -197,7 +186,9 @@ impl Element for DirectedHost {
                             core.udp.rx.push(dg);
                         }
                     }
-                    IpProtocol::Icmp => core.icmp_rx.push(wire),
+                    // Routers' TTL-exceeded replies: nothing at a host
+                    // reads ICMP, so the wire goes back to the pool.
+                    IpProtocol::Icmp => {}
                     _ => core.tcp.on_packet(wire, ctx.now.micros()),
                 },
                 _ => {} // not addressed to us: swallowed at the edge

@@ -20,11 +20,6 @@
 //! cache layers) are experiments, not timings — they live in the
 //! `ablations` binary of `intang-experiments`.
 
-/// A canonical censored HTTP request used across benches.
-pub fn censored_request() -> Vec<u8> {
-    intang_packet::http::HttpRequest::get("/search?q=ultrasurf", "bench.example").encode()
-}
-
 /// A long clean stream with no sensitive content (worst case for DPI).
 pub fn clean_stream(len: usize) -> Vec<u8> {
     (0..len).map(|i| b"the quick brown fox jumps over it "[i % 34]).collect()

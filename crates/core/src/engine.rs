@@ -35,6 +35,10 @@ const MAX_REPROTECTS: u32 = 4;
 /// volley.
 const REPROTECT_BACKOFF: Duration = Duration::from_millis(15);
 
+/// The highest TTL a hop-measurement probe burst tries: one probe per TTL
+/// from 1 up to this.
+pub const MAX_PROBE_TTL: u8 = 24;
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct IntangConfig {
@@ -44,13 +48,11 @@ pub struct IntangConfig {
     /// Copies per insertion packet, 20 ms apart (§3.4 uses 3).
     pub redundancy: u32,
     /// δ subtracted from the hop estimate for TTL-scoped insertions (§7.1).
+    /// This is the starting value; the shim adapts it per destination
+    /// (§7.1: "INTANG can iteratively change this to converge to a good
+    /// value"): a failure *with* censor resets means the insertion died
+    /// before the censor, so δ for that destination drops by one.
     pub delta: u8,
-    /// Iteratively adapt δ per destination from observed outcomes (§7.1:
-    /// "INTANG can iteratively change this to converge to a good value"):
-    /// a failure *with* censor resets means the insertion died before the
-    /// censor (δ too large → decrease); a silent failure means it may have
-    /// hit the server or a server-side middlebox (δ too small → increase).
-    pub adaptive_delta: bool,
     /// Measure hop counts with a probe burst before the first connection
     /// to a new destination.
     pub measure_hops: bool,
@@ -59,7 +61,6 @@ pub struct IntangConfig {
     /// scoping is hopeless and INTANG leans on MD5/timestamp/bad-checksum
     /// discrepancies instead).
     pub prefer_ttl: bool,
-    pub max_probe_ttl: u8,
     /// Forward UDP DNS over TCP to this clean resolver (§6).
     pub dns_forward: Option<Ipv4Addr>,
     /// Robustness mode for hostile paths (fault-injection runs set this):
@@ -89,10 +90,8 @@ impl Default for IntangConfig {
             strategy: None,
             redundancy: 3,
             delta: 2,
-            adaptive_delta: true,
             measure_hops: true,
             prefer_ttl: true,
-            max_probe_ttl: 24,
             dns_forward: None,
             robust: false,
             state_shards: 1,
@@ -419,9 +418,7 @@ impl Shim {
                     self.estimator.hold(server, wire);
                     return;
                 } else {
-                    let probes = self
-                        .estimator
-                        .start(tuple.src, server, seg.dst_port, ctx.now, self.cfg.max_probe_ttl, wire);
+                    let probes = self.estimator.start(tuple.src, server, seg.dst_port, ctx.now, MAX_PROBE_TTL, wire);
                     self.stats.probes_sent += probes.len() as u64;
                     for p in probes {
                         ctx.send(Direction::ToServer, p);
@@ -574,7 +571,7 @@ impl Shim {
                             // the TTL-scoped insertion likely expired short
                             // of the censor — let it travel one hop farther
                             // next time.
-                            if self.cfg.adaptive_delta && self.cfg.prefer_ttl && flow.hops.is_some() {
+                            if self.cfg.prefer_ttl && flow.hops.is_some() {
                                 let d = self.delta_overrides.entry((lane, tuple.dst)).or_insert(self.cfg.delta);
                                 *d = d.saturating_sub(1);
                             }

@@ -35,7 +35,7 @@ fn hop_measurement_learns_the_path_length() {
     // estimate derives from ICMP alone: farthest router 6 ⇒ estimate 7.
     assert_eq!(handle.hops_to(SERVER), Some(7));
     let stats = handle.stats();
-    assert_eq!(stats.probes_sent, u64::from(IntangConfig::default().max_probe_ttl));
+    assert_eq!(stats.probes_sent, u64::from(intang_core::engine::MAX_PROBE_TTL));
     assert_eq!(stats.flows, 1);
 }
 

@@ -1,7 +1,7 @@
 //! Minimal flag parsing shared by the experiment binaries.
 
 /// The usage text printed by `--help` and on parse errors.
-const USAGE: &str = "flags: --trials N        trials per cell (default: per-experiment)\n       --seed S          master seed (default 2017)\n       --quick           shrink the scenario for a fast smoke run\n       --smoke           alias for --quick\n       --telemetry PATH  write JSONL metrics + failure diagnoses to PATH\n       --progress        live sweep console on stderr\n       --profile-folded PATH\n                         enable the span profiler and write folded stacks\n                         to PATH (one 'a;b;c nanos' line per stack)\n       --censor-profile SPEC\n                         run every censor device from a profile: a builtin\n                         name (gfw_prior, gfw_evolved, turkmenistan) or\n                         the path to a profile file";
+const USAGE: &str = "flags: --trials N        trials per cell (default: per-experiment)\n       --seed S          master seed (default 2017)\n       --quick           shrink the scenario for a fast smoke run\n       --smoke           alias for --quick\n       --telemetry PATH  write JSONL metrics + failure diagnoses to PATH\n       --progress        live sweep console on stderr\n       --profile-folded PATH\n                         enable the span profiler and write folded stacks\n                         to PATH (one 'a;b;c nanos' line per stack)\n       --censor-profile SPEC\n                         run every censor device from a profile: a builtin\n                         name (gfw_prior, gfw_evolved, turkmenistan) or\n                         the path to a profile file; only table1, table4\n                         and metropolis honor it";
 
 /// Parsed common flags.
 #[derive(Debug, Clone)]
@@ -26,7 +26,10 @@ pub struct CommonArgs {
 impl CommonArgs {
     /// Parse the process arguments; on a bad flag, print the error and
     /// usage to stderr and exit with status 2 (no panic, no backtrace).
+    /// The run switches are read here too, so a bad `INTANG_*` switch
+    /// value exits 2 the same way before any run starts.
     pub fn parse() -> CommonArgs {
+        intang_telemetry::knobs::env();
         match CommonArgs::parse_from(std::env::args().skip(1)) {
             Ok(args) => args,
             Err(msg) => {

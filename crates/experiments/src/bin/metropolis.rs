@@ -199,6 +199,8 @@ fn numeric<T: std::str::FromStr>(flag: &str, v: Option<String>) -> T {
 }
 
 fn main() {
+    // A bad run switch exits 2 before any flow runs.
+    intang_telemetry::knobs::env();
     // Split off the metropolis-specific flags, delegate the rest.
     let mut flows_cap: Option<u32> = None;
     let mut shards: u32 = 8;

@@ -10,43 +10,41 @@
 
 use crate::args::CommonArgs;
 use crate::report::{pct, Table};
-use crate::scenario::{CensorHardening, CensorModel, Scenario};
+use crate::scenario::{CensorModel, Scenario, Website};
 use crate::trial::{run_http_trial, Outcome, TrialSpec};
 use intang_core::{Discrepancy, StrategyKind};
-use intang_gfw::CensorProfile;
+use intang_gfw::{CensorProfile, GfwConfig};
 
-fn regimes() -> Vec<(&'static str, CensorHardening)> {
+/// Every censor the strategy grid runs against. The §8 regimes edit the
+/// site's own censor config; the profile-compiled censors follow: the
+/// evolved profile must behave like the builtin evolved device, and the
+/// turkmenistan profile (type-1 + blockpage, no resync machinery) is a
+/// strictly weaker adversary for the TTL-scoped family.
+fn regimes(site: &Website) -> Vec<(&'static str, GfwConfig)> {
+    let today = site.gfw_configs().remove(0);
+    let harden = |edit: fn(&mut GfwConfig)| {
+        let mut cfg = today.clone();
+        edit(&mut cfg);
+        cfg
+    };
+    let compiled = |p: CensorProfile| p.compile().expect("builtin profiles compile");
     vec![
-        ("today's GFW (no validation)", CensorHardening::default()),
+        ("today's GFW (no validation)", today.clone()),
+        ("+ checksum validation", harden(|c| c.validate_checksum = true)),
+        ("+ MD5 option rejection", harden(|c| c.check_md5 = true)),
+        ("+ ACK validation", harden(|c| c.check_ack = true)),
+        ("+ timestamp (PAWS) check", harden(|c| c.check_timestamp = true)),
         (
-            "+ checksum validation",
-            CensorHardening {
-                validate_checksum: true,
-                ..CensorHardening::default()
-            },
+            "all four at once",
+            harden(|c| {
+                c.validate_checksum = true;
+                c.check_md5 = true;
+                c.check_ack = true;
+                c.check_timestamp = true;
+            }),
         ),
-        (
-            "+ MD5 option rejection",
-            CensorHardening {
-                check_md5: true,
-                ..CensorHardening::default()
-            },
-        ),
-        (
-            "+ ACK validation",
-            CensorHardening {
-                check_ack: true,
-                ..CensorHardening::default()
-            },
-        ),
-        (
-            "+ timestamp (PAWS) check",
-            CensorHardening {
-                check_timestamp: true,
-                ..CensorHardening::default()
-            },
-        ),
-        ("all four at once", CensorHardening::all()),
+        ("gfw_evolved profile, no validation", compiled(CensorProfile::gfw_evolved())),
+        ("turkmenistan profile, no validation", compiled(CensorProfile::turkmenistan())),
     ]
 }
 
@@ -81,32 +79,7 @@ pub fn run(args: &CommonArgs) -> String {
         &format!("§8 arms race — strategy survival under censor hardening ({trials} trials/cell)"),
         &header,
     );
-    for (regime_name, hardening) in regimes() {
-        let mut row = vec![regime_name.to_string()];
-        let mut hsite = site.clone();
-        hsite.hardening = hardening;
-        for (_, kind) in strategies() {
-            let mut ok = 0;
-            for tr in 0..trials {
-                let mut spec = TrialSpec::new(vp, &hsite, Some(kind), true, args.seed ^ 0xace ^ u64::from(tr));
-                spec.route_change_prob = 0.0;
-                if run_http_trial(&spec).outcome == Outcome::Success {
-                    ok += 1;
-                }
-            }
-            row.push(pct(f64::from(ok) / f64::from(trials)));
-        }
-        t.row(row);
-    }
-    // Profile-compiled censors ride the same strategy grid: the evolved
-    // profile must behave like the builtin evolved device, and the
-    // turkmenistan profile (type-1 + blockpage, no resync machinery) is a
-    // strictly weaker adversary for the TTL-scoped family.
-    for (regime_name, profile) in [
-        ("gfw_evolved profile, no validation", CensorProfile::gfw_evolved()),
-        ("turkmenistan profile, no validation", CensorProfile::turkmenistan()),
-    ] {
-        let cfg = profile.compile().expect("builtin profiles compile");
+    for (regime_name, cfg) in regimes(&site) {
         let mut row = vec![regime_name.to_string()];
         let mut hsite = site.clone();
         hsite.censor = CensorModel::Custom(cfg);

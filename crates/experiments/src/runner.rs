@@ -176,17 +176,7 @@ pub fn run_cell_telemetry(vp: &VantagePoint, vp_idx: usize, site: &Website, site
                 // artifact per cell is enough to debug from, and the
                 // shrinker's replays are not free.
                 if violations == 0 {
-                    let input = crate::simcheck::ShrinkInput {
-                        vp,
-                        site,
-                        strategy: cfg.strategy,
-                        keyword: cfg.keyword,
-                        seed,
-                        redundancy: cfg.redundancy,
-                        route_change_prob: cfg.route_change_prob,
-                        faults: spec.faults.clone(),
-                    };
-                    let report = crate::simcheck::shrink(&input, &vs, &crate::simcheck::artifact_dir());
+                    let report = crate::simcheck::shrink(&spec, &vs, &crate::simcheck::artifact_dir());
                     if let Some(path) = &report.artifact {
                         eprintln!(
                             "simcheck: {} violation(s) in trial seed {seed:#x}; repro written to {}",

@@ -92,34 +92,12 @@ impl VantagePoint {
     }
 }
 
-/// Censor-side hardening knobs for the §8 arms-race experiments: checks
-/// the real GFW does *not* perform today, turned on to see which evasion
-/// strategies survive.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CensorHardening {
-    pub validate_checksum: bool,
-    pub check_md5: bool,
-    pub check_ack: bool,
-    pub check_timestamp: bool,
-}
-
-impl CensorHardening {
-    pub fn all() -> CensorHardening {
-        CensorHardening {
-            validate_checksum: true,
-            check_md5: true,
-            check_ack: true,
-            check_timestamp: true,
-        }
-    }
-}
-
 /// Which censor model populates a path's devices.
 #[derive(Debug, Clone)]
 pub enum CensorModel {
     /// The site's prior/evolved device slots, each a compiled censor
     /// profile with the per-site overrides (device mix, segment overlap,
-    /// resync probabilities, hardening) applied on top. An empty slot runs
+    /// resync probabilities) applied on top. An empty slot runs
     /// the builtin `gfw_prior`/`gfw_evolved` profile from its process-wide
     /// cache ([`GfwConfig::old`]/[`GfwConfig::evolved`]), so a generated
     /// scenario stores no config per site. Note the site's calibrated
@@ -130,9 +108,9 @@ pub enum CensorModel {
         prior: Option<GfwConfig>,
         evolved: Option<GfwConfig>,
     },
-    /// A single profile-compiled censor replacing the per-site GFW device
-    /// mix entirely (the profile is authoritative; only §8 hardening still
-    /// ORs in). This is what `--censor-profile` selects for a whole sweep.
+    /// A single censor config replacing the per-site GFW device mix
+    /// entirely. This is what `--censor-profile` selects for a whole
+    /// sweep, and how the §8 arms race runs its hardened censors.
     Custom(GfwConfig),
 }
 
@@ -176,8 +154,6 @@ pub struct Website {
     /// bulk of Table 1's no-flag Failure 2 that Table 2's client-side
     /// probing cannot explain).
     pub path_drops_noflag: bool,
-    /// §8 arms-race hardening applied to the censor on this path.
-    pub hardening: CensorHardening,
     /// Which censor model the path's devices are built from.
     pub censor: CensorModel,
     /// Per-link loss probability.
@@ -206,12 +182,6 @@ impl Website {
                 }
             }
             CensorModel::Custom(cfg) => v.push(cfg.clone()),
-        }
-        for c in &mut v {
-            c.validate_checksum |= self.hardening.validate_checksum;
-            c.check_md5 |= self.hardening.check_md5;
-            c.check_ack |= self.hardening.check_ack;
-            c.check_timestamp |= self.hardening.check_timestamp;
         }
         v
     }
@@ -286,7 +256,6 @@ pub fn generate_websites(count: usize, master_seed: u64, inbound: bool) -> Vec<W
                 seqfw_validates_checksum: rng.chance(0.8),
                 flaky_server: rng.chance(0.005),
                 path_drops_noflag: rng.chance(0.42),
-                hardening: CensorHardening::default(),
                 censor: CensorModel::Profiles {
                     prior: None,
                     evolved: None,

@@ -18,10 +18,8 @@
 //! timestamps, so shrinking the same violation twice produces the same
 //! bytes — the artifact itself is a regression test.
 
-use crate::scenario::{VantagePoint, Website};
 use crate::trial::{build_http_sim, classify, drive_http_trial, TrialSpec, DEFAULT_HORIZON};
 use intang_core::select::History;
-use intang_core::StrategyKind;
 use intang_faults::FaultPlan;
 use intang_netsim::{Instant, Simulation};
 use intang_simcheck::Violation;
@@ -29,19 +27,6 @@ use std::cell::RefCell;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
-
-/// Identity of the violating trial, exactly as the sweep runner built it.
-pub struct ShrinkInput<'a> {
-    pub vp: &'a VantagePoint,
-    pub site: &'a Website,
-    pub strategy: Option<StrategyKind>,
-    pub keyword: bool,
-    pub seed: u64,
-    pub redundancy: u32,
-    pub route_change_prob: f64,
-    /// The realized fault schedule of the violating trial.
-    pub faults: Option<FaultPlan>,
-}
 
 /// What the shrinker concluded.
 #[derive(Debug)]
@@ -82,24 +67,22 @@ struct Replay {
     flight: Option<String>,
 }
 
-/// Replay `input` once at `horizon` with `faults`.
-fn replay(input: &ShrinkInput<'_>, horizon: Instant, faults: &Option<FaultPlan>, trace: bool) -> Replay {
+/// Replay the trial `input` once at `horizon` with `faults`.
+fn replay(input: &TrialSpec<'_>, horizon: Instant, faults: &Option<FaultPlan>, trace: bool) -> Replay {
     // The traced (final) replay also forces the flight recorder on, so the
     // artifact can show the event tail even when simcheck alone would not
     // have recorded one on this thread.
     let prev_flight = trace.then(|| intang_netsim::flight::set_thread(Some(true)));
     intang_simcheck::begin_trial(input.seed);
     let _ = intang_simcheck::take_violations();
-    let mut spec = TrialSpec::new(input.vp, input.site, input.strategy, input.keyword, input.seed);
-    spec.redundancy = input.redundancy;
-    spec.route_change_prob = input.route_change_prob;
-    spec.faults = faults.clone();
-    spec.horizon = horizon;
-    if input.strategy.is_none() {
+    let spec = TrialSpec {
         // Isolated replays cannot reconstruct the cell's accumulated
         // adaptive history; a fresh one is the reproducible approximation.
-        spec.history = Some(Rc::new(RefCell::new(History::new())));
-    }
+        history: input.strategy.is_none().then(|| Rc::new(RefCell::new(History::new()))),
+        faults: faults.clone(),
+        horizon,
+        ..*input
+    };
     let (mut sim, parts) = build_http_sim(&spec);
     if trace {
         sim.trace.enable();
@@ -128,12 +111,13 @@ fn render_tail_lineage(sim: &Simulation) -> String {
     }
 }
 
-/// Shrink a violating trial to a minimal repro and write the artifact.
+/// Shrink a violating trial, given exactly as the sweep runner built it,
+/// to a minimal repro and write the artifact.
 ///
 /// `sweep_violations` are the violations the runner drained from the
 /// original (in-sweep) run; they are recorded verbatim when the trial does
 /// not reproduce in isolation.
-pub fn shrink(input: &ShrinkInput<'_>, sweep_violations: &[Violation], out_dir: &Path) -> ShrinkReport {
+pub fn shrink(input: &TrialSpec<'_>, sweep_violations: &[Violation], out_dir: &Path) -> ShrinkReport {
     // 1. Reproduce in isolation at the full horizon.
     let repro = replay(input, DEFAULT_HORIZON, &input.faults, false);
     if repro.violations.is_empty() {
@@ -221,7 +205,7 @@ pub fn shrink(input: &ShrinkInput<'_>, sweep_violations: &[Violation], out_dir: 
 
 /// Render and write the repro artifact; `None` if the filesystem refuses.
 fn write_artifact(
-    input: &ShrinkInput<'_>,
+    input: &TrialSpec<'_>,
     report: &ShrinkReport,
     minimal_faults: &Option<FaultPlan>,
     lineage: &str,
@@ -237,7 +221,7 @@ fn write_artifact(
 }
 
 fn render_artifact(
-    input: &ShrinkInput<'_>,
+    input: &TrialSpec<'_>,
     report: &ShrinkReport,
     minimal_faults: &Option<FaultPlan>,
     lineage: &str,
@@ -297,6 +281,7 @@ fn render_artifact(
 mod tests {
     use super::*;
     use crate::scenario::Scenario;
+    use intang_core::StrategyKind;
 
     #[test]
     fn artifact_dir_defaults() {
@@ -312,16 +297,8 @@ mod tests {
         // sweep-time violations verbatim.
         let prev = intang_simcheck::set_thread(Some(true));
         let s = Scenario::smoke(2017);
-        let input = ShrinkInput {
-            vp: &s.vantage_points[0],
-            site: &s.websites[0],
-            strategy: Some(StrategyKind::NoStrategy),
-            keyword: false,
-            seed: 41,
-            redundancy: 3,
-            route_change_prob: 0.0,
-            faults: None,
-        };
+        let mut input = TrialSpec::new(&s.vantage_points[0], &s.websites[0], Some(StrategyKind::NoStrategy), false, 41);
+        input.route_change_prob = 0.0;
         let dir = std::env::temp_dir().join("intang-simcheck-test-clean");
         let report = shrink(&input, &[], &dir);
         assert!(!report.reproducible);

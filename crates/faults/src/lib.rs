@@ -28,43 +28,25 @@
 
 use intang_netsim::{Duration, GilbertElliott, Instant, LinkFaults, SimRng};
 
-/// Sweep-level fault configuration: one master `intensity` in `[0, 1]`
-/// plus per-category relative weights. All categories scale linearly with
-/// intensity; an intensity of 0 disables the layer entirely.
+/// Sweep-level fault configuration: one master `intensity` in `[0, 1]`.
+/// Every category (link faults, route flaps, censor chaos, middlebox
+/// perturbation) scales linearly with it; an intensity of 0 disables the
+/// layer entirely.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FaultConfig {
     /// Master fault intensity in `[0, 1]`; 0.0 is an exact no-op.
     pub intensity: f64,
-    /// Relative weight of link-level faults (loss bursts, reorder, dup,
-    /// jitter, MTU clamps).
-    pub link_weight: f64,
-    /// Relative weight of mid-trial route flaps.
-    pub route_weight: f64,
-    /// Relative weight of censor chaos (injection rates, blacklist jitter,
-    /// device flapping).
-    pub censor_weight: f64,
-    /// Relative weight of middlebox profile perturbation.
-    pub middlebox_weight: f64,
 }
 
 impl FaultConfig {
     /// The default: no faults at all.
     pub fn off() -> FaultConfig {
-        FaultConfig {
-            intensity: 0.0,
-            link_weight: 1.0,
-            route_weight: 1.0,
-            censor_weight: 1.0,
-            middlebox_weight: 1.0,
-        }
+        FaultConfig::at_intensity(0.0)
     }
 
     /// All categories scaled by one master intensity.
     pub fn at_intensity(intensity: f64) -> FaultConfig {
-        FaultConfig {
-            intensity,
-            ..FaultConfig::off()
-        }
+        FaultConfig { intensity }
     }
 
     pub fn enabled(&self) -> bool {
@@ -143,18 +125,15 @@ impl FaultPlan {
         }
         // Decorrelate the plan stream from the trial's own RNG stream.
         let mut rng = SimRng::seed_from(trial_seed ^ 0xFA17_5EED_C0FF_EE42);
-        let li = (cfg.intensity * cfg.link_weight).clamp(0.0, 1.0);
-        let ri = (cfg.intensity * cfg.route_weight).clamp(0.0, 1.0);
-        let ci = (cfg.intensity * cfg.censor_weight).clamp(0.0, 1.0);
-        let mi = (cfg.intensity * cfg.middlebox_weight).clamp(0.0, 1.0);
+        let i = cfg.intensity.clamp(0.0, 1.0);
 
         Some(FaultPlan {
-            access: access_faults(&mut rng, li),
-            core: core_faults(&mut rng, li),
-            server: server_faults(&mut rng, li),
-            route_flaps: route_flaps(&mut rng, ri),
-            censor: censor_chaos(&mut rng, ci),
-            midpath_drop_no_flag: midpath_perturbation(&mut rng, mi),
+            access: access_faults(&mut rng, i),
+            core: core_faults(&mut rng, i),
+            server: server_faults(&mut rng, i),
+            route_flaps: route_flaps(&mut rng, i),
+            censor: censor_chaos(&mut rng, i),
+            midpath_drop_no_flag: midpath_perturbation(&mut rng, i),
         })
     }
 
@@ -358,21 +337,6 @@ mod tests {
             FaultPlan::derive(&cfg, 2),
             "different seeds should (almost surely) realize different plans"
         );
-    }
-
-    #[test]
-    fn zero_weight_categories_stay_inert() {
-        let cfg = FaultConfig {
-            intensity: 1.0,
-            link_weight: 0.0,
-            route_weight: 0.0,
-            censor_weight: 0.0,
-            middlebox_weight: 0.0,
-        };
-        for seed in 0..50u64 {
-            let plan = FaultPlan::derive(&cfg, seed).expect("enabled");
-            assert!(plan.is_inert(), "all-zero weights must realize inert plans: {plan:?}");
-        }
     }
 
     #[test]

@@ -1,5 +1,9 @@
-//! Censor configuration: every behavioral knob of the two GFW generations,
-//! so heterogeneous per-path deployments (§8) can be expressed.
+//! Censor configuration: every behavioral knob of a censor device, declared
+//! once. [`GfwConfig`] is the only place a censor setting lives; a
+//! [`CensorProfile`] is a name, one `GfwConfig` and its per-device
+//! heterogeneity amplitudes, and every run goes through
+//! [`CensorProfile::compile`]. The builtin censors, the profile text
+//! format and the §8 hardening regimes all set these fields directly.
 
 use crate::dpi::RuleSet;
 use crate::profile::CensorProfile;
@@ -65,6 +69,11 @@ impl ProfileTag {
         }
     }
 }
+
+/// The longest any censor duration may be: one simulated day. The censor
+/// arms its timers as `now + duration` on a 64-bit microsecond clock, so an
+/// unbounded value overflows the first time it fires.
+pub const MAX_DURATION: Duration = Duration::from_secs(86_400);
 
 /// Full device/DPI configuration for a censor tap on one path.
 #[derive(Debug, Clone, PartialEq)]
@@ -210,15 +219,12 @@ impl GfwConfig {
         self
     }
 
-    pub fn with_rules(mut self, rules: RuleSet) -> GfwConfig {
-        self.rules = Arc::new(rules);
-        self
-    }
-
-    /// Check every probability knob for sanity. The sampling paths compare
-    /// these against uniform draws, so a NaN, a negative value, or a value
-    /// above 1.0 silently skews every draw downstream; reject them up front
-    /// so CLI paths can exit gracefully instead (PR 5's no-panic contract).
+    /// Check every probability knob and duration for sanity. The sampling
+    /// paths compare probabilities against uniform draws, so a NaN, a
+    /// negative value, or a value above 1.0 silently skews every draw
+    /// downstream; a duration past [`MAX_DURATION`] overflows the clock.
+    /// Rejecting them up front lets CLI paths exit gracefully instead.
+    /// Durations are named by their profile keys.
     pub fn validate(&self) -> Result<(), String> {
         fn prob(name: &str, v: f64) -> Result<(), String> {
             if !v.is_finite() || !(0.0..=1.0).contains(&v) {
@@ -236,6 +242,18 @@ impl GfwConfig {
                 "chaos_blacklist_jitter must be a finite non-negative fraction, got {}",
                 self.chaos_blacklist_jitter
             ));
+        }
+        for (key, d, micros_per_unit) in [
+            ("blacklist_duration_ms", self.blacklist_duration, 1_000),
+            ("reaction_delay_us", self.reaction_delay, 1),
+            ("resync_storm_window_ms", self.resync_storm_window, 1_000),
+        ] {
+            if d > MAX_DURATION {
+                return Err(format!(
+                    "{key} must be at most {} (one simulated day)",
+                    MAX_DURATION.micros() / micros_per_unit
+                ));
+            }
         }
         Ok(())
     }

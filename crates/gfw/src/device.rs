@@ -171,13 +171,10 @@ impl GfwElement {
         // The paper-default rule database compiles to the same automaton
         // every time; reuse the process-wide shared copy instead of
         // rebuilding it per element (one build per trial adds up fast in a
-        // sweep). Custom rule sets still get their own build. `Arc::ptr_eq`
-        // catches every config built from `GfwConfig::evolved`/`old` without
-        // touching the rules; the deep comparison (against the shared static,
-        // not a fresh copy) covers `with_rules` callers that happen to pass
-        // the paper set.
-        let shared = crate::dpi::shared_paper_rules();
-        let aut = if Arc::ptr_eq(&cfg.rules, &shared) || *cfg.rules == *shared {
+        // sweep). Custom rule sets still get their own build. Profiles
+        // intern the paper's rules to the shared `Arc`, so `Arc::ptr_eq`
+        // catches every config that carries them.
+        let aut = if Arc::ptr_eq(&cfg.rules, &crate::dpi::shared_paper_rules()) {
             crate::dpi::shared_paper_default()
         } else {
             Arc::new(Automaton::build(&cfg.rules))
@@ -235,33 +232,8 @@ impl GfwHandle {
         self.core.borrow().stats.resets_injected
     }
 
-    pub fn type1_resets_injected(&self) -> u64 {
-        self.core.borrow().stats.type1_resets_injected
-    }
-
-    pub fn type2_resets_injected(&self) -> u64 {
-        self.core.borrow().stats.type2_resets_injected
-    }
-
-    pub fn tcb_resyncs(&self) -> u64 {
-        self.core.borrow().stats.tcb_resyncs
-    }
-
-    pub fn dpi_bytes_scanned(&self) -> u64 {
-        self.core.borrow().stats.dpi_bytes_scanned
-    }
-
     pub fn forged_synacks(&self) -> u64 {
         self.core.borrow().stats.forged_synacks
-    }
-
-    /// Spoofed HTTP blockpages injected (profile-driven censors only).
-    pub fn blockpages_injected(&self) -> u64 {
-        self.core.borrow().stats.blockpages_injected
-    }
-
-    pub fn dns_poisoned(&self) -> u64 {
-        self.core.borrow().stats.dns_poisoned
     }
 
     pub fn blacklist_hits(&self) -> u64 {

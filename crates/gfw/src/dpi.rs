@@ -10,8 +10,9 @@
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-/// What a matched rule means.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// What a matched rule means. The variant order is the order rules of
+/// each kind take in a [`RuleSet`] built with [`RuleSet::replacing`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum DetectionKind {
     /// Sensitive HTTP keyword (the paper uses `ultrasurf`).
     HttpKeyword,
@@ -56,6 +57,24 @@ impl RuleSet {
         });
         self
     }
+
+    /// This set with every rule of `kind` replaced by `patterns`, the
+    /// rules ordered by kind ([`DetectionKind`]'s variant order) and
+    /// otherwise kept in place.
+    pub fn replacing(&self, kind: DetectionKind, patterns: impl IntoIterator<Item = Vec<u8>>) -> RuleSet {
+        let mut rules: Vec<Rule> = self.rules.iter().filter(|r| r.kind != kind).cloned().collect();
+        rules.extend(patterns.into_iter().map(|pattern| Rule { pattern, kind }));
+        rules.sort_by_key(|r| r.kind);
+        RuleSet { rules }
+    }
+}
+
+/// The two patterns a censored domain compiles to: the dotted text (HTTP
+/// Host headers, plain-text protocols) and the DNS wire encoding with
+/// length-prefixed labels (queries inside UDP/TCP DNS messages). Give the
+/// registrable part only, so `www.dropbox.com` also matches.
+pub(crate) fn domain_patterns(domain: &str) -> [Vec<u8>; 2] {
+    [domain.as_bytes().to_vec(), dns_label_encoding(domain)]
 }
 
 /// DNS wire encoding of a domain: length-prefixed labels, no terminator
@@ -294,7 +313,15 @@ pub fn shared_paper_default() -> Arc<Automaton> {
 pub fn shared_paper_rules() -> Arc<RuleSet> {
     static PAPER_RULES: OnceLock<Arc<RuleSet>> = OnceLock::new();
     PAPER_RULES
-        .get_or_init(|| Arc::new(crate::CensorProfile::gfw_evolved().rule_set()))
+        .get_or_init(|| {
+            let domains = ["dropbox.com", "facebook.com", "twitter.com", "youtube.com"];
+            let rules = RuleSet::empty()
+                .replacing(DetectionKind::HttpKeyword, [b"ultrasurf".to_vec()])
+                .replacing(DetectionKind::Domain, domains.into_iter().flat_map(domain_patterns))
+                .replacing(DetectionKind::TorHandshake, [TOR_FINGERPRINT.to_vec()])
+                .replacing(DetectionKind::VpnHandshake, [VPN_FINGERPRINT.to_vec()]);
+            Arc::new(rules)
+        })
         .clone()
 }
 

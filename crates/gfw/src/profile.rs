@@ -1,13 +1,13 @@
-//! Scriptable censor profiles: the censor's state machine, DPI rules,
-//! reset policy, blacklist parameters, resync probabilities and probe
-//! behavior as *data*, compiled onto the existing dense machinery.
+//! Scriptable censor profiles: a censor is *data* — a name, one
+//! [`GfwConfig`] and three per-device heterogeneity amplitudes.
 //!
-//! A [`CensorProfile`] is compiled to a [`GfwConfig`]: the DPI rules
-//! become the dense Aho–Corasick automaton, the dynamics knobs land in the
-//! dense TCB transition paths, and the sharded-lane machinery is untouched
-//! — so the hot path stays allocation-free. User-written censors are
-//! parsed from a std-only TOML-like text format (`[section]` headers,
-//! `key = value` lines, `#` comments — no registry dependencies).
+//! [`GfwConfig`] is the only place a censor setting is declared. User-written
+//! censors are parsed from a std-only TOML-like text format (`[section]`
+//! headers, `key = value` lines, `#` comments — no registry dependencies),
+//! and [`CensorProfile::parse`] writes each key straight into its config
+//! field: the `_ms`/`_us` keys become a [`Duration`], and the `[rules]`
+//! lists become the [`RuleSet`](crate::dpi::RuleSet), interned against [`shared_paper_rules`] so
+//! a profile with the paper's rules is served from the shared automaton.
 //!
 //! The three builtin censors are the Rust values below, and nowhere else:
 //!
@@ -18,6 +18,10 @@
 //!   Nourin et al.: bidirectional RST on detection plus a spoofed HTTP
 //!   blockpage served "from" the real server.
 //!
+//! Every run goes through [`CensorProfile::compile`]: it validates the
+//! config (probabilities, and durations up to [`MAX_DURATION`]) and tags
+//! it with the profile's name.
+//!
 //! The `[heterogeneity]` section provides per-device perturbation hooks
 //! (Ensafi et al.: censor behavior varies across devices): a seeded
 //! [`CensorProfile::compile_for_device`] jitters blacklist duration and
@@ -25,9 +29,11 @@
 //! seed, and is a guaranteed no-op (no RNG even constructed) when every
 //! jitter is zero.
 
-use crate::config::{EvictionPolicy, GfwConfig, GfwGeneration, ProfileTag};
-use crate::dpi::{dns_label_encoding, shared_paper_rules, DetectionKind, Rule, RuleSet, TOR_FINGERPRINT, VPN_FINGERPRINT};
+use crate::config::{EvictionPolicy, GfwConfig, GfwGeneration, ProfileTag, MAX_DURATION};
+use crate::dpi::{domain_patterns, shared_paper_rules, DetectionKind, TOR_FINGERPRINT, VPN_FINGERPRINT};
 use intang_netsim::{Duration, SimRng};
+use intang_packet::frag::OverlapPolicy;
+use intang_tcpstack::reasm::SegmentOverlapPolicy;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -44,52 +50,14 @@ pub struct CensorProfile {
     /// Profile name (`[censor] name`). The three builtin names compile to
     /// their canonical [`ProfileTag`]; anything else tags as `Custom`.
     pub name: String,
-    pub generation: GfwGeneration,
-    pub type1: bool,
-    pub type2: bool,
-
-    // [validation]
-    pub validate_checksum: bool,
-    pub check_md5: bool,
-    pub check_ack: bool,
-    pub check_timestamp: bool,
-    pub validate_ip_total_len: bool,
-
-    // [stream]
-    pub segment_overlap: intang_tcpstack::reasm::SegmentOverlapPolicy,
-    pub ip_frag_overlap: intang_packet::frag::OverlapPolicy,
-
-    // [dynamics]
-    pub rst_resync_prob: f64,
-    pub rst_resync_prob_handshake: f64,
-    pub overload_miss_prob: f64,
-    pub blacklist_duration_ms: u64,
-    pub reaction_delay_us: u64,
-    pub max_tcbs: usize,
-    pub eviction: EvictionPolicy,
-    pub resync_storm_window_ms: u64,
-    pub resync_storm_threshold: usize,
-
-    // [actions]
-    pub censor_responses: bool,
-    pub inject_blockpage: bool,
-
-    // [protocols]
-    pub dns_poison: bool,
-    pub tor_filter: bool,
-    pub active_probing: bool,
-    pub vpn_dpi: bool,
-
-    // [rules] — compiled in this order: keywords, then per-domain dotted
-    // text + DNS label encoding, then the Tor and VPN fingerprints.
-    pub keywords: Vec<String>,
-    pub domains: Vec<String>,
-    pub tor_fingerprint: bool,
-    pub vpn_fingerprint: bool,
+    /// Every censor setting; the keys of `[censor]` through `[rules]` each
+    /// land in one field. [`CensorProfile::compile`] sets `profile_tag`
+    /// from `name`.
+    pub config: GfwConfig,
 
     // [heterogeneity] — per-device perturbation amplitudes (Ensafi et al.).
     /// Fractional jitter on the blacklist duration: each device draws a
-    /// duration in `[1-j, 1+j] × blacklist_duration_ms`.
+    /// duration in `[1-j, 1+j] × blacklist_duration`.
     pub het_blacklist_jitter: f64,
     /// Additive jitter on both resync probabilities, clamped to [0, 1].
     pub het_resync_jitter: f64,
@@ -98,85 +66,101 @@ pub struct CensorProfile {
 }
 
 impl CensorProfile {
-    /// The paper's evolved GFW model; [`GfwConfig::evolved`] is its compiled
-    /// form.
-    pub fn gfw_evolved() -> CensorProfile {
+    /// A profile whose devices all run `config` unperturbed.
+    fn homogeneous(name: &str, config: GfwConfig) -> CensorProfile {
         CensorProfile {
-            name: "gfw_evolved".to_owned(),
-            generation: GfwGeneration::Evolved,
-            type1: true,
-            type2: true,
-            validate_checksum: false,
-            check_md5: false,
-            check_ack: false,
-            check_timestamp: false,
-            validate_ip_total_len: false,
-            segment_overlap: intang_tcpstack::reasm::SegmentOverlapPolicy::FirstWins,
-            ip_frag_overlap: intang_packet::frag::OverlapPolicy::FirstWins,
-            rst_resync_prob: 0.2,
-            rst_resync_prob_handshake: 0.8,
-            overload_miss_prob: 0.028,
-            blacklist_duration_ms: 90_000,
-            reaction_delay_us: 2_000,
-            max_tcbs: 1_000_000,
-            eviction: EvictionPolicy::Oldest,
-            resync_storm_window_ms: 100,
-            resync_storm_threshold: 8,
-            censor_responses: false,
-            inject_blockpage: false,
-            dns_poison: true,
-            tor_filter: true,
-            active_probing: true,
-            vpn_dpi: false,
-            keywords: vec!["ultrasurf".to_owned()],
-            domains: vec![
-                "dropbox.com".to_owned(),
-                "facebook.com".to_owned(),
-                "twitter.com".to_owned(),
-                "youtube.com".to_owned(),
-            ],
-            tor_fingerprint: true,
-            vpn_fingerprint: true,
+            name: name.to_owned(),
+            config,
             het_blacklist_jitter: 0.0,
             het_resync_jitter: 0.0,
             het_overload_jitter: 0.0,
         }
     }
 
+    /// The paper's evolved GFW model; [`GfwConfig::evolved`] is its compiled
+    /// form.
+    pub fn gfw_evolved() -> CensorProfile {
+        CensorProfile::homogeneous(
+            "gfw_evolved",
+            GfwConfig {
+                generation: GfwGeneration::Evolved,
+                type1: true,
+                type2: true,
+                validate_checksum: false,
+                check_md5: false,
+                check_ack: false,
+                check_timestamp: false,
+                validate_ip_total_len: false,
+                segment_overlap: SegmentOverlapPolicy::FirstWins,
+                ip_frag_overlap: OverlapPolicy::FirstWins,
+                rst_resync_prob: 0.2,
+                rst_resync_prob_handshake: 0.8,
+                overload_miss_prob: 0.028,
+                blacklist_duration: Duration::from_secs(90),
+                reaction_delay: Duration::from_millis(2),
+                max_tcbs: 1_000_000,
+                eviction: EvictionPolicy::Oldest,
+                resync_storm_window: Duration::from_millis(100),
+                resync_storm_threshold: 8,
+                censor_responses: false,
+                inject_blockpage: false,
+                dns_poison: true,
+                tor_filter: true,
+                active_probing: true,
+                vpn_dpi: false,
+                chaos_rst_inject_prob: 1.0,
+                chaos_blacklist_jitter: 0.0,
+                chaos_device_flap_prob: 0.0,
+                state_shards: 1,
+                shard_seed: 0,
+                rules: shared_paper_rules(),
+                profile_tag: ProfileTag::Evolved,
+            },
+        )
+    }
+
     /// The prior (Khattak et al.) model; [`GfwConfig::old`] is its compiled
     /// form.
     pub fn gfw_prior() -> CensorProfile {
-        CensorProfile {
-            name: "gfw_prior".to_owned(),
-            generation: GfwGeneration::Old,
-            segment_overlap: intang_tcpstack::reasm::SegmentOverlapPolicy::LastWins,
-            rst_resync_prob: 0.0,
-            rst_resync_prob_handshake: 0.0,
-            ..CensorProfile::gfw_evolved()
-        }
+        CensorProfile::homogeneous(
+            "gfw_prior",
+            GfwConfig {
+                generation: GfwGeneration::Old,
+                segment_overlap: SegmentOverlapPolicy::LastWins,
+                rst_resync_prob: 0.0,
+                rst_resync_prob_handshake: 0.0,
+                ..CensorProfile::gfw_evolved().config
+            },
+        )
     }
 
     /// The Turkmenistan censor per Nourin et al.: an old-generation state
     /// machine, type-1 resets in *both* directions (`censor_responses`)
     /// plus a spoofed HTTP 403 blockpage, no type-2 reassembly devices, no
-    /// Tor filtering or active probing.
+    /// Tor filtering or active probing, and no Tor or VPN fingerprints.
     pub fn turkmenistan() -> CensorProfile {
-        CensorProfile {
-            name: "turkmenistan".to_owned(),
-            generation: GfwGeneration::Old,
-            type2: false,
-            segment_overlap: intang_tcpstack::reasm::SegmentOverlapPolicy::LastWins,
-            rst_resync_prob: 0.0,
-            rst_resync_prob_handshake: 0.0,
-            overload_miss_prob: 0.0,
-            censor_responses: true,
-            inject_blockpage: true,
-            tor_filter: false,
-            active_probing: false,
-            tor_fingerprint: false,
-            vpn_fingerprint: false,
-            ..CensorProfile::gfw_evolved()
-        }
+        let evolved = CensorProfile::gfw_evolved().config;
+        let keywords_and_domains = evolved
+            .rules
+            .replacing(DetectionKind::TorHandshake, [])
+            .replacing(DetectionKind::VpnHandshake, []);
+        CensorProfile::homogeneous(
+            "turkmenistan",
+            GfwConfig {
+                generation: GfwGeneration::Old,
+                type2: false,
+                segment_overlap: SegmentOverlapPolicy::LastWins,
+                rst_resync_prob: 0.0,
+                rst_resync_prob_handshake: 0.0,
+                overload_miss_prob: 0.0,
+                censor_responses: true,
+                inject_blockpage: true,
+                tor_filter: false,
+                active_probing: false,
+                rules: Arc::new(keywords_and_domains),
+                ..evolved
+            },
+        )
     }
 
     /// Names of the builtin profiles, in documentation order.
@@ -273,113 +257,41 @@ impl CensorProfile {
         Ok(p)
     }
 
-    /// The DPI rules the `[rules]` lists describe: keywords, then each
-    /// domain as dotted text and as DNS label encoding, then the Tor and
-    /// VPN fingerprints. [`shared_paper_rules`] is this set for
-    /// [`CensorProfile::gfw_evolved`].
-    pub(crate) fn rule_set(&self) -> RuleSet {
-        let mut rules = RuleSet::empty();
-        for kw in &self.keywords {
-            rules.rules.push(Rule {
-                pattern: kw.as_bytes().to_vec(),
-                kind: DetectionKind::HttpKeyword,
-            });
-        }
-        for d in &self.domains {
-            // Two patterns per domain: the dotted text form (HTTP Host
-            // headers, plain-text protocols) and the DNS wire encoding with
-            // length-prefixed labels (catches queries inside UDP/TCP DNS
-            // messages). Registrable part only, so `www.dropbox.com` also
-            // matches.
-            rules.rules.push(Rule {
-                pattern: d.as_bytes().to_vec(),
-                kind: DetectionKind::Domain,
-            });
-            rules.rules.push(Rule {
-                pattern: dns_label_encoding(d),
-                kind: DetectionKind::Domain,
-            });
-        }
-        if self.tor_fingerprint {
-            rules.rules.push(Rule {
-                pattern: TOR_FINGERPRINT.to_vec(),
-                kind: DetectionKind::TorHandshake,
-            });
-        }
-        if self.vpn_fingerprint {
-            rules.rules.push(Rule {
-                pattern: VPN_FINGERPRINT.to_vec(),
-                kind: DetectionKind::VpnHandshake,
-            });
-        }
-        rules
-    }
-
-    /// Compile onto the dense machinery: build the [`RuleSet`], fill a
-    /// [`GfwConfig`], and validate every probability knob and duration.
-    /// When the rules equal the paper set the process-wide
-    /// [`shared_paper_rules`] `Arc` itself is handed out, so
-    /// [`crate::device::GfwElement`] serves them from the shared automaton.
+    /// Validate the profile and hand out its config, tagged with the
+    /// profile's name. The config's rules `Arc` passes through untouched,
+    /// so the paper rules stay the process-wide [`shared_paper_rules`]
+    /// `Arc` and [`crate::device::GfwElement`] serves them from the shared
+    /// automaton.
     pub fn compile(&self) -> Result<GfwConfig, String> {
+        let fail = |e: String| format!("profile {}: {e}", self.name);
+        let mut cfg = self.config.clone();
+        cfg.profile_tag = match self.name.as_str() {
+            "gfw_prior" => ProfileTag::Prior,
+            "gfw_evolved" => ProfileTag::Evolved,
+            "turkmenistan" => ProfileTag::Turkmenistan,
+            _ => ProfileTag::Custom,
+        };
+        cfg.validate().map_err(fail)?;
         for (name, v) in [
             ("blacklist_jitter", self.het_blacklist_jitter),
             ("resync_jitter", self.het_resync_jitter),
             ("overload_jitter", self.het_overload_jitter),
         ] {
             if !v.is_finite() || v < 0.0 {
-                return Err(format!(
-                    "profile {}: [heterogeneity] {name} must be a finite non-negative amplitude, got {v}",
-                    self.name
-                ));
+                return Err(fail(format!(
+                    "[heterogeneity] {name} must be a finite non-negative amplitude, got {v}"
+                )));
             }
         }
-        let millis = |key: &str, ms: u64| {
-            ms.checked_mul(1_000)
-                .map(Duration::from_micros)
-                .ok_or_else(|| format!("profile {}: [dynamics] {key} = {ms} overflows the microsecond clock", self.name))
-        };
-        let rules = self.rule_set();
-        let shared = shared_paper_rules();
-        let cfg = GfwConfig {
-            generation: self.generation,
-            type1: self.type1,
-            type2: self.type2,
-            validate_checksum: self.validate_checksum,
-            check_md5: self.check_md5,
-            check_ack: self.check_ack,
-            check_timestamp: self.check_timestamp,
-            validate_ip_total_len: self.validate_ip_total_len,
-            segment_overlap: self.segment_overlap,
-            ip_frag_overlap: self.ip_frag_overlap,
-            rst_resync_prob: self.rst_resync_prob,
-            rst_resync_prob_handshake: self.rst_resync_prob_handshake,
-            overload_miss_prob: self.overload_miss_prob,
-            blacklist_duration: millis("blacklist_duration_ms", self.blacklist_duration_ms)?,
-            reaction_delay: Duration::from_micros(self.reaction_delay_us),
-            max_tcbs: self.max_tcbs,
-            eviction: self.eviction,
-            resync_storm_window: millis("resync_storm_window_ms", self.resync_storm_window_ms)?,
-            resync_storm_threshold: self.resync_storm_threshold,
-            censor_responses: self.censor_responses,
-            inject_blockpage: self.inject_blockpage,
-            dns_poison: self.dns_poison,
-            tor_filter: self.tor_filter,
-            active_probing: self.active_probing,
-            vpn_dpi: self.vpn_dpi,
-            chaos_rst_inject_prob: 1.0,
-            chaos_blacklist_jitter: 0.0,
-            chaos_device_flap_prob: 0.0,
-            state_shards: 1,
-            shard_seed: 0,
-            rules: if rules == *shared { shared } else { Arc::new(rules) },
-            profile_tag: match self.name.as_str() {
-                "gfw_prior" => ProfileTag::Prior,
-                "gfw_evolved" => ProfileTag::Evolved,
-                "turkmenistan" => ProfileTag::Turkmenistan,
-                _ => ProfileTag::Custom,
-            },
-        };
-        cfg.validate().map_err(|e| format!("profile {}: {e}", self.name))?;
+        // The longest blacklist a device can draw must respect the same
+        // bound as the configured one.
+        if cfg.blacklist_duration.micros() as f64 * (1.0 + self.het_blacklist_jitter) > MAX_DURATION.micros() as f64 {
+            return Err(fail(format!(
+                "[heterogeneity] blacklist_jitter = {:?} stretches blacklist_duration_ms past {} (one simulated day)",
+                self.het_blacklist_jitter,
+                MAX_DURATION.micros() / 1_000
+            )));
+        }
         Ok(cfg)
     }
 
@@ -481,6 +393,13 @@ fn parse_usize(v: &str) -> Result<usize, String> {
     parse_u64(v).map(|n| n as usize)
 }
 
+/// A `_ms` or `_us` value as a [`Duration`]. A value past the microsecond
+/// clock saturates, so [`GfwConfig::validate`] rejects it with the rest of
+/// the durations above [`MAX_DURATION`].
+fn parse_duration(v: &str, micros_per_unit: u64) -> Result<Duration, String> {
+    parse_u64(v).map(|n| Duration::from_micros(n.saturating_mul(micros_per_unit)))
+}
+
 fn parse_string(v: &str) -> Result<String, String> {
     let inner = v.strip_prefix('"').ok_or_else(|| format!("expected a quoted string, got `{v}`"))?;
     let inner = inner
@@ -507,63 +426,85 @@ fn parse_string_array(v: &str) -> Result<Vec<String>, String> {
     inner.split(',').map(|item| parse_string(item.trim())).collect()
 }
 
+/// Replace `cfg`'s rules of `kind` with `patterns`. A result equal to the
+/// paper's rules is the shared `Arc` itself, so the device serves it from
+/// the process-wide automaton.
+fn set_rules(cfg: &mut GfwConfig, kind: DetectionKind, patterns: impl IntoIterator<Item = Vec<u8>>) {
+    let rules = cfg.rules.replacing(kind, patterns);
+    let shared = shared_paper_rules();
+    cfg.rules = if rules == *shared { shared } else { Arc::new(rules) };
+}
+
 fn apply_key(p: &mut CensorProfile, sect: &str, key: &str, value: &str) -> Result<(), String> {
     let bad = |what: &str, v: &str, options: &str| format!("bad {what} `{v}` (expected one of: {options})");
+    let c = &mut p.config;
     match (sect, key) {
         ("censor", "name") => p.name = parse_string(value)?,
         ("censor", "generation") => {
-            p.generation = match parse_string(value)?.as_str() {
+            c.generation = match parse_string(value)?.as_str() {
                 "old" => GfwGeneration::Old,
                 "evolved" => GfwGeneration::Evolved,
                 other => return Err(bad("generation", other, "old, evolved")),
             }
         }
-        ("censor", "type1") => p.type1 = parse_bool(value)?,
-        ("censor", "type2") => p.type2 = parse_bool(value)?,
-        ("validation", "checksum") => p.validate_checksum = parse_bool(value)?,
-        ("validation", "md5") => p.check_md5 = parse_bool(value)?,
-        ("validation", "ack") => p.check_ack = parse_bool(value)?,
-        ("validation", "timestamp") => p.check_timestamp = parse_bool(value)?,
-        ("validation", "ip_total_len") => p.validate_ip_total_len = parse_bool(value)?,
+        ("censor", "type1") => c.type1 = parse_bool(value)?,
+        ("censor", "type2") => c.type2 = parse_bool(value)?,
+        ("validation", "checksum") => c.validate_checksum = parse_bool(value)?,
+        ("validation", "md5") => c.check_md5 = parse_bool(value)?,
+        ("validation", "ack") => c.check_ack = parse_bool(value)?,
+        ("validation", "timestamp") => c.check_timestamp = parse_bool(value)?,
+        ("validation", "ip_total_len") => c.validate_ip_total_len = parse_bool(value)?,
         ("stream", "segment_overlap") => {
-            p.segment_overlap = match parse_string(value)?.as_str() {
-                "first_wins" => intang_tcpstack::reasm::SegmentOverlapPolicy::FirstWins,
-                "last_wins" => intang_tcpstack::reasm::SegmentOverlapPolicy::LastWins,
+            c.segment_overlap = match parse_string(value)?.as_str() {
+                "first_wins" => SegmentOverlapPolicy::FirstWins,
+                "last_wins" => SegmentOverlapPolicy::LastWins,
                 other => return Err(bad("segment_overlap", other, "first_wins, last_wins")),
             }
         }
         ("stream", "ip_frag_overlap") => {
-            p.ip_frag_overlap = match parse_string(value)?.as_str() {
-                "first_wins" => intang_packet::frag::OverlapPolicy::FirstWins,
-                "last_wins" => intang_packet::frag::OverlapPolicy::LastWins,
+            c.ip_frag_overlap = match parse_string(value)?.as_str() {
+                "first_wins" => OverlapPolicy::FirstWins,
+                "last_wins" => OverlapPolicy::LastWins,
                 other => return Err(bad("ip_frag_overlap", other, "first_wins, last_wins")),
             }
         }
-        ("dynamics", "rst_resync_prob") => p.rst_resync_prob = parse_f64(value)?,
-        ("dynamics", "rst_resync_prob_handshake") => p.rst_resync_prob_handshake = parse_f64(value)?,
-        ("dynamics", "overload_miss_prob") => p.overload_miss_prob = parse_f64(value)?,
-        ("dynamics", "blacklist_duration_ms") => p.blacklist_duration_ms = parse_u64(value)?,
-        ("dynamics", "reaction_delay_us") => p.reaction_delay_us = parse_u64(value)?,
-        ("dynamics", "max_tcbs") => p.max_tcbs = parse_usize(value)?,
+        ("dynamics", "rst_resync_prob") => c.rst_resync_prob = parse_f64(value)?,
+        ("dynamics", "rst_resync_prob_handshake") => c.rst_resync_prob_handshake = parse_f64(value)?,
+        ("dynamics", "overload_miss_prob") => c.overload_miss_prob = parse_f64(value)?,
+        ("dynamics", "blacklist_duration_ms") => c.blacklist_duration = parse_duration(value, 1_000)?,
+        ("dynamics", "reaction_delay_us") => c.reaction_delay = parse_duration(value, 1)?,
+        ("dynamics", "max_tcbs") => c.max_tcbs = parse_usize(value)?,
         ("dynamics", "eviction") => {
-            p.eviction = match parse_string(value)?.as_str() {
+            c.eviction = match parse_string(value)?.as_str() {
                 "oldest" => EvictionPolicy::Oldest,
                 "lru" => EvictionPolicy::Lru,
                 other => return Err(bad("eviction", other, "oldest, lru")),
             }
         }
-        ("dynamics", "resync_storm_window_ms") => p.resync_storm_window_ms = parse_u64(value)?,
-        ("dynamics", "resync_storm_threshold") => p.resync_storm_threshold = parse_usize(value)?,
-        ("actions", "censor_responses") => p.censor_responses = parse_bool(value)?,
-        ("actions", "inject_blockpage") => p.inject_blockpage = parse_bool(value)?,
-        ("protocols", "dns_poison") => p.dns_poison = parse_bool(value)?,
-        ("protocols", "tor_filter") => p.tor_filter = parse_bool(value)?,
-        ("protocols", "active_probing") => p.active_probing = parse_bool(value)?,
-        ("protocols", "vpn_dpi") => p.vpn_dpi = parse_bool(value)?,
-        ("rules", "keywords") => p.keywords = parse_string_array(value)?,
-        ("rules", "domains") => p.domains = parse_string_array(value)?,
-        ("rules", "tor_fingerprint") => p.tor_fingerprint = parse_bool(value)?,
-        ("rules", "vpn_fingerprint") => p.vpn_fingerprint = parse_bool(value)?,
+        ("dynamics", "resync_storm_window_ms") => c.resync_storm_window = parse_duration(value, 1_000)?,
+        ("dynamics", "resync_storm_threshold") => c.resync_storm_threshold = parse_usize(value)?,
+        ("actions", "censor_responses") => c.censor_responses = parse_bool(value)?,
+        ("actions", "inject_blockpage") => c.inject_blockpage = parse_bool(value)?,
+        ("protocols", "dns_poison") => c.dns_poison = parse_bool(value)?,
+        ("protocols", "tor_filter") => c.tor_filter = parse_bool(value)?,
+        ("protocols", "active_probing") => c.active_probing = parse_bool(value)?,
+        ("protocols", "vpn_dpi") => c.vpn_dpi = parse_bool(value)?,
+        ("rules", "keywords") => {
+            let keywords = parse_string_array(value)?;
+            set_rules(c, DetectionKind::HttpKeyword, keywords.into_iter().map(String::into_bytes));
+        }
+        ("rules", "domains") => {
+            let domains = parse_string_array(value)?;
+            set_rules(c, DetectionKind::Domain, domains.iter().flat_map(|d| domain_patterns(d)));
+        }
+        ("rules", "tor_fingerprint") => {
+            let on = parse_bool(value)?;
+            set_rules(c, DetectionKind::TorHandshake, on.then(|| TOR_FINGERPRINT.to_vec()));
+        }
+        ("rules", "vpn_fingerprint") => {
+            let on = parse_bool(value)?;
+            set_rules(c, DetectionKind::VpnHandshake, on.then(|| VPN_FINGERPRINT.to_vec()));
+        }
         ("heterogeneity", "blacklist_jitter") => p.het_blacklist_jitter = parse_f64(value)?,
         ("heterogeneity", "resync_jitter") => p.het_resync_jitter = parse_f64(value)?,
         ("heterogeneity", "overload_jitter") => p.het_overload_jitter = parse_f64(value)?,
@@ -575,13 +516,22 @@ fn apply_key(p: &mut CensorProfile, sect: &str, key: &str, value: &str) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dpi::{Rule, RuleSet};
 
     #[test]
     fn paper_rules_compile_to_the_shared_arc() {
         // Not just content-equal: the literal process-wide Arc, so the
         // device's shared-automaton fast path can't tell profile from
-        // builtin even by pointer identity.
-        for p in [CensorProfile::gfw_evolved(), CensorProfile::gfw_prior()] {
+        // builtin even by pointer identity — also when a profile file
+        // spells the paper's rules out.
+        let spelled = "[censor]\nname = \"x\"\n[rules]\nkeywords = [\"ultrasurf\"]\n\
+                       domains = [\"dropbox.com\", \"facebook.com\", \"twitter.com\", \"youtube.com\"]\n\
+                       tor_fingerprint = true\nvpn_fingerprint = true\n";
+        for p in [
+            CensorProfile::gfw_evolved(),
+            CensorProfile::gfw_prior(),
+            CensorProfile::parse(spelled).unwrap(),
+        ] {
             let cfg = p.compile().unwrap();
             assert!(Arc::ptr_eq(&cfg.rules, &shared_paper_rules()));
         }
@@ -667,12 +617,34 @@ mod tests {
     }
 
     #[test]
-    fn durations_that_overflow_the_clock_fail_at_compile() {
-        for key in ["blacklist_duration_ms", "resync_storm_window_ms"] {
-            let text = format!("[censor]\nname = \"x\"\n[dynamics]\n{key} = 18446744073709551615\n");
-            let p = CensorProfile::parse(&text).unwrap();
+    fn durations_past_one_day_fail_at_compile() {
+        // Each of these once compiled, then overflowed `Instant + Duration`
+        // the first time the censor armed the timer (a panic in debug
+        // builds, a silent wrap in release).
+        for (section, line, key) in [
+            ("dynamics", "reaction_delay_us = 18446744073709551615", "reaction_delay_us"),
+            ("dynamics", "blacklist_duration_ms = 18446744073709551", "blacklist_duration_ms"),
+            ("heterogeneity", "blacklist_jitter = 1e300", "blacklist_jitter"),
+            ("dynamics", "blacklist_duration_ms = 18446744073709551615", "blacklist_duration_ms"),
+            (
+                "dynamics",
+                "resync_storm_window_ms = 18446744073709551615",
+                "resync_storm_window_ms",
+            ),
+            ("dynamics", "resync_storm_window_ms = 86_400_001", "resync_storm_window_ms"),
+        ] {
+            let p = CensorProfile::parse(&format!("[censor]\nname = \"x\"\n[{section}]\n{line}\n")).unwrap();
             let err = p.compile().unwrap_err();
-            assert!(err.contains(key) && err.contains("overflows"), "compile error names the key: {err}");
+            assert!(err.contains(key) && err.contains("one simulated day"), "{line}: {err}");
+        }
+        // The bound itself is allowed, jitter included.
+        let p = CensorProfile::parse(
+            "[censor]\nname = \"x\"\n[dynamics]\nblacklist_duration_ms = 43_200_000\nreaction_delay_us = 86_400_000_000\n\
+             [heterogeneity]\nblacklist_jitter = 1.0\n",
+        )
+        .unwrap();
+        for seed in 0..8 {
+            assert!(p.compile_for_device(seed).unwrap().blacklist_duration <= MAX_DURATION);
         }
     }
 
@@ -680,45 +652,60 @@ mod tests {
     fn every_schema_key_lands_in_its_own_field() {
         // One key per parse, set to a non-default value: the parsed profile
         // must equal the defaults with exactly that field changed.
+        fn rules_with(kind: DetectionKind, patterns: &[&[u8]]) -> Arc<RuleSet> {
+            Arc::new(shared_paper_rules().replacing(kind, patterns.iter().map(|p| p.to_vec())))
+        }
         type Set = fn(&mut CensorProfile);
         let cases: [(&str, &str, &str, Set); 33] = [
-            ("censor", "generation", "\"old\"", |p| p.generation = GfwGeneration::Old),
-            ("censor", "type1", "false", |p| p.type1 = false),
-            ("censor", "type2", "false", |p| p.type2 = false),
-            ("validation", "checksum", "true", |p| p.validate_checksum = true),
-            ("validation", "md5", "true", |p| p.check_md5 = true),
-            ("validation", "ack", "true", |p| p.check_ack = true),
-            ("validation", "timestamp", "true", |p| p.check_timestamp = true),
-            ("validation", "ip_total_len", "true", |p| p.validate_ip_total_len = true),
+            ("censor", "generation", "\"old\"", |p| p.config.generation = GfwGeneration::Old),
+            ("censor", "type1", "false", |p| p.config.type1 = false),
+            ("censor", "type2", "false", |p| p.config.type2 = false),
+            ("validation", "checksum", "true", |p| p.config.validate_checksum = true),
+            ("validation", "md5", "true", |p| p.config.check_md5 = true),
+            ("validation", "ack", "true", |p| p.config.check_ack = true),
+            ("validation", "timestamp", "true", |p| p.config.check_timestamp = true),
+            ("validation", "ip_total_len", "true", |p| p.config.validate_ip_total_len = true),
             ("stream", "segment_overlap", "\"last_wins\"", |p| {
-                p.segment_overlap = intang_tcpstack::reasm::SegmentOverlapPolicy::LastWins
+                p.config.segment_overlap = SegmentOverlapPolicy::LastWins
             }),
             ("stream", "ip_frag_overlap", "\"last_wins\"", |p| {
-                p.ip_frag_overlap = intang_packet::frag::OverlapPolicy::LastWins
+                p.config.ip_frag_overlap = OverlapPolicy::LastWins
             }),
-            ("dynamics", "rst_resync_prob", "0.31", |p| p.rst_resync_prob = 0.31),
+            ("dynamics", "rst_resync_prob", "0.31", |p| p.config.rst_resync_prob = 0.31),
             ("dynamics", "rst_resync_prob_handshake", "0.32", |p| {
-                p.rst_resync_prob_handshake = 0.32
+                p.config.rst_resync_prob_handshake = 0.32
             }),
-            ("dynamics", "overload_miss_prob", "0.33", |p| p.overload_miss_prob = 0.33),
-            ("dynamics", "blacklist_duration_ms", "1_234", |p| p.blacklist_duration_ms = 1_234),
-            ("dynamics", "reaction_delay_us", "567", |p| p.reaction_delay_us = 567),
-            ("dynamics", "max_tcbs", "89", |p| p.max_tcbs = 89),
-            ("dynamics", "eviction", "\"lru\"", |p| p.eviction = EvictionPolicy::Lru),
-            ("dynamics", "resync_storm_window_ms", "250", |p| p.resync_storm_window_ms = 250),
-            ("dynamics", "resync_storm_threshold", "3", |p| p.resync_storm_threshold = 3),
-            ("actions", "censor_responses", "true", |p| p.censor_responses = true),
-            ("actions", "inject_blockpage", "true", |p| p.inject_blockpage = true),
-            ("protocols", "dns_poison", "false", |p| p.dns_poison = false),
-            ("protocols", "tor_filter", "false", |p| p.tor_filter = false),
-            ("protocols", "active_probing", "false", |p| p.active_probing = false),
-            ("protocols", "vpn_dpi", "true", |p| p.vpn_dpi = true),
+            ("dynamics", "overload_miss_prob", "0.33", |p| p.config.overload_miss_prob = 0.33),
+            ("dynamics", "blacklist_duration_ms", "1_234", |p| {
+                p.config.blacklist_duration = Duration::from_millis(1_234)
+            }),
+            ("dynamics", "reaction_delay_us", "567", |p| {
+                p.config.reaction_delay = Duration::from_micros(567)
+            }),
+            ("dynamics", "max_tcbs", "89", |p| p.config.max_tcbs = 89),
+            ("dynamics", "eviction", "\"lru\"", |p| p.config.eviction = EvictionPolicy::Lru),
+            ("dynamics", "resync_storm_window_ms", "250", |p| {
+                p.config.resync_storm_window = Duration::from_millis(250)
+            }),
+            ("dynamics", "resync_storm_threshold", "3", |p| p.config.resync_storm_threshold = 3),
+            ("actions", "censor_responses", "true", |p| p.config.censor_responses = true),
+            ("actions", "inject_blockpage", "true", |p| p.config.inject_blockpage = true),
+            ("protocols", "dns_poison", "false", |p| p.config.dns_poison = false),
+            ("protocols", "tor_filter", "false", |p| p.config.tor_filter = false),
+            ("protocols", "active_probing", "false", |p| p.config.active_probing = false),
+            ("protocols", "vpn_dpi", "true", |p| p.config.vpn_dpi = true),
             ("rules", "keywords", "[\"falun\", \"tiananmen\"]", |p| {
-                p.keywords = vec!["falun".to_owned(), "tiananmen".to_owned()]
+                p.config.rules = rules_with(DetectionKind::HttpKeyword, &[b"falun", b"tiananmen"])
             }),
-            ("rules", "domains", "[]", |p| p.domains = Vec::new()),
-            ("rules", "tor_fingerprint", "false", |p| p.tor_fingerprint = false),
-            ("rules", "vpn_fingerprint", "false", |p| p.vpn_fingerprint = false),
+            ("rules", "domains", "[]", |p| {
+                p.config.rules = rules_with(DetectionKind::Domain, &[])
+            }),
+            ("rules", "tor_fingerprint", "false", |p| {
+                p.config.rules = rules_with(DetectionKind::TorHandshake, &[])
+            }),
+            ("rules", "vpn_fingerprint", "false", |p| {
+                p.config.rules = rules_with(DetectionKind::VpnHandshake, &[])
+            }),
             ("heterogeneity", "blacklist_jitter", "0.1", |p| p.het_blacklist_jitter = 0.1),
             ("heterogeneity", "resync_jitter", "0.2", |p| p.het_resync_jitter = 0.2),
             ("heterogeneity", "overload_jitter", "0.3", |p| p.het_overload_jitter = 0.3),
@@ -743,6 +730,28 @@ mod tests {
             assert_ne!(want, base, "[{sect}] {key} = {value} must differ from the default");
             assert_eq!(CensorProfile::parse(&text).unwrap(), want, "[{sect}] {key} = {value}");
         }
+    }
+
+    #[test]
+    fn rule_lists_keep_their_documented_order() {
+        // Keywords, then each domain as dotted text and DNS labels, then
+        // the fingerprints — whatever order the keys come in.
+        let p = CensorProfile::parse(
+            "[censor]\nname = \"x\"\n[rules]\nvpn_fingerprint = false\ndomains = [\"a.cn\"]\nkeywords = [\"k1\", \"k2\"]\n",
+        )
+        .unwrap();
+        let rule = |pattern: &[u8], kind| Rule {
+            pattern: pattern.to_vec(),
+            kind,
+        };
+        let want = vec![
+            rule(b"k1", DetectionKind::HttpKeyword),
+            rule(b"k2", DetectionKind::HttpKeyword),
+            rule(b"a.cn", DetectionKind::Domain),
+            rule(b"\x01a\x02cn", DetectionKind::Domain),
+            rule(TOR_FINGERPRINT, DetectionKind::TorHandshake),
+        ];
+        assert_eq!(p.config.rules.rules, want);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Abstract disposition models: how a server stack and the censor treat a
 //! perturbed packet in a given state.
 
-use intang_tcpstack::{LinuxVersion, StackProfile, SynInEstablished};
+use intang_tcpstack::{LinuxVersion, StackProfile};
 
 /// Perturbation classes probed by the analysis — the candidate insertion
 /// packet shapes of Table 3 (plus a few that the analysis must *reject*,
@@ -204,10 +204,11 @@ pub fn gfw_disposition(cfg: &intang_gfw::GfwConfig, _state: StateContext, class:
                 Accept
             }
         }
-        // The censor still parses a short-data-offset header permissively
-        // in our model? No: the checked parser rejects it, like the GFW's
-        // own reassembly front-end accepting the raw bytes. The paper lists
-        // it as a discrepancy: the GFW processes such packets.
+        // The paper lists a data offset below 5 words as a discrepancy:
+        // the GFW processes such packets, and this model follows the paper.
+        // The executable censor does not: its header index holds no TCP
+        // view of such a segment, so `GfwElement` never inspects it, and
+        // Table 3's "TCP Header Length < 20" row rests on this model alone.
         PacketClass::ShortTcpHeader => Accept,
         PacketClass::BadChecksum => {
             if cfg.validate_checksum {
@@ -260,12 +261,6 @@ pub fn version_caveat(version: LinuxVersion, class: PacketClass) -> Option<&'sta
         (LinuxVersion::L3_14, PacketClass::ValidData) => None,
         _ => None,
     }
-}
-
-/// Does `profile`'s SYN handling in ESTABLISHED matter for SYN insertions
-/// after the handshake (§5.2's Resync+Desync caveat)?
-pub fn syn_insertion_hazard(profile: &StackProfile) -> bool {
-    profile.syn_in_established == SynInEstablished::Reset
 }
 
 #[cfg(test)]

@@ -41,11 +41,6 @@ impl Link {
         self
     }
 
-    pub fn with_faults(mut self, faults: LinkFaults) -> Link {
-        self.faults = faults;
-        self
-    }
-
     pub fn with_router_base(mut self, base: Ipv4Addr) -> Link {
         self.router_base = base;
         self

@@ -237,10 +237,6 @@ impl Simulation {
         self.links.push(l);
     }
 
-    pub fn element_count(&self) -> usize {
-        self.elements.len()
-    }
-
     /// Deliver a packet to an element at a given time (test/bootstrap hook).
     pub fn inject_at(&mut self, elem: usize, dir: Direction, wire: Wire, at: Instant) {
         self.queue.push(
@@ -753,22 +749,8 @@ impl Simulation {
         self.links.len()
     }
 
-    /// Mutable access to an element (for wiring in handles after build).
-    pub fn element_mut(&mut self, idx: usize) -> &mut dyn Element {
-        self.elements[idx].as_mut()
-    }
-
     pub fn pending_events(&self) -> usize {
         self.queue.len()
-    }
-
-    /// Pending `Deliver` events (packets in flight), the number the
-    /// internal series recorder reports as `InflightPackets`. Exposed so
-    /// external samplers — the parallel metropolis driver samples each
-    /// event domain between epoch chunks — can reproduce the built-in
-    /// recorder's substrate gauges exactly.
-    pub fn pending_deliveries(&self) -> usize {
-        self.queue.deliver_len()
     }
 
     /// Export the simulation's substrate counters plus every element's

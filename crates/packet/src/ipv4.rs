@@ -226,14 +226,6 @@ impl<T: AsRef<[u8]> + AsMut<[u8]>> Ipv4Packet<T> {
         let ck = checksum::checksum(&self.data()[..hlen]);
         self.set_header_checksum(ck);
     }
-
-    pub fn payload_mut(&mut self) -> &mut [u8] {
-        let start = self.header_len();
-        let declared_end = usize::from(self.total_len()).max(start);
-        let len = self.data().len();
-        let end = declared_end.min(len);
-        &mut self.data_mut()[start..end]
-    }
 }
 
 /// High-level IPv4 header description.

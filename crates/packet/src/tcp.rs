@@ -33,10 +33,6 @@ impl TcpFlags {
         self.0 & other.0 == other.0
     }
 
-    pub fn intersects(self, other: TcpFlags) -> bool {
-        self.0 & other.0 != 0
-    }
-
     pub fn is_empty(self) -> bool {
         self.0 == 0
     }
@@ -49,9 +45,6 @@ impl TcpFlags {
     }
     pub fn rst(self) -> bool {
         self.contains(TcpFlags::RST)
-    }
-    pub fn psh(self) -> bool {
-        self.contains(TcpFlags::PSH)
     }
     pub fn ack(self) -> bool {
         self.contains(TcpFlags::ACK)

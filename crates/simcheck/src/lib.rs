@@ -203,11 +203,6 @@ pub fn begin_trial(seed: u64) {
     });
 }
 
-/// Seed announced by the last [`begin_trial`], if any.
-pub fn current_trial_seed() -> Option<u64> {
-    SINK.with(|s| s.borrow().trial_seed)
-}
-
 /// Record a violation. The detail closure only runs when checking is
 /// enabled and the sink has room, so call sites can format lazily.
 pub fn report(family: Family, detail: impl FnOnce() -> String) {

@@ -69,12 +69,6 @@ impl JsonObject {
         self
     }
 
-    pub fn i64(&mut self, key: &str, value: i64) -> &mut Self {
-        self.key(key);
-        self.buf.push_str(&value.to_string());
-        self
-    }
-
     /// Floats are emitted with enough precision to round-trip; non-finite
     /// values become `null` (JSON has no NaN/Inf).
     pub fn f64(&mut self, key: &str, value: f64) -> &mut Self {

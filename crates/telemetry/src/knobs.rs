@@ -2,11 +2,12 @@
 //! held in one value.
 //!
 //! The five `INTANG_*` variables are read once, into one process-wide
-//! default. A thread may [`install`] its own [`RunKnobs`] over
-//! it; [`current`] is what every module's `enabled()` reads. Thread-locals
-//! do not follow work onto spawned threads, so the experiments executor
-//! captures [`current`] on the calling thread and installs it in every
-//! worker — a caller-side override governs worker-built simulations too.
+//! default ([`env()`]; each must be unset, `0` or `1`). A thread may
+//! [`install`] its own [`RunKnobs`] over it; [`current`] is what every
+//! module's `enabled()` reads. Thread-locals do not follow work onto
+//! spawned threads, so the experiments executor captures [`current`] on
+//! the calling thread and installs it in every worker — a caller-side
+//! override governs worker-built simulations too.
 
 use std::cell::Cell;
 use std::sync::OnceLock;
@@ -27,21 +28,37 @@ pub struct RunKnobs {
     pub simcheck: bool,
 }
 
-fn flag(name: &str, default: bool) -> bool {
-    std::env::var(name).map_or(default, |v| !v.is_empty() && v != "0")
+/// One switch variable: unset keeps `default`, `0` is off and `1` is on.
+fn flag(name: &str, default: bool) -> Result<bool, String> {
+    match std::env::var_os(name) {
+        None => Ok(default),
+        Some(v) if v == "0" => Ok(false),
+        Some(v) if v == "1" => Ok(true),
+        Some(v) => Err(format!("{name} must be unset, 0 or 1, got {v:?}")),
+    }
 }
 
 /// The process-wide defaults, read from the environment once: batch is on
-/// unless `INTANG_BATCH` is empty or `0`; the rest are off unless their
-/// variable is set to anything but empty or `0`.
-fn env() -> RunKnobs {
+/// unless `INTANG_BATCH=0`; the rest are off unless their variable is `1`.
+/// Any other value is an error: it is printed, naming the variable, and the
+/// process exits with status 2. Binaries call this at startup, so a bad
+/// value stops them before any run starts.
+pub fn env() -> RunKnobs {
     static ENV: OnceLock<RunKnobs> = OnceLock::new();
-    *ENV.get_or_init(|| RunKnobs {
-        batch: flag("INTANG_BATCH", true),
-        flight: flag("INTANG_FLIGHT", false),
-        series: flag("INTANG_SERIES", false),
-        spans: flag("INTANG_SPANS", false),
-        simcheck: flag("INTANG_SIMCHECK", false),
+    *ENV.get_or_init(|| {
+        let read = || -> Result<RunKnobs, String> {
+            Ok(RunKnobs {
+                batch: flag("INTANG_BATCH", true)?,
+                flight: flag("INTANG_FLIGHT", false)?,
+                series: flag("INTANG_SERIES", false)?,
+                spans: flag("INTANG_SPANS", false)?,
+                simcheck: flag("INTANG_SIMCHECK", false)?,
+            })
+        };
+        read().unwrap_or_else(|msg| {
+            eprintln!("error: {msg}");
+            std::process::exit(2);
+        })
     })
 }
 

@@ -25,7 +25,6 @@
 //! `--profile-folded` export. Disabled (the default) the cost per span
 //! site is one thread-local flag test; no state is touched.
 
-use crate::json::u64_array;
 use std::cell::RefCell;
 
 /// Fixed subsystem buckets. Self-times across buckets are disjoint.
@@ -172,12 +171,6 @@ impl SpanSheet {
             out.push('\n');
         }
         out
-    }
-
-    /// Per-bucket self-nanoseconds as a JSON array aligned with
-    /// [`SpanId::ALL`].
-    pub fn to_json_array(&self) -> String {
-        u64_array(&self.self_nanos)
     }
 }
 

@@ -95,6 +95,20 @@ INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
 # metropolis scale.
 INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke --censor-profile turkmenistan
+# Censor profile files: every other --censor-profile step names a
+# builtin, so this is the one that runs the profile text parser. The
+# gfw_hardened.toml example in EXPERIMENTS.md must run, and a duration
+# past one simulated day must exit 2 (it once compiled and then
+# overflowed the simulated clock mid-sweep).
+profile="${TMPDIR:-/tmp}/ci_gfw_hardened.toml"
+awk '/^# gfw_hardened.toml/ { on = 1 } on && /^```/ { exit } on' EXPERIMENTS.md > "$profile"
+grep -q '^name = "gfw_hardened"' "$profile" || { echo "ci: FAIL: no gfw_hardened.toml example in EXPERIMENTS.md" >&2; exit 1; }
+cargo run --release -p intang-experiments --bin table1 -- --quick --censor-profile "$profile" >/dev/null
+printf '[censor]\nname = "ci_overflow"\n[dynamics]\nreaction_delay_us = 18446744073709551615\n' > "$profile"
+status=0
+cargo run -q --release -p intang-experiments --bin table1 -- --quick --censor-profile "$profile" >/dev/null 2>&1 || status=$?
+rm -f "$profile"
+[ "$status" -eq 2 ] || { echo "ci: FAIL: a reaction_delay_us past one simulated day exited $status, not 2" >&2; exit 1; }
 # Metropolis folded-stack export: the profiled world runs on an executor
 # worker, so the profile is the merge of the worker span sheets; it must
 # be non-empty and every line must parse as `stack<space>count`.
