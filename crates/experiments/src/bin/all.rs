@@ -4,24 +4,8 @@ use intang_experiments::exps;
 
 fn main() {
     let args = CommonArgs::parse();
-    for (name, f) in [
-        ("table1", exps::table1::run as fn(&CommonArgs) -> String),
-        ("table2", exps::table2::run),
-        ("table3", exps::table3::run),
-        ("table4", exps::table4::run),
-        ("table5", exps::table5::run),
-        ("table6", exps::table6::run),
-        ("hypotheses", exps::hypotheses::run),
-        ("figures", exps::figures::run),
-        ("tor_vpn", exps::tor_vpn::run),
-        ("reset_fingerprint", exps::reset_fingerprint::run),
-        ("ablations", exps::ablations::run),
-        ("arms_race", exps::arms_race::run),
-        ("device_types", exps::device_types::run),
-        ("convergence", exps::convergence::run),
-        ("fault_matrix", exps::fault_matrix::run),
-    ] {
+    for (name, run) in exps::ALL {
         eprintln!(">>> running {name} ...");
-        println!("{}", f(&args));
+        println!("{}", run(&args));
     }
 }

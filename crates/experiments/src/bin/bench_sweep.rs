@@ -118,7 +118,7 @@ fn run_all(w: &Workload, threads: usize, progress: bool) -> (Vec<SweepRun>, f64)
 /// unreachable bar).
 /// Baselines are machine-specific, so the file lives out of tree unless
 /// deliberately checked in.
-fn smoke_gate() -> ! {
+fn smoke_gate(bless: bool) -> ! {
     let w = workload(true);
     let baseline_path = std::path::Path::new("scripts/bench_smoke_baseline.txt");
     // A single quick run is only a few ms — hopeless to time on a busy
@@ -138,7 +138,6 @@ fn smoke_gate() -> ! {
         .collect();
     rates.sort_by(|a, b| a.total_cmp(b));
     let (median, best) = (rates[2], rates[4]);
-    let bless = std::env::var("INTANG_BLESS").is_ok_and(|v| v == "1");
     let baseline: Option<f64> = std::fs::read_to_string(baseline_path).ok().and_then(|s| s.trim().parse().ok());
     match baseline {
         Some(base) if !bless => {
@@ -179,12 +178,23 @@ fn alloc_gate() -> Option<f64> {
     }
 }
 
+/// `INTANG_BLESS=1` re-blesses the smoke baseline. Like the gate above it
+/// is read at startup: any value but unset, `0` or `1` exits 2 naming the
+/// variable, so `INTANG_BLESS=true` cannot silently skip a re-bless.
+fn bless() -> bool {
+    intang_telemetry::knobs::flag("INTANG_BLESS", false).unwrap_or_else(|msg| {
+        eprintln!("error: {msg}");
+        std::process::exit(2);
+    })
+}
+
 fn main() {
     let args = CommonArgs::parse();
     let alloc_gate = alloc_gate();
+    let bless = bless();
     let quick = args.quick;
     if std::env::args().any(|a| a == "--smoke") {
-        smoke_gate();
+        smoke_gate(bless);
     }
     let w = workload(quick);
     let max = worker_count();

@@ -29,7 +29,9 @@ pub struct RunKnobs {
 }
 
 /// One switch variable: unset keeps `default`, `0` is off and `1` is on.
-fn flag(name: &str, default: bool) -> Result<bool, String> {
+/// Any other value is an error naming the variable. Every `INTANG_*`
+/// on/off variable goes through here, `INTANG_BLESS` included.
+pub fn flag(name: &str, default: bool) -> Result<bool, String> {
     match std::env::var_os(name) {
         None => Ok(default),
         Some(v) if v == "0" => Ok(false),

@@ -13,8 +13,16 @@
 //! ```
 //!
 //! then review the diff under `tests/golden/` like any other code change.
+//! `INTANG_BLESS` takes only unset, `0` or `1`; any other value fails the
+//! test rather than silently comparing.
+//!
+//! One more case pins the science rather than one mechanism: every
+//! harness's `--quick` output, concatenated exactly as `all --quick`
+//! prints it, against `tests/golden/all_quick.txt`.
 
 use intang_core::{Discrepancy, StrategyKind};
+use intang_experiments::args::CommonArgs;
+use intang_experiments::exps;
 use intang_experiments::scenario::{Scenario, Website};
 use intang_experiments::trial::{build_http_sim, TrialSpec};
 use intang_netsim::Instant;
@@ -64,11 +72,16 @@ fn render_trial(kind: StrategyKind) -> String {
 }
 
 fn check(name: &str, kind: StrategyKind) {
-    let rendered = render_trial(kind);
+    compare(name, &render_trial(kind));
+}
+
+/// Byte-compare `rendered` with the snapshot `name`, or rewrite the
+/// snapshot under `INTANG_BLESS=1`.
+fn compare(name: &str, rendered: &str) {
     let path = golden_path(name);
-    if std::env::var("INTANG_BLESS").as_deref() == Ok("1") {
+    if intang_telemetry::knobs::flag("INTANG_BLESS", false).unwrap_or_else(|msg| panic!("{msg}")) {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create tests/golden");
-        std::fs::write(&path, &rendered).expect("write golden snapshot");
+        std::fs::write(&path, rendered).expect("write golden snapshot");
         return;
     }
     let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
@@ -191,19 +204,19 @@ fn golden_metropolis_collateral() {
         results[15].outcome,
         sim.trace.render_lineage(last)
     );
-    let path = golden_path("metropolis_16");
-    if std::env::var("INTANG_BLESS").as_deref() == Ok("1") {
-        std::fs::write(&path, &rendered).expect("write golden snapshot");
-        return;
+    compare("metropolis_16", &rendered);
+}
+
+/// The whole evaluation at `--quick`: every harness in `exps::ALL`, each
+/// output followed by a newline, which is byte for byte what `all --quick`
+/// writes to stdout.
+#[test]
+fn golden_all_quick() {
+    let args = CommonArgs::parse_from(["--quick".to_string()]).expect("--quick parses");
+    let mut out = String::new();
+    for (_, run) in exps::ALL {
+        out.push_str(&run(&args));
+        out.push('\n');
     }
-    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| {
-        panic!(
-            "missing golden snapshot {} ({e}); run INTANG_BLESS=1 cargo test --test golden_traces",
-            path.display()
-        )
-    });
-    assert_eq!(
-        rendered, want,
-        "golden trace 'metropolis_16' drifted; if intentional, regenerate with INTANG_BLESS=1 cargo test --test golden_traces"
-    );
+    compare("all_quick", &out);
 }
