@@ -9,66 +9,28 @@
 
 use crate::args::CommonArgs;
 use crate::report::Table;
+use crate::tap::Probe;
 use intang_gfw::dpi::shared_paper_default;
 use intang_gfw::tcb::CensorTcb;
-use intang_gfw::{GfwConfig, GfwElement};
-use intang_netsim::element::PassThrough;
-use intang_netsim::{Direction, Duration, Instant, Link, Simulation};
-use intang_packet::{PacketBuilder, TcpFlags};
+use intang_gfw::GfwConfig;
+use intang_netsim::Direction;
+use intang_packet::TcpFlags;
 use intang_tcpstack::reasm::SegmentOverlapPolicy;
-use std::net::Ipv4Addr;
-
-const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const SERVER: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 9);
 
 /// Drive a whole vs split keyword request past a deployment mix; returns
 /// (detected, type1 resets, type2 resets, blockpages) observed at the
 /// client edge.
 fn probe(cfg: GfwConfig, split: bool, seed: u64) -> (bool, usize, usize, usize) {
-    let mut sim = Simulation::new(seed);
-    let (tap, tap_handle) = crate::tap::RecorderTap::new("client-edge");
-    sim.add_element(Box::new(tap));
-    sim.add_link(Link::new(Duration::from_millis(1), 2));
-    let (el, gfw) = GfwElement::new(cfg);
-    sim.add_element(Box::new(el));
-    sim.add_link(Link::new(Duration::from_millis(1), 2));
-    sim.add_element(Box::new(PassThrough::new("server-edge")));
-
-    let mut t = 0u64;
-    let mut send = |sim: &mut Simulation, from_client: bool, wire: intang_packet::Wire| {
-        t += 5_000;
-        let (e, d) = if from_client {
-            (0, Direction::ToServer)
-        } else {
-            (2, Direction::ToClient)
-        };
-        sim.inject_at(e, d, wire, Instant(t));
-        sim.run_to_quiescence(10_000);
-    };
-    let c2s = || PacketBuilder::tcp(CLIENT, SERVER, 40_000, 80);
-    send(&mut sim, true, c2s().seq(1000).flags(TcpFlags::SYN).build());
-    send(
-        &mut sim,
-        false,
-        PacketBuilder::tcp(SERVER, CLIENT, 80, 40_000)
-            .seq(9000)
-            .ack(1001)
-            .flags(TcpFlags::SYN_ACK)
-            .build(),
-    );
-    send(&mut sim, true, c2s().seq(1001).ack(9001).flags(TcpFlags::ACK).build());
+    let mut p = Probe::new(cfg, seed);
+    p.send_client(p.c2s().seq(1000).flags(TcpFlags::SYN).build());
+    p.send_server(p.s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
+    p.send_client(p.c2s().seq(1001).ack(9001).flags(TcpFlags::ACK).build());
     let req = b"GET /ultrasurf HTTP/1.1\r\n\r\n";
     if split {
         let cut = 8;
-        send(
-            &mut sim,
-            true,
-            c2s().seq(1001).ack(9001).flags(TcpFlags::PSH_ACK).payload(&req[..cut]).build(),
-        );
-        send(
-            &mut sim,
-            true,
-            c2s()
+        p.send_client(p.c2s().seq(1001).ack(9001).flags(TcpFlags::PSH_ACK).payload(&req[..cut]).build());
+        p.send_client(
+            p.c2s()
                 .seq(1001 + cut as u32)
                 .ack(9001)
                 .flags(TcpFlags::PSH_ACK)
@@ -76,18 +38,13 @@ fn probe(cfg: GfwConfig, split: bool, seed: u64) -> (bool, usize, usize, usize) 
                 .build(),
         );
     } else {
-        send(
-            &mut sim,
-            true,
-            c2s().seq(1001).ack(9001).flags(TcpFlags::PSH_ACK).payload(req).build(),
-        );
+        p.send_client(p.c2s().seq(1001).ack(9001).flags(TcpFlags::PSH_ACK).payload(req).build());
     }
-    sim.run_to_quiescence(10_000);
 
     let mut t1 = 0;
     let mut t2 = 0;
     let mut blockpages = 0;
-    for c in tap_handle.captures() {
+    for c in p.tap.captures() {
         if c.dir != Direction::ToClient {
             continue;
         }
@@ -107,13 +64,12 @@ fn probe(cfg: GfwConfig, split: bool, seed: u64) -> (bool, usize, usize, usize) 
             }
         }
     }
-    (gfw.detected_any(), t1, t2, blockpages)
+    (p.gfw.detected_any(), t1, t2, blockpages)
 }
 
-/// The evolved model with one device generation switched off, as the
-/// builtin rows have always run it.
+/// The evolved model with each device generation switched on or off.
 fn mix(type1: bool, type2: bool) -> GfwConfig {
-    let mut cfg = GfwConfig::evolved().deterministic();
+    let mut cfg = GfwConfig::evolved();
     cfg.type1 = type1;
     cfg.type2 = type2;
     cfg
@@ -142,8 +98,7 @@ pub fn run(args: &CommonArgs) -> String {
             "turkmenistan profile",
             intang_gfw::CensorProfile::turkmenistan()
                 .compile()
-                .expect("builtin profile compiles")
-                .deterministic(),
+                .expect("builtin profile compiles"),
         ),
     ];
     for (label, cfg) in rows {
@@ -167,7 +122,12 @@ pub fn run(args: &CommonArgs) -> String {
 /// referenced from EXPERIMENTS.md).
 pub fn type1_blind_to_split() -> bool {
     let a = shared_paper_default();
-    let mut tcb = CensorTcb::from_syn((CLIENT, 40_000), (SERVER, 80), 1000, SegmentOverlapPolicy::FirstWins);
+    let mut tcb = CensorTcb::from_syn(
+        (Probe::CLIENT, Probe::CLIENT_PORT),
+        (Probe::SERVER, 80),
+        1000,
+        SegmentOverlapPolicy::FirstWins,
+    );
     let base = tcb.stream_base;
     let kw = b"GET /ultrasurf HTTP/1.1\r\n\r\n";
     let h1 = tcb.feed_client_data(&a, base, &kw[..8], true, false);

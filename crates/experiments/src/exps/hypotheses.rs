@@ -4,59 +4,10 @@
 //! RSTs).
 
 use crate::args::CommonArgs;
+use crate::tap::Probe;
 use intang_gfw::tcb::CensorState;
-use intang_gfw::{GfwConfig, GfwElement, GfwHandle};
-use intang_netsim::element::PassThrough;
-use intang_netsim::{Direction, Duration, Instant, Link, Simulation};
-use intang_packet::{FourTuple, PacketBuilder, TcpFlags, Wire};
-use std::net::Ipv4Addr;
-
-const CLIENT: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
-const SERVER: Ipv4Addr = Ipv4Addr::new(203, 0, 113, 80);
-const CPORT: u16 = 40_000;
-
-struct Probe {
-    sim: Simulation,
-    gfw: GfwHandle,
-    t: u64,
-}
-
-impl Probe {
-    fn new(cfg: GfwConfig, seed: u64) -> Probe {
-        let mut sim = Simulation::new(seed);
-        sim.add_element(Box::new(PassThrough::new("client-edge")));
-        sim.add_link(Link::new(Duration::from_millis(1), 2));
-        let (el, gfw) = GfwElement::new(cfg.deterministic());
-        sim.add_element(Box::new(el));
-        sim.add_link(Link::new(Duration::from_millis(1), 2));
-        sim.add_element(Box::new(PassThrough::new("server-edge")));
-        Probe { sim, gfw, t: 0 }
-    }
-
-    fn tuple(&self) -> FourTuple {
-        FourTuple::new(CLIENT, CPORT, SERVER, 80)
-    }
-
-    fn send_client(&mut self, wire: Wire) {
-        self.t += 5_000;
-        self.sim.inject_at(0, Direction::ToServer, wire, Instant(self.t));
-        self.sim.run_to_quiescence(10_000);
-    }
-
-    fn send_server(&mut self, wire: Wire) {
-        self.t += 5_000;
-        self.sim.inject_at(2, Direction::ToClient, wire, Instant(self.t));
-        self.sim.run_to_quiescence(10_000);
-    }
-
-    fn c2s(&self) -> PacketBuilder {
-        PacketBuilder::tcp(CLIENT, SERVER, CPORT, 80)
-    }
-
-    fn s2c(&self) -> PacketBuilder {
-        PacketBuilder::tcp(SERVER, CLIENT, 80, CPORT)
-    }
-}
+use intang_gfw::GfwConfig;
+use intang_packet::TcpFlags;
 
 fn check(out: &mut String, name: &str, pass: bool) -> bool {
     out.push_str(&format!("  [{}] {}\n", if pass { "PASS" } else { "FAIL" }, name));
@@ -79,7 +30,7 @@ pub fn run(args: &CommonArgs) -> String {
         let mut p = Probe::new(GfwConfig::evolved(), seed);
         p.send_server(p.s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
         let created = p.gfw.has_tcb(p.tuple());
-        let oriented = p.gfw.believed_client(p.tuple()) == Some((CLIENT, CPORT));
+        let oriented = p.gfw.believed_client(p.tuple()) == Some((Probe::CLIENT, Probe::CLIENT_PORT));
         all &= check(
             &mut out,
             "TCB created upon SYN/ACK without a SYN (source believed to be the server)",

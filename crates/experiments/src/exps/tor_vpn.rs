@@ -19,33 +19,25 @@ pub fn run(args: &CommonArgs) -> String {
     let mut intang_ok = 0;
     let mut filtered_cells = 0;
     for (vi, vp) in vps.iter().enumerate() {
-        let mut plain = (0, 0, 0); // working, blocked, disrupted
-        let mut protected = (0, 0, 0);
-        for tr in 0..trials {
-            let seed = args.seed ^ ((vi as u64) << 32) ^ u64::from(tr);
-            let (o, _) = run_tor_trial(&TorTrialSpec {
-                vp,
-                use_intang: false,
-                seed,
-                cells: 3,
-            });
-            match o {
-                TorOutcome::Working => plain.0 += 1,
-                TorOutcome::IpBlocked => plain.1 += 1,
-                TorOutcome::Disrupted => plain.2 += 1,
+        // Working, blocked and disrupted sessions without and with INTANG.
+        let [plain, protected] = [(false, 0), (true, 0x99)].map(|(use_intang, salt)| {
+            let mut tally = (0, 0, 0);
+            for tr in 0..trials {
+                let seed = args.seed ^ ((vi as u64) << 32) ^ u64::from(tr) ^ salt;
+                let spec = TorTrialSpec {
+                    vp,
+                    use_intang,
+                    seed,
+                    cells: 3,
+                };
+                match run_tor_trial(&spec).0 {
+                    TorOutcome::Working => tally.0 += 1,
+                    TorOutcome::IpBlocked => tally.1 += 1,
+                    TorOutcome::Disrupted => tally.2 += 1,
+                }
             }
-            let (o, _) = run_tor_trial(&TorTrialSpec {
-                vp,
-                use_intang: true,
-                seed: seed ^ 0x99,
-                cells: 3,
-            });
-            match o {
-                TorOutcome::Working => protected.0 += 1,
-                TorOutcome::IpBlocked => protected.1 += 1,
-                TorOutcome::Disrupted => protected.2 += 1,
-            }
-        }
+            tally
+        });
         if vp.tor_filtered {
             filtered_cells += 1;
             plain_blocked += u32::from(plain.1 > 0);
@@ -71,40 +63,26 @@ pub fn run(args: &CommonArgs) -> String {
         &["Regime", "Plain OpenVPN", "OpenVPN + INTANG"],
     );
     let vp = &vps[0];
-    let lab = |o: VpnOutcome| match o {
-        VpnOutcome::TunnelUp => "tunnel up",
-        VpnOutcome::ResetDuringHandshake => "RESET during handshake",
-        VpnOutcome::Failed => "failed",
+    let vpn = |vpn_dpi, use_intang, seed| {
+        let spec = VpnTrialSpec {
+            vp,
+            vpn_dpi,
+            use_intang,
+            seed,
+        };
+        match run_vpn_trial(&spec) {
+            VpnOutcome::TunnelUp => "tunnel up",
+            VpnOutcome::ResetDuringHandshake => "RESET during handshake",
+            VpnOutcome::Failed => "failed",
+        }
+        .to_string()
     };
-    let dpi_plain = run_vpn_trial(&VpnTrialSpec {
-        vp,
-        vpn_dpi: true,
-        use_intang: false,
-        seed: args.seed,
-    });
-    let dpi_prot = run_vpn_trial(&VpnTrialSpec {
-        vp,
-        vpn_dpi: true,
-        use_intang: true,
-        seed: args.seed ^ 1,
-    });
-    tv.row(vec!["Nov 2016 (DPI resets on)".into(), lab(dpi_plain).into(), lab(dpi_prot).into()]);
-    let off_plain = run_vpn_trial(&VpnTrialSpec {
-        vp,
-        vpn_dpi: false,
-        use_intang: false,
-        seed: args.seed ^ 2,
-    });
-    let off_prot = run_vpn_trial(&VpnTrialSpec {
-        vp,
-        vpn_dpi: false,
-        use_intang: true,
-        seed: args.seed ^ 3,
-    });
+    let s = args.seed;
+    tv.row(vec!["Nov 2016 (DPI resets on)".into(), vpn(true, false, s), vpn(true, true, s ^ 1)]);
     tv.row(vec![
         "2017 replay (DPI resets off)".into(),
-        lab(off_plain).into(),
-        lab(off_prot).into(),
+        vpn(false, false, s ^ 2),
+        vpn(false, true, s ^ 3),
     ]);
     out.push('\n');
     out.push_str(&tv.render());

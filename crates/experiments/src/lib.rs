@@ -7,9 +7,12 @@
 //!   profiles, ISPs, Tor-filtering geography) and deterministic synthetic
 //!   website populations standing in for the Alexa-derived 77-site /
 //!   33-site datasets;
-//! * [`trial`] — assembles one client→middleboxes→GFW→server simulation,
-//!   runs a fetch, and classifies the outcome with the paper's
-//!   Success / Failure 1 / Failure 2 taxonomy (§3.4);
+//! * [`path`] — the one Fig. 1 path builder (client → INTANG →
+//!   middleboxes → GFW → server) behind every trial kind;
+//! * [`trial`] — runs one HTTP fetch over that path and classifies the
+//!   outcome with the paper's Success / Failure 1 / Failure 2 taxonomy
+//!   (§3.4); [`trial_dns`] and [`trial_tor`] run Table 6's lookups and
+//!   §7.3's Tor and VPN sessions over the same path;
 //! * [`executor`] — the one work-stealing executor every parallel loop
 //!   (sweep cells, metropolis domains, Table 6 vantage points) runs on;
 //! * [`runner`] — repeated-trial sweeps with per-strategy aggregation and
@@ -24,6 +27,7 @@
 pub mod args;
 pub mod executor;
 pub mod metropolis;
+pub mod path;
 pub mod progress;
 pub mod report;
 pub mod runner;

@@ -318,7 +318,7 @@ pub fn build_metropolis_domain(p: &MetroParams, world: &MetroWorld, domains: u32
     gcfg.eviction = p.eviction;
     gcfg.state_shards = p.shards;
     gcfg.shard_seed = p.seed ^ GFW_LANE_SEED;
-    let (gfw_el, gfw) = GfwElement::labeled(gcfg, "GFW");
+    let (gfw_el, gfw) = GfwElement::new(gcfg);
     sim.add_element(Box::new(gfw_el));
 
     if p.middlebox {

@@ -1,20 +1,19 @@
-//! One measurement trial: assemble the full threat-model path (Fig. 1),
-//! fetch a page, classify the outcome.
+//! One HTTP measurement trial: build the Fig. 1 threat-model path
+//! ([`crate::path`]), fetch a page, classify the outcome.
 
+use crate::path::{build_path, PathSpec, Server, ServerBox};
 use crate::scenario::{VantagePoint, Website};
-use intang_apps::host::add_host;
-use intang_apps::http::{listen, HttpClientDriver, HttpServerDriver};
+use intang_apps::http::{HttpClientDriver, HttpServerDriver};
 use intang_core::select::History;
-use intang_core::{IntangConfig, IntangElement, StrategyKind};
+use intang_core::{IntangConfig, StrategyKind};
 use intang_faults::FaultPlan;
-use intang_gfw::{GfwElement, GfwHandle};
-use intang_middlebox::{FieldFilter, FilterSpec, FragmentHandler, SeqStrictFirewall, StatefulFirewall};
-use intang_netsim::{Direction, Duration, Instant, Link, Simulation};
+use intang_gfw::GfwHandle;
+use intang_middlebox::FilterSpec;
+use intang_netsim::{Duration, Instant, Link, Simulation};
 use intang_packet::http::HttpRequest;
 use intang_telemetry::metrics::{ADAPTIVE_SLOT, OUTCOME_FAILURE1, OUTCOME_FAILURE2, OUTCOME_SUCCESS};
 use intang_telemetry::{span, Counter, FailureVector, HistId, MetricsSheet, SeriesSheet, SpanId, TrialEvidence};
 use std::cell::RefCell;
-use std::net::Ipv4Addr;
 use std::rc::Rc;
 
 /// Per-shard memo of encoded GET requests: a sweep re-runs the same
@@ -117,17 +116,24 @@ pub struct TrialResult {
 /// Assemble and run one HTTP fetch through the full path.
 pub fn run_http_trial(spec: &TrialSpec<'_>) -> TrialResult {
     let _s = span(SpanId::Trial);
-    let (sim, parts) = build_http_sim(spec);
-    finish_http_trial(sim, parts, spec)
+    let (mut sim, parts) = build_http_sim(spec);
+    let (events, fault_flaps) = drive_http_trial(&mut sim, &parts, spec);
+    let mut result = classify(&sim, &parts, spec);
+    result.series = sim.take_series();
+    result.events = events;
+    result.metrics.observe(HistId::TrialEvents, events);
+    if fault_flaps > 0 {
+        result.metrics.add(Counter::FaultRouteFlaps, fault_flaps);
+    }
+    result
 }
 
-/// The live handles of an assembled trial (exposed so specialised
-/// experiments — hypotheses probes, figures — can reuse the topology).
+/// The live handles of an assembled trial (exposed so the figures, the
+/// simcheck shrinker and tests can drive the trial themselves).
 pub struct TrialParts {
     pub report: Rc<RefCell<intang_apps::http::HttpClientReport>>,
     pub intang: intang_core::IntangHandle,
     pub gfw_handles: Vec<GfwHandle>,
-    pub server_addr: Ipv4Addr,
     /// Index of the final (post-censor) link — route dynamics target.
     pub last_link: usize,
     /// Index of the core (pre-censor) link — route dynamics target.
@@ -138,28 +144,10 @@ pub struct TrialParts {
 pub fn build_http_sim(spec: &TrialSpec<'_>) -> (Simulation, TrialParts) {
     let vp = spec.vp;
     let site = spec.site;
-    let mut sim = Simulation::new(spec.seed);
-
     let target = if spec.keyword { "/search?q=ultrasurf" } else { "/index.html" };
     let request = encoded_request(target, &site.name);
     let (client_driver, report) = HttpClientDriver::with_encoded(site.addr, 80, request);
-
-    // [0] client host.
-    let (_cidx, chandle) = add_host(
-        &mut sim,
-        "client",
-        vp.addr,
-        intang_tcpstack::StackProfile::linux_4_4(),
-        Box::new(client_driver),
-        Direction::ToServer,
-    );
-    if let Some(base) = spec.isn_base {
-        chandle.with_tcp(|t| t.set_isn_base(base));
-    }
-
-    // [1] INTANG shim, directly on the client machine.
-    sim.add_link(Link::new(Duration::from_micros(50), 0));
-    let mut cfg = IntangConfig {
+    let mut intang = IntangConfig {
         strategy: spec.strategy,
         redundancy: spec.redundancy,
         delta: spec.delta,
@@ -173,160 +161,60 @@ pub fn build_http_sim(spec: &TrialSpec<'_>) -> (Simulation, TrialParts) {
     };
     if spec.strategy == Some(StrategyKind::NoStrategy) {
         // The baseline also skips measurement probes.
-        cfg.measure_hops = false;
+        intang.measure_hops = false;
     }
-    let (intang_el, intang) = match &spec.history {
-        Some(h) => IntangElement::with_history(vp.addr, cfg, h.clone()),
-        None => IntangElement::new(vp.addr, cfg),
-    };
-    sim.add_element(Box::new(intang_el));
-
-    // Client-side middleboxes (Table 2 profile).
-    let access_link = sim.link_count();
-    sim.add_link(Link::new(Duration::from_millis(1), vp.access_hops).with_router_base(Ipv4Addr::new(172, 16, 1, 0)));
-    sim.add_element(Box::new(FragmentHandler::new(vp.profile.label(), vp.profile.fragment_mode())));
-    sim.add_link(Link::new(Duration::from_micros(100), 0));
-    sim.add_element(Box::new(FieldFilter::new(vp.profile.label(), vp.profile.filter_spec())));
-
-    // Unattributed mid-path filter (no-flag droppers, §3.4 calibration).
-    let core_link = sim.link_count();
-    sim.add_link(
-        Link::new(Duration::from_millis(site.latency_ms / 2), site.core_hops)
-            .with_loss(site.loss)
-            .with_router_base(Ipv4Addr::new(172, 16, 2, 0)),
-    );
-    let mut midpath_spec = if site.path_drops_noflag {
-        FilterSpec {
-            drop_no_flag: 1.0,
-            ..FilterSpec::default()
-        }
+    let server_box = if site.server_hops < 2 {
+        None
+    } else if site.server_seqfw {
+        Some(ServerBox::SeqFw {
+            validates_checksum: site.seqfw_validates_checksum,
+        })
     } else {
-        FilterSpec::passes_everything()
+        site.server_conntrack.then_some(ServerBox::Conntrack)
     };
-    if let Some(p) = spec.faults.as_ref().and_then(|plan| plan.midpath_drop_no_flag) {
-        // Profile perturbation: an unattributed hop starts eating flagless
-        // segments mid-trial-set (Table 2's "varies by path" rows).
-        midpath_spec.drop_no_flag = midpath_spec.drop_no_flag.max(p);
+    let mut server_app = HttpServerDriver::new(80);
+    if site.flaky_server {
+        // TCP answers, the application never does (§3.4's background
+        // Failure 1 noise).
+        server_app = server_app.unresponsive();
     }
-    sim.add_element(Box::new(FieldFilter::new("midpath", midpath_spec)));
-
-    // The censor tap(s) at the border.
-    let mut gfw_handles = Vec::new();
-    let mut first = true;
-    for mut gcfg in site.gfw_configs() {
-        gcfg.tor_filter = vp.tor_filtered;
-        if let Some(plan) = &spec.faults {
-            gcfg.chaos_rst_inject_prob = plan.censor.rst_inject_prob;
-            gcfg.chaos_blacklist_jitter = plan.censor.blacklist_jitter;
-            gcfg.chaos_device_flap_prob = plan.censor.device_flap_prob;
-        }
-        if !first {
-            sim.add_link(Link::new(Duration::from_micros(10), 0));
-        } else {
-            sim.add_link(Link::new(Duration::from_micros(200), 0));
-            first = false;
-        }
-        let (el, handle) = GfwElement::labeled(gcfg, "GFW");
-        sim.add_element(Box::new(el));
-        gfw_handles.push(handle);
-    }
-
-    // Server side: an optional middlebox, then the server host. A strict
-    // sequence-checking firewall sits one hop out (rare); a conntrack
-    // firewall sits two hops out (common) — both §3.4 Failure-1 sources.
-    let last_link;
-    if site.server_seqfw && site.server_hops >= 2 {
-        sim.add_link(
-            Link::new(Duration::from_millis(site.latency_ms / 2), site.server_hops - 1)
-                .with_loss(site.loss)
-                .with_router_base(Ipv4Addr::new(172, 16, 3, 0)),
-        );
-        let mut fw = SeqStrictFirewall::new("server-fw");
-        fw.validate_checksum = site.seqfw_validates_checksum;
-        sim.add_element(Box::new(fw));
-        last_link = sim.link_count();
-        sim.add_link(Link::new(Duration::from_micros(300), 1).with_router_base(Ipv4Addr::new(172, 16, 4, 0)));
-    } else if site.server_conntrack && site.server_hops >= 2 {
-        // TTL-scoped insertions normally expire one router short of the
-        // server, i.e. just before this box; a one-hop route shrink exposes
-        // it and a traversing insertion RST silently kills the flow.
-        last_link = sim.link_count();
-        sim.add_link(
-            Link::new(Duration::from_millis(site.latency_ms / 2), site.server_hops - 1)
-                .with_loss(site.loss)
-                .with_router_base(Ipv4Addr::new(172, 16, 3, 0)),
-        );
-        sim.add_element(Box::new(StatefulFirewall::new("server-conntrack")));
-        sim.add_link(Link::new(Duration::from_micros(300), 1).with_router_base(Ipv4Addr::new(172, 16, 4, 0)));
-    } else {
-        last_link = sim.link_count();
-        sim.add_link(
-            Link::new(Duration::from_millis(site.latency_ms / 2), site.server_hops)
-                .with_loss(site.loss)
-                .with_router_base(Ipv4Addr::new(172, 16, 3, 0)),
-        );
-    }
-    let server_driver = if site.flaky_server {
-        // A flaky site: TCP answers, the application never does (§3.4's
-        // background Failure 1 noise).
-        HttpServerDriver::new(80).unresponsive()
-    } else {
-        HttpServerDriver::new(80)
-    };
-    let (_sidx, shandle) = add_host(
-        &mut sim,
-        "server",
-        site.addr,
-        site.server_profile,
-        Box::new(server_driver),
-        Direction::ToClient,
-    );
-    shandle.with_tcp(|t| t.listen(80));
-    shandle.with_tcp(|t| t.set_ip_overlap(site.server_ip_overlap));
+    // The one-way latency splits evenly either side of the censor.
+    let half = Duration::from_millis(site.latency_ms / 2);
+    let (sim, path) = build_path(PathSpec {
+        vp,
+        seed: spec.seed,
+        client: ("client", Box::new(client_driver)),
+        intang,
+        history: spec.history.clone(),
+        home_gateway: None,
+        core: Link::new(half, site.core_hops).with_loss(site.loss),
+        // No-flag droppers on the path (§3.4 calibration).
+        midpath: Some(FilterSpec {
+            drop_no_flag: if site.path_drops_noflag { 1.0 } else { 0.0 },
+            ..FilterSpec::passes_everything()
+        }),
+        censors: site.gfw_configs(),
+        server_box,
+        server_link: Link::new(half, site.server_hops).with_loss(site.loss),
+        server: Server {
+            profile: site.server_profile,
+            ..Server::linux("server", site.addr, 80, server_app)
+        },
+        faults: spec.faults.as_ref(),
+    });
+    path.server.with_tcp(|t| t.set_ip_overlap(site.server_ip_overlap));
     if let Some(base) = spec.isn_base {
-        shandle.with_tcp(|t| t.set_isn_base(base));
+        path.client.with_tcp(|t| t.set_isn_base(base));
+        path.server.with_tcp(|t| t.set_isn_base(base));
     }
-    listen(&shandle, 80);
-
-    if let Some(plan) = &spec.faults {
-        sim.link_mut(access_link).faults = plan.access.clone();
-        apply_link_faults(&mut sim, core_link, &plan.core);
-        apply_link_faults(&mut sim, last_link, &plan.server);
-    }
-
     let parts = TrialParts {
         report,
-        intang,
-        gfw_handles,
-        server_addr: site.addr,
-        last_link,
-        core_link,
+        intang: path.intang,
+        gfw_handles: path.censors,
+        last_link: path.last_link,
+        core_link: path.core_link,
     };
     (sim, parts)
-}
-
-/// Install a plan's faults on one link. The burst channel *replaces* the
-/// link's independent loss draw, so the link's own residual loss is folded
-/// into the good-state loss rate — faults can only add loss, never mask it.
-fn apply_link_faults(sim: &mut Simulation, idx: usize, faults: &intang_netsim::LinkFaults) {
-    let link = sim.link_mut(idx);
-    let mut f = faults.clone();
-    if let Some(ge) = f.burst.as_mut() {
-        ge.loss_good = ge.loss_good.max(link.loss);
-    }
-    link.faults = f;
-}
-
-fn finish_http_trial(mut sim: Simulation, parts: TrialParts, spec: &TrialSpec<'_>) -> TrialResult {
-    let (events, fault_flaps) = drive_http_trial(&mut sim, &parts, spec);
-    let mut result = classify(&sim, &parts, spec);
-    result.series = sim.take_series();
-    result.events = events;
-    result.metrics.observe(HistId::TrialEvents, events);
-    if fault_flaps > 0 {
-        result.metrics.add(Counter::FaultRouteFlaps, fault_flaps);
-    }
-    result
 }
 
 /// Run an assembled trial to its horizon without classifying, returning
@@ -353,12 +241,7 @@ pub fn drive_http_trial(sim: &mut Simulation, parts: &TrialParts, spec: &TrialSp
         let delta = if post_side { 1 } else { 1 + (sim.rng.next_u32() % 3) as u8 };
         let shrink = sim.rng.chance(if post_side { 0.65 } else { 0.5 });
         let idx = if post_side { parts.last_link } else { parts.core_link };
-        let link = sim.link_mut(idx);
-        link.hops = if shrink {
-            link.hops.saturating_sub(delta).max(1)
-        } else {
-            link.hops + delta
-        };
+        reroute(sim.link_mut(idx), shrink, delta);
     }
     // Planned route flaps (fault layer): each one moves a link's hop count
     // mid-trial and tells INTANG the route changed so it re-probes TTL
@@ -369,18 +252,22 @@ pub fn drive_http_trial(sim: &mut Simulation, parts: &TrialParts, spec: &TrialSp
         for flap in &plan.route_flaps {
             events += sim.run_until(Instant(flap.at.0.min(spec.horizon.0)));
             let idx = if flap.pre_censor { parts.core_link } else { parts.last_link };
-            let link = sim.link_mut(idx);
-            link.hops = if flap.shrink {
-                link.hops.saturating_sub(flap.delta).max(1)
-            } else {
-                link.hops + flap.delta
-            };
+            reroute(sim.link_mut(idx), flap.shrink, flap.delta);
             parts.intang.notify_route_change();
             fault_flaps += 1;
         }
     }
     events += sim.run_until(spec.horizon);
     (events, fault_flaps)
+}
+
+/// Shrink (never below one hop) or grow a link's route by `delta` hops.
+fn reroute(link: &mut Link, shrink: bool, delta: u8) {
+    link.hops = if shrink {
+        link.hops.saturating_sub(delta).max(1)
+    } else {
+        link.hops + delta
+    };
 }
 
 /// Classify a finished trial (public for the simcheck shrinker's traced

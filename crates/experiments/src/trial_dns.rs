@@ -5,15 +5,13 @@
 //! with INTANG the query is converted to DNS-over-TCP toward a clean
 //! resolver, protected by the improved TCB-teardown strategy.
 
+use crate::path::{build_path, teardown_or_plain, PathSpec, Server};
 use crate::scenario::VantagePoint;
 use intang_apps::dnsapp::{DnsClientReport, DnsServerDriver, DnsUdpClientDriver, Zone};
-use intang_apps::host::add_host;
-use intang_core::{IntangConfig, IntangElement, StrategyKind};
+use intang_core::IntangConfig;
 use intang_gfw::device::POISON_ADDR;
-use intang_gfw::{GfwConfig, GfwElement};
-use intang_middlebox::{FieldFilter, FragmentHandler, StatefulFirewall};
-use intang_netsim::{Direction, Duration, Instant, Link, Simulation};
-use intang_tcpstack::StackProfile;
+use intang_gfw::GfwConfig;
+use intang_netsim::{Duration, Instant, Link};
 use std::net::Ipv4Addr;
 
 /// The two Dyn resolvers of Table 6.
@@ -49,69 +47,31 @@ pub struct DnsTrialSpec<'a> {
 }
 
 pub fn run_dns_trial(spec: &DnsTrialSpec<'_>) -> DnsOutcome {
-    let mut sim = Simulation::new(spec.seed);
-    let vp = spec.vp;
-
     // Client queries its "configured" resolver over UDP; INTANG reroutes.
     let (driver, report) = DnsUdpClientDriver::new(spec.resolver, CENSORED_DOMAIN);
-    add_host(
-        &mut sim,
-        "client",
-        vp.addr,
-        StackProfile::linux_4_4(),
-        Box::new(driver),
-        Direction::ToServer,
-    );
-
-    sim.add_link(Link::new(Duration::from_micros(50), 0));
-    let cfg = IntangConfig {
-        strategy: if spec.use_intang {
-            Some(StrategyKind::ImprovedTeardown)
-        } else {
-            Some(StrategyKind::NoStrategy)
-        },
-        dns_forward: if spec.use_intang { Some(spec.resolver) } else { None },
-        measure_hops: spec.use_intang,
-        ..IntangConfig::default()
-    };
-    let (intang_el, _intang) = IntangElement::new(vp.addr, cfg);
-    sim.add_element(Box::new(intang_el));
-
-    // Client-side middleboxes; Tianjin's home gateway may run connection
-    // tracking that an insertion RST desynchronizes.
-    sim.add_link(Link::new(Duration::from_millis(1), vp.access_hops));
-    sim.add_element(Box::new(FragmentHandler::new(vp.profile.label(), vp.profile.fragment_mode())));
-    sim.add_link(Link::new(Duration::from_micros(100), 0));
-    sim.add_element(Box::new(FieldFilter::new(vp.profile.label(), vp.profile.filter_spec())));
-    let nat_engaged = {
-        let p = spec.nat_prob;
-        sim.rng.chance(p)
-    };
-    sim.add_link(Link::new(Duration::from_micros(100), 0));
-    if nat_engaged {
-        sim.add_element(Box::new(StatefulFirewall::new("home-nat")));
-    } else {
-        sim.add_element(Box::new(intang_netsim::element::PassThrough::new("no-nat")));
-    }
-
-    // Censor: DNS poisoning + TCP resets.
-    sim.add_link(Link::new(Duration::from_millis(8), 6).with_loss(0.004));
-    let (gfw, _handle) = GfwElement::new(GfwConfig::evolved());
-    sim.add_element(Box::new(gfw));
-
-    // The clean resolver, answering over both UDP and TCP.
-    sim.add_link(Link::new(Duration::from_millis(30), 8).with_loss(0.004));
     let zone = Zone::new(Ipv4Addr::new(198, 18, 0, 1)).with(CENSORED_DOMAIN, REAL_ADDR);
-    let (_i, shandle) = add_host(
-        &mut sim,
-        "resolver",
-        spec.resolver,
-        StackProfile::linux_4_4(),
-        Box::new(DnsServerDriver::new(zone)),
-        Direction::ToClient,
-    );
-    shandle.with_tcp(|t| t.listen(53));
-
+    let (mut sim, _) = build_path(PathSpec {
+        vp: spec.vp,
+        seed: spec.seed,
+        client: ("client", Box::new(driver)),
+        intang: IntangConfig {
+            dns_forward: spec.use_intang.then_some(spec.resolver),
+            ..teardown_or_plain(spec.use_intang)
+        },
+        history: None,
+        // Tianjin's home gateway may run connection tracking that an
+        // insertion RST desynchronizes.
+        home_gateway: Some(spec.nat_prob),
+        core: Link::new(Duration::from_millis(8), 6).with_loss(0.004),
+        midpath: None,
+        // Censor: DNS poisoning + TCP resets.
+        censors: vec![GfwConfig::evolved()],
+        server_box: None,
+        server_link: Link::new(Duration::from_millis(30), 8).with_loss(0.004),
+        // The clean resolver, answering over both UDP and TCP.
+        server: Server::linux("resolver", spec.resolver, 53, DnsServerDriver::new(zone)),
+        faults: None,
+    });
     sim.run_until(Instant(20_000_000));
     let outcome = classify_dns(&report.borrow());
     outcome

@@ -1,14 +1,11 @@
 //! Tor-bridge and VPN trials (§7.3).
 
+use crate::path::{build_path, teardown_or_plain, PathSpec, Server};
 use crate::scenario::VantagePoint;
-use intang_apps::host::add_host;
 use intang_apps::tor::{TorBridgeDriver, TorClientDriver};
 use intang_apps::vpn::{VpnClientDriver, VpnServerDriver};
-use intang_core::{IntangConfig, IntangElement, StrategyKind};
-use intang_gfw::{GfwConfig, GfwElement, GfwHandle};
-use intang_middlebox::{FieldFilter, FragmentHandler};
-use intang_netsim::{Direction, Duration, Instant, Link, Simulation};
-use intang_tcpstack::StackProfile;
+use intang_gfw::{GfwConfig, GfwHandle};
+use intang_netsim::{Duration, Instant, Link};
 use std::net::Ipv4Addr;
 
 /// A hidden bridge on EC2 (US), as in §7.3.
@@ -36,57 +33,25 @@ pub struct TorTrialSpec<'a> {
 }
 
 pub fn run_tor_trial(spec: &TorTrialSpec<'_>) -> (TorOutcome, GfwHandle) {
-    let vp = spec.vp;
-    let mut sim = Simulation::new(spec.seed);
-
     let (driver, report) = TorClientDriver::new(BRIDGE_ADDR, BRIDGE_PORT, spec.cells);
-    add_host(
-        &mut sim,
-        "tor-client",
-        vp.addr,
-        StackProfile::linux_4_4(),
-        Box::new(driver),
-        Direction::ToServer,
-    );
-
-    sim.add_link(Link::new(Duration::from_micros(50), 0));
-    let cfg = IntangConfig {
-        strategy: Some(if spec.use_intang {
-            StrategyKind::ImprovedTeardown
-        } else {
-            StrategyKind::NoStrategy
-        }),
-        measure_hops: spec.use_intang,
-        ..IntangConfig::default()
-    };
-    let (intang_el, _h) = IntangElement::new(vp.addr, cfg);
-    sim.add_element(Box::new(intang_el));
-
-    sim.add_link(Link::new(Duration::from_millis(1), vp.access_hops));
-    sim.add_element(Box::new(FragmentHandler::new(vp.profile.label(), vp.profile.fragment_mode())));
-    sim.add_link(Link::new(Duration::from_micros(100), 0));
-    sim.add_element(Box::new(FieldFilter::new(vp.profile.label(), vp.profile.filter_spec())));
-
-    sim.add_link(Link::new(Duration::from_millis(10), 7).with_loss(0.003));
-    let mut gcfg = GfwConfig::evolved();
-    gcfg.tor_filter = vp.tor_filtered;
-    let (gfw, handle) = GfwElement::new(gcfg);
-    sim.add_element(Box::new(gfw));
-
-    // Transpacific haul to the EC2 bridge.
-    sim.add_link(Link::new(Duration::from_millis(70), 9).with_loss(0.003));
-    let bridge = TorBridgeDriver::new(BRIDGE_PORT);
-    let (_i, bh) = add_host(
-        &mut sim,
-        "bridge",
-        BRIDGE_ADDR,
-        StackProfile::linux_4_4(),
-        Box::new(bridge),
-        Direction::ToClient,
-    );
-    bh.with_tcp(|t| t.listen(BRIDGE_PORT));
-
+    let (mut sim, path) = build_path(PathSpec {
+        vp: spec.vp,
+        seed: spec.seed,
+        client: ("tor-client", Box::new(driver)),
+        intang: teardown_or_plain(spec.use_intang),
+        history: None,
+        home_gateway: None,
+        core: Link::new(Duration::from_millis(10), 7).with_loss(0.003),
+        midpath: None,
+        censors: vec![GfwConfig::evolved()],
+        server_box: None,
+        // Transpacific haul to the EC2 bridge.
+        server_link: Link::new(Duration::from_millis(70), 9).with_loss(0.003),
+        server: Server::linux("bridge", BRIDGE_ADDR, BRIDGE_PORT, TorBridgeDriver::new(BRIDGE_PORT)),
+        faults: None,
+    });
     sim.run_until(Instant(60_000_000));
+    let handle = path.censors.into_iter().next().expect("the path has one censor");
     let rep = report.borrow();
     let outcome = if handle.ip_blocked(BRIDGE_ADDR) {
         TorOutcome::IpBlocked
@@ -116,49 +81,25 @@ pub struct VpnTrialSpec<'a> {
 }
 
 pub fn run_vpn_trial(spec: &VpnTrialSpec<'_>) -> VpnOutcome {
-    let vp = spec.vp;
-    let mut sim = Simulation::new(spec.seed);
-
     let (driver, report) = VpnClientDriver::new(VPN_ADDR, 1194, 3);
-    add_host(
-        &mut sim,
-        "vpn-client",
-        vp.addr,
-        StackProfile::linux_4_4(),
-        Box::new(driver),
-        Direction::ToServer,
-    );
-
-    sim.add_link(Link::new(Duration::from_micros(50), 0));
-    let cfg = IntangConfig {
-        strategy: Some(if spec.use_intang {
-            StrategyKind::ImprovedTeardown
-        } else {
-            StrategyKind::NoStrategy
-        }),
-        measure_hops: spec.use_intang,
-        ..IntangConfig::default()
-    };
-    let (intang_el, _h) = IntangElement::new(vp.addr, cfg);
-    sim.add_element(Box::new(intang_el));
-
-    sim.add_link(Link::new(Duration::from_millis(2), vp.access_hops));
-    let mut gcfg = GfwConfig::evolved();
-    gcfg.vpn_dpi = spec.vpn_dpi;
-    let (gfw, _handle) = GfwElement::new(gcfg);
-    sim.add_element(Box::new(gfw));
-
-    sim.add_link(Link::new(Duration::from_millis(20), 8).with_loss(0.003));
-    let (_i, sh) = add_host(
-        &mut sim,
-        "vpn-server",
-        VPN_ADDR,
-        StackProfile::linux_4_4(),
-        Box::new(VpnServerDriver::new()),
-        Direction::ToClient,
-    );
-    sh.with_tcp(|t| t.listen(1194));
-
+    let mut censor = GfwConfig::evolved();
+    censor.vpn_dpi = spec.vpn_dpi;
+    let (mut sim, _) = build_path(PathSpec {
+        vp: spec.vp,
+        seed: spec.seed,
+        client: ("vpn-client", Box::new(driver)),
+        intang: teardown_or_plain(spec.use_intang),
+        history: None,
+        home_gateway: None,
+        // The censor sits at the client's provider edge.
+        core: Link::new(Duration::from_millis(1), 0),
+        midpath: None,
+        censors: vec![censor],
+        server_box: None,
+        server_link: Link::new(Duration::from_millis(20), 8).with_loss(0.003),
+        server: Server::linux("vpn-server", VPN_ADDR, 1194, VpnServerDriver::new()),
+        faults: None,
+    });
     sim.run_until(Instant(30_000_000));
     let rep = report.borrow();
     if rep.tunnel_up && rep.records_echoed >= 3 && !rep.reset {

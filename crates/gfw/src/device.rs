@@ -153,7 +153,6 @@ struct GfwCore {
 /// and experiments read access to the shared core.
 pub struct GfwElement {
     core: Rc<RefCell<GfwCore>>,
-    label: String,
 }
 
 /// Read/inspection handle onto a [`GfwElement`]'s core.
@@ -163,11 +162,10 @@ pub struct GfwHandle {
 }
 
 impl GfwElement {
-    pub fn new(cfg: GfwConfig) -> (GfwElement, GfwHandle) {
-        GfwElement::labeled(cfg, "GFW")
-    }
+    /// The element name every censor device carries in traces.
+    const NAME: &'static str = "GFW";
 
-    pub fn labeled(cfg: GfwConfig, label: &str) -> (GfwElement, GfwHandle) {
+    pub fn new(cfg: GfwConfig) -> (GfwElement, GfwHandle) {
         // The paper-default rule database compiles to the same automaton
         // every time; reuse the process-wide shared copy instead of
         // rebuilding it per element (one build per trial adds up fast in a
@@ -179,12 +177,6 @@ impl GfwElement {
         } else {
             Arc::new(Automaton::build(&cfg.rules))
         };
-        GfwElement::with_automaton(cfg, aut, label)
-    }
-
-    /// Build with a pre-compiled automaton, sharing it across elements (and
-    /// threads — the automaton is immutable after construction).
-    pub fn with_automaton(cfg: GfwConfig, aut: Arc<Automaton>, label: &str) -> (GfwElement, GfwHandle) {
         let ip_reasm = Reassembler::new(cfg.ip_frag_overlap);
         let shards = cfg.state_shards.max(1) as usize;
         let lanes = (0..shards)
@@ -209,13 +201,7 @@ impl GfwElement {
             ip_reasm,
             stats: GfwStats::default(),
         }));
-        (
-            GfwElement {
-                core: core.clone(),
-                label: label.to_string(),
-            },
-            GfwHandle { core },
-        )
+        (GfwElement { core: core.clone() }, GfwHandle { core })
     }
 }
 
@@ -289,7 +275,7 @@ impl GfwHandle {
 
 impl Element for GfwElement {
     fn name(&self) -> &str {
-        &self.label
+        GfwElement::NAME
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, dir: Direction, wire: Wire) {

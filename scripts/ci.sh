@@ -22,7 +22,8 @@ cargo test -q --release --offline --manifest-path ysinm-bench/Cargo.toml
 # to serial, and every failed trial must land in a concrete §5 vector.
 cargo test -q --release --test telemetry
 # Golden traces: the packet-level mechanism of one canonical trial per
-# strategy family, byte-compared against tests/golden/ snapshots.
+# strategy family, byte-compared against tests/golden/ snapshots, and the
+# whole evaluation's `all --quick` output against tests/golden/all_quick.txt.
 cargo test -q --release --test golden_traces
 cargo run --release -p intang-experiments --bin bench_sweep -- --quick >/dev/null
 # Simcheck gate: the same smoke sweep with the runtime invariant checker
