@@ -74,7 +74,7 @@ struct HostCore {
 /// The element. Cheap [`HostHandle`] clones give tests and tools access to
 /// the shared core.
 pub struct HostElement {
-    label: String,
+    label: &'static str,
     core: Rc<RefCell<HostCore>>,
 }
 
@@ -85,7 +85,7 @@ pub struct HostHandle {
 }
 
 impl HostElement {
-    pub fn new(label: &str, addr: Ipv4Addr, profile: StackProfile, driver: Box<dyn HostDriver>) -> (HostElement, HostHandle) {
+    pub fn new(label: &'static str, addr: Ipv4Addr, profile: StackProfile, driver: Box<dyn HostDriver>) -> (HostElement, HostHandle) {
         let udp = UdpLayer {
             local: Some(addr),
             ..UdpLayer::default()
@@ -95,13 +95,7 @@ impl HostElement {
             udp,
             driver,
         }));
-        (
-            HostElement {
-                label: label.to_string(),
-                core: core.clone(),
-            },
-            HostHandle { core },
-        )
+        (HostElement { label, core: core.clone() }, HostHandle { core })
     }
 
     /// The direction pointing *away* from this host into the path. The
@@ -161,7 +155,7 @@ impl DirectedHost {
 
 impl Element for DirectedHost {
     fn name(&self) -> &str {
-        &self.host.label
+        self.host.label
     }
 
     fn export_metrics(&self, m: &mut MetricsSheet) {
@@ -210,7 +204,7 @@ impl Element for DirectedHost {
 /// first `poll` runs at t=0 once the simulation starts.
 pub fn add_host(
     sim: &mut intang_netsim::Simulation,
-    label: &str,
+    label: &'static str,
     addr: Ipv4Addr,
     profile: StackProfile,
     driver: Box<dyn HostDriver>,

@@ -103,7 +103,6 @@ fn run_all(w: &Workload, threads: usize, progress: bool) -> (Vec<SweepRun>, f64)
         .iter()
         .map(|(_, kind)| {
             let mut cfg = SweepConfig::new(*kind, true, w.trials, 2017);
-            cfg.route_change_prob = 0.12;
             cfg.progress = bar.clone();
             sweep_with_threads(&w.scenario, &cfg, threads)
         })

@@ -22,15 +22,22 @@ use intang_tcpstack::reasm::SegmentOverlapPolicy;
 /// client edge.
 fn probe(cfg: GfwConfig, split: bool, seed: u64) -> (bool, usize, usize, usize) {
     let mut p = Probe::new(cfg, seed);
-    p.send_client(p.c2s().seq(1000).flags(TcpFlags::SYN).build());
-    p.send_server(p.s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
-    p.send_client(p.c2s().seq(1001).ack(9001).flags(TcpFlags::ACK).build());
+    p.send_client(Probe::c2s().seq(1000).flags(TcpFlags::SYN).build());
+    p.send_server(Probe::s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
+    p.send_client(Probe::c2s().seq(1001).ack(9001).flags(TcpFlags::ACK).build());
     let req = b"GET /ultrasurf HTTP/1.1\r\n\r\n";
     if split {
         let cut = 8;
-        p.send_client(p.c2s().seq(1001).ack(9001).flags(TcpFlags::PSH_ACK).payload(&req[..cut]).build());
         p.send_client(
-            p.c2s()
+            Probe::c2s()
+                .seq(1001)
+                .ack(9001)
+                .flags(TcpFlags::PSH_ACK)
+                .payload(&req[..cut])
+                .build(),
+        );
+        p.send_client(
+            Probe::c2s()
                 .seq(1001 + cut as u32)
                 .ack(9001)
                 .flags(TcpFlags::PSH_ACK)
@@ -38,7 +45,7 @@ fn probe(cfg: GfwConfig, split: bool, seed: u64) -> (bool, usize, usize, usize) 
                 .build(),
         );
     } else {
-        p.send_client(p.c2s().seq(1001).ack(9001).flags(TcpFlags::PSH_ACK).payload(req).build());
+        p.send_client(Probe::c2s().seq(1001).ack(9001).flags(TcpFlags::PSH_ACK).payload(req).build());
     }
 
     let mut t1 = 0;

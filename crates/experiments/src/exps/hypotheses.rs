@@ -23,12 +23,12 @@ pub fn run(args: &CommonArgs) -> String {
     out.push_str("Hypothesized New Behavior 1 (TCB creation):\n");
     {
         let mut p = Probe::new(GfwConfig::evolved(), seed);
-        p.send_client(p.c2s().seq(1000).flags(TcpFlags::SYN).build());
+        p.send_client(Probe::c2s().seq(1000).flags(TcpFlags::SYN).build());
         all &= check(&mut out, "TCB created upon SYN", p.gfw.has_tcb(p.tuple()));
     }
     {
         let mut p = Probe::new(GfwConfig::evolved(), seed);
-        p.send_server(p.s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
+        p.send_server(Probe::s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
         let created = p.gfw.has_tcb(p.tuple());
         let oriented = p.gfw.believed_client(p.tuple()) == Some((Probe::CLIENT, Probe::CLIENT_PORT));
         all &= check(
@@ -39,7 +39,7 @@ pub fn run(args: &CommonArgs) -> String {
     }
     {
         let mut p = Probe::new(GfwConfig::old(), seed);
-        p.send_server(p.s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
+        p.send_server(Probe::s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
         all &= check(
             &mut out,
             "prior model does NOT create a TCB from a SYN/ACK",
@@ -51,8 +51,8 @@ pub fn run(args: &CommonArgs) -> String {
     out.push_str("Hypothesized New Behavior 2 (resynchronization state):\n");
     {
         let mut p = Probe::new(GfwConfig::evolved(), seed);
-        p.send_client(p.c2s().seq(1000).flags(TcpFlags::SYN).build());
-        p.send_client(p.c2s().seq(77_000).flags(TcpFlags::SYN).build());
+        p.send_client(Probe::c2s().seq(1000).flags(TcpFlags::SYN).build());
+        p.send_client(Probe::c2s().seq(77_000).flags(TcpFlags::SYN).build());
         all &= check(
             &mut out,
             "(a) multiple SYNs enter the resync state",
@@ -61,7 +61,7 @@ pub fn run(args: &CommonArgs) -> String {
         // The next client data packet re-anchors; a keyword at the *old*
         // sequence is then invisible.
         p.send_client(
-            p.c2s()
+            Probe::c2s()
                 .seq(500_000)
                 .ack(9001)
                 .flags(TcpFlags::PSH_ACK)
@@ -74,7 +74,7 @@ pub fn run(args: &CommonArgs) -> String {
             p.gfw.tcb_state(p.tuple()) == Some(CensorState::Tracking),
         );
         p.send_client(
-            p.c2s()
+            Probe::c2s()
                 .seq(1001)
                 .ack(9001)
                 .flags(TcpFlags::PSH_ACK)
@@ -91,11 +91,18 @@ pub fn run(args: &CommonArgs) -> String {
         // Refuting interpretation (2): split keyword still detected, so the
         // censor reassembles rather than matching per-packet.
         let mut p = Probe::new(GfwConfig::evolved(), seed);
-        p.send_client(p.c2s().seq(1000).flags(TcpFlags::SYN).build());
-        p.send_server(p.s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
-        p.send_client(p.c2s().seq(1001).ack(9001).flags(TcpFlags::PSH_ACK).payload(b"GET /ultra").build());
+        p.send_client(Probe::c2s().seq(1000).flags(TcpFlags::SYN).build());
+        p.send_server(Probe::s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
         p.send_client(
-            p.c2s()
+            Probe::c2s()
+                .seq(1001)
+                .ack(9001)
+                .flags(TcpFlags::PSH_ACK)
+                .payload(b"GET /ultra")
+                .build(),
+        );
+        p.send_client(
+            Probe::c2s()
                 .seq(1011)
                 .ack(9001)
                 .flags(TcpFlags::PSH_ACK)
@@ -106,16 +113,16 @@ pub fn run(args: &CommonArgs) -> String {
     }
     {
         let mut p = Probe::new(GfwConfig::evolved(), seed);
-        p.send_client(p.c2s().seq(1000).flags(TcpFlags::SYN).build());
-        p.send_server(p.s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
-        p.send_server(p.s2c().seq(9500).ack(1001).flags(TcpFlags::SYN_ACK).build());
+        p.send_client(Probe::c2s().seq(1000).flags(TcpFlags::SYN).build());
+        p.send_server(Probe::s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
+        p.send_server(Probe::s2c().seq(9500).ack(1001).flags(TcpFlags::SYN_ACK).build());
         all &= check(
             &mut out,
             "(b) multiple SYN/ACKs enter the resync state",
             p.gfw.tcb_state(p.tuple()) == Some(CensorState::Resync),
         );
         // A later server SYN/ACK resolves it.
-        p.send_server(p.s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
+        p.send_server(Probe::s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
         all &= check(
             &mut out,
             "a server SYN/ACK resolves the resync state",
@@ -124,21 +131,28 @@ pub fn run(args: &CommonArgs) -> String {
     }
     {
         let mut p = Probe::new(GfwConfig::evolved(), seed);
-        p.send_client(p.c2s().seq(1000).flags(TcpFlags::SYN).build());
-        p.send_server(p.s2c().seq(9000).ack(5_555).flags(TcpFlags::SYN_ACK).build()); // wrong ack
+        p.send_client(Probe::c2s().seq(1000).flags(TcpFlags::SYN).build());
+        p.send_server(Probe::s2c().seq(9000).ack(5_555).flags(TcpFlags::SYN_ACK).build()); // wrong ack
         all &= check(
             &mut out,
             "(c) a SYN/ACK with a mismatched ACK enters the resync state",
             p.gfw.tcb_state(p.tuple()) == Some(CensorState::Resync),
         );
         // Neither pure ACKs nor server data resolve it (§4).
-        p.send_client(p.c2s().seq(1001).ack(9001).flags(TcpFlags::ACK).build());
+        p.send_client(Probe::c2s().seq(1001).ack(9001).flags(TcpFlags::ACK).build());
         all &= check(
             &mut out,
             "a pure client ACK does NOT resolve resync",
             p.gfw.tcb_state(p.tuple()) == Some(CensorState::Resync),
         );
-        p.send_server(p.s2c().seq(9001).ack(1001).flags(TcpFlags::PSH_ACK).payload(b"server data").build());
+        p.send_server(
+            Probe::s2c()
+                .seq(9001)
+                .ack(1001)
+                .flags(TcpFlags::PSH_ACK)
+                .payload(b"server data")
+                .build(),
+        );
         all &= check(
             &mut out,
             "server->client data does NOT resolve resync",
@@ -151,15 +165,15 @@ pub fn run(args: &CommonArgs) -> String {
     {
         let mut p = Probe::new(GfwConfig::evolved(), seed);
         p.gfw.force_rst_resync(true);
-        p.send_client(p.c2s().seq(1000).flags(TcpFlags::SYN).build());
-        p.send_server(p.s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
-        p.send_client(p.c2s().seq(1001).ack(9001).flags(TcpFlags::ACK).build());
-        p.send_client(p.c2s().seq(1001).flags(TcpFlags::RST).build());
+        p.send_client(Probe::c2s().seq(1000).flags(TcpFlags::SYN).build());
+        p.send_server(Probe::s2c().seq(9000).ack(1001).flags(TcpFlags::SYN_ACK).build());
+        p.send_client(Probe::c2s().seq(1001).ack(9001).flags(TcpFlags::ACK).build());
+        p.send_client(Probe::c2s().seq(1001).flags(TcpFlags::RST).build());
         let survived = p.gfw.has_tcb(p.tuple());
         let resync = p.gfw.tcb_state(p.tuple()) == Some(CensorState::Resync);
         all &= check(&mut out, "an RST may leave the TCB alive in the resync state", survived && resync);
         p.send_client(
-            p.c2s()
+            Probe::c2s()
                 .seq(1001)
                 .ack(9001)
                 .flags(TcpFlags::PSH_ACK)
@@ -175,8 +189,8 @@ pub fn run(args: &CommonArgs) -> String {
     {
         let mut p = Probe::new(GfwConfig::evolved(), seed);
         p.gfw.force_rst_resync(false);
-        p.send_client(p.c2s().seq(1000).flags(TcpFlags::SYN).build());
-        p.send_client(p.c2s().seq(1001).flags(TcpFlags::RST).build());
+        p.send_client(Probe::c2s().seq(1000).flags(TcpFlags::SYN).build());
+        p.send_client(Probe::c2s().seq(1001).flags(TcpFlags::RST).build());
         all &= check(
             &mut out,
             "in the teardown regime the RST removes the TCB",
@@ -185,12 +199,12 @@ pub fn run(args: &CommonArgs) -> String {
     }
     {
         let mut p = Probe::new(GfwConfig::evolved(), seed);
-        p.send_client(p.c2s().seq(1000).flags(TcpFlags::SYN).build());
-        p.send_client(p.c2s().seq(1001).ack(9001).flags(TcpFlags::FIN).build());
+        p.send_client(Probe::c2s().seq(1000).flags(TcpFlags::SYN).build());
+        p.send_client(Probe::c2s().seq(1001).ack(9001).flags(TcpFlags::FIN).build());
         let evolved_keeps = p.gfw.has_tcb(p.tuple());
         let mut p2 = Probe::new(GfwConfig::old(), seed);
-        p2.send_client(p2.c2s().seq(1000).flags(TcpFlags::SYN).build());
-        p2.send_client(p2.c2s().seq(1001).ack(9001).flags(TcpFlags::FIN).build());
+        p2.send_client(Probe::c2s().seq(1000).flags(TcpFlags::SYN).build());
+        p2.send_client(Probe::c2s().seq(1001).ack(9001).flags(TcpFlags::FIN).build());
         let old_tears = !p2.gfw.has_tcb(p2.tuple());
         all &= check(
             &mut out,

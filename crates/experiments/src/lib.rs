@@ -15,6 +15,9 @@
 //!   §7.3's Tor and VPN sessions over the same path;
 //! * [`executor`] — the one work-stealing executor every parallel loop
 //!   (sweep cells, metropolis domains, Table 6 vantage points) runs on;
+//! * [`oracle`] — the §5.3 ignore-path oracle: fires each candidate
+//!   insertion packet at the executable server stack and censor and
+//!   derives Table 3 from what each did with it;
 //! * [`runner`] — repeated-trial sweeps with per-strategy aggregation and
 //!   min/max/avg across vantage points (Table 4's presentation);
 //! * [`report`] — text/markdown table rendering;
@@ -27,6 +30,7 @@
 pub mod args;
 pub mod executor;
 pub mod metropolis;
+pub mod oracle;
 pub mod path;
 pub mod progress;
 pub mod report;

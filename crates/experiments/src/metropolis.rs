@@ -198,24 +198,11 @@ pub fn aggregate_shards(results: &[FlowResult], shards: u32) -> Vec<ShardSummary
 /// success-free shards surfaced via [`MinMaxAvg::empty`] rather than
 /// folded in as zeros (the PR-2 empty-cell convention).
 pub fn shard_latency_stats(shards: &[ShardSummary]) -> MinMaxAvg {
-    let empty = shards.iter().filter(|s| s.succeeded == 0).count();
-    let vals: Vec<f64> = shards
-        .iter()
-        .filter(|s| s.succeeded > 0)
-        .map(|s| s.latency_sum_us as f64 / s.succeeded as f64)
-        .collect();
-    if vals.is_empty() {
-        return MinMaxAvg {
-            min: 0.0,
-            max: 0.0,
-            avg: 0.0,
-            empty,
-        };
-    }
-    let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let avg = vals.iter().sum::<f64>() / vals.len() as f64;
-    MinMaxAvg { min, max, avg, empty }
+    MinMaxAvg::fold(
+        shards
+            .iter()
+            .map(|s| (s.succeeded > 0).then(|| s.latency_sum_us as f64 / s.succeeded as f64)),
+    )
 }
 
 /// Everything a metropolis run reports.

@@ -65,7 +65,6 @@ pub struct SweepConfig {
     pub strategy: Option<StrategyKind>,
     pub keyword: bool,
     pub trials: u32,
-    pub redundancy: u32,
     pub master_seed: u64,
     pub route_change_prob: f64,
     /// Fault-injection configuration; [`FaultConfig::off`] (the default)
@@ -82,7 +81,6 @@ impl SweepConfig {
             strategy,
             keyword,
             trials,
-            redundancy: 3,
             master_seed,
             route_change_prob: 0.12,
             faults: FaultConfig::off(),
@@ -157,7 +155,6 @@ pub fn run_cell_telemetry(vp: &VantagePoint, vp_idx: usize, site: &Website, site
     for t in 0..cfg.trials {
         let seed = trial_seed(cfg.master_seed, vp_idx, site_idx, t, cfg.keyword);
         let mut spec = TrialSpec::new(vp, site, cfg.strategy, cfg.keyword, seed);
-        spec.redundancy = cfg.redundancy;
         spec.history = history.clone();
         spec.route_change_prob = cfg.route_change_prob;
         spec.faults = {
@@ -416,23 +413,38 @@ pub struct MinMaxAvg {
     pub empty: usize,
 }
 
-pub fn min_max_avg(rows: &[(String, Aggregate)], f: impl Fn(&Aggregate) -> f64) -> MinMaxAvg {
-    let empty = rows.iter().filter(|(_, a)| a.total() == 0).count();
-    let vals: Vec<f64> = rows.iter().filter(|(_, a)| a.total() > 0).map(|(_, a)| f(a)).collect();
-    if vals.is_empty() {
-        // No populated rows means no rates; report zeros rather than the
-        // fold identities (inf/-inf), which would poison downstream tables.
-        return MinMaxAvg {
-            min: 0.0,
-            max: 0.0,
-            avg: 0.0,
-            empty,
-        };
+impl MinMaxAvg {
+    /// Fold one value per row, `None` for a row with nothing to measure:
+    /// such rows count in [`MinMaxAvg::empty`] instead of the statistics.
+    pub fn fold(rows: impl IntoIterator<Item = Option<f64>>) -> MinMaxAvg {
+        let mut empty = 0;
+        let mut vals = Vec::new();
+        for row in rows {
+            match row {
+                Some(v) => vals.push(v),
+                None => empty += 1,
+            }
+        }
+        if vals.is_empty() {
+            // No populated rows means no rates; report zeros rather than
+            // the fold identities (inf/-inf), which would poison
+            // downstream tables.
+            return MinMaxAvg {
+                min: 0.0,
+                max: 0.0,
+                avg: 0.0,
+                empty,
+            };
+        }
+        let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
+        let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let avg = vals.iter().sum::<f64>() / vals.len() as f64;
+        MinMaxAvg { min, max, avg, empty }
     }
-    let min = vals.iter().copied().fold(f64::INFINITY, f64::min);
-    let max = vals.iter().copied().fold(f64::NEG_INFINITY, f64::max);
-    let avg = vals.iter().sum::<f64>() / vals.len() as f64;
-    MinMaxAvg { min, max, avg, empty }
+}
+
+pub fn min_max_avg(rows: &[(String, Aggregate)], f: impl Fn(&Aggregate) -> f64) -> MinMaxAvg {
+    MinMaxAvg::fold(rows.iter().map(|(_, a)| (a.total() > 0).then(|| f(a))))
 }
 
 #[cfg(test)]

@@ -20,7 +20,7 @@ pub struct Captured {
 
 /// The tap element; clone the [`TapHandle`] to read captures.
 pub struct RecorderTap {
-    label: String,
+    label: &'static str,
     log: Rc<RefCell<Vec<Captured>>>,
 }
 
@@ -30,15 +30,9 @@ pub struct TapHandle {
 }
 
 impl RecorderTap {
-    pub fn new(label: &str) -> (RecorderTap, TapHandle) {
+    pub fn new(label: &'static str) -> (RecorderTap, TapHandle) {
         let log = Rc::new(RefCell::new(Vec::new()));
-        (
-            RecorderTap {
-                label: label.to_string(),
-                log: log.clone(),
-            },
-            TapHandle { log },
-        )
+        (RecorderTap { label, log: log.clone() }, TapHandle { log })
     }
 }
 
@@ -60,7 +54,7 @@ impl TapHandle {
 
 impl Element for RecorderTap {
     fn name(&self) -> &str {
-        &self.label
+        self.label
     }
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, dir: Direction, wire: Wire) {
@@ -73,10 +67,10 @@ impl Element for RecorderTap {
     }
 }
 
-/// The scripted-probe world of §2.1, §4 and §8: a client edge that taps
-/// every packet, a 1 ms 2-hop link, one censor, a 1 ms 2-hop link, and a
-/// server edge. Each injected packet lands 5 ms after the previous one
-/// and runs to quiescence before the next.
+/// The scripted-probe world of §2.1, §4, §5.3 and §8: a client edge that
+/// taps every packet, a 1 ms 2-hop link, one censor, a 1 ms 2-hop link,
+/// and a server edge. Each injected packet lands 5 ms after the previous
+/// one and runs to quiescence before the next.
 pub struct Probe {
     sim: Simulation,
     pub gfw: GfwHandle,
@@ -126,11 +120,11 @@ impl Probe {
         self.sim.run_to_quiescence(10_000);
     }
 
-    pub fn c2s(&self) -> PacketBuilder {
+    pub fn c2s() -> PacketBuilder {
         PacketBuilder::tcp(Probe::CLIENT, Probe::SERVER, Probe::CLIENT_PORT, 80)
     }
 
-    pub fn s2c(&self) -> PacketBuilder {
+    pub fn s2c() -> PacketBuilder {
         PacketBuilder::tcp(Probe::SERVER, Probe::CLIENT, 80, Probe::CLIENT_PORT)
     }
 }

@@ -392,7 +392,12 @@ impl GfwCore {
     // TCP: TCB lifecycle, DPI, resets.
     // ------------------------------------------------------------------
     fn analyze_tcp(&mut self, ctx: &mut Ctx<'_>, dir: Direction, wire: &Wire, hdr: &intang_packet::HeaderIndex) {
-        let Some(seg) = hdr.tcp().copied() else { return };
+        // A data offset below 5 words does not stop the censor (Table 3,
+        // "TCP Header Length < 20"): it reads the fixed 20-byte header and
+        // takes the payload from byte 20, where a server drops the segment.
+        let Some(seg) = hdr.tcp().copied().or_else(|| hdr.tcp_short_header(wire)) else {
+            return;
+        };
         let l4 = &wire[usize::from(hdr.ip_payload_start)..usize::from(hdr.ip_payload_end)];
         // Discrepancy checks the real GFW does NOT perform (all default-off).
         if self.cfg.validate_checksum && !TcpPacket::new_unchecked(l4).verify_checksum(hdr.src, hdr.dst) {

@@ -56,6 +56,44 @@ fn syn_flood_evicts_oldest_tcbs() {
     assert!(!handle.detected_any());
 }
 
+#[test]
+fn keyword_behind_a_short_data_offset_is_detected() {
+    use intang_gfw::{GfwConfig, GfwElement};
+    use intang_netsim::element::PassThrough;
+    use intang_netsim::{Direction, Duration, Instant, Link, Simulation};
+    use intang_packet::{PacketBuilder, TcpFlags};
+
+    // Table 3, "TCP Header Length < 20": a server drops a segment whose
+    // data offset is 4 words, while the censor reads its fixed 20-byte
+    // header and scans the payload from byte 20.
+    let mut sim = Simulation::new(4);
+    sim.add_element(Box::new(PassThrough::new("a")));
+    sim.add_link(Link::new(Duration::from_micros(10), 0));
+    let (el, handle) = GfwElement::new(GfwConfig::evolved().deterministic());
+    sim.add_element(Box::new(el));
+    sim.add_link(Link::new(Duration::from_micros(10), 0));
+    sim.add_element(Box::new(PassThrough::new("b")));
+    let client = Ipv4Addr::new(10, 0, 0, 1);
+    let server = Ipv4Addr::new(203, 0, 113, 9);
+    let syn = PacketBuilder::tcp(client, server, 40_000, 80)
+        .seq(1_000)
+        .flags(TcpFlags::SYN)
+        .build();
+    sim.inject_at(0, Direction::ToServer, syn, Instant(0));
+    let req = PacketBuilder::tcp(client, server, 40_000, 80)
+        .seq(1_001)
+        .ack(1)
+        .flags(TcpFlags::PSH_ACK)
+        .payload(b"GET /ultrasurf HTTP/1.1\r\n\r\n")
+        .short_data_offset()
+        .build();
+    assert_eq!(req.headers().and_then(|h| h.tcp().copied()), None, "not a checked TCP segment");
+    sim.inject_at(0, Direction::ToServer, req, Instant(1_000));
+    sim.run_to_quiescence(1_000);
+    assert!(handle.detected_any());
+    assert!(handle.resets_injected() > 0);
+}
+
 fn aut() -> Automaton {
     Automaton::build(&shared_paper_rules())
 }

@@ -37,25 +37,21 @@ impl FilterSpec {
 /// insertion packets travel); returning traffic passes untouched, matching
 /// how the paper probes these boxes (client → controlled server, §3.4).
 pub struct FieldFilter {
-    label: String,
+    label: &'static str,
     spec: FilterSpec,
     /// Count of dropped packets (observable in tests).
     pub dropped: u64,
 }
 
 impl FieldFilter {
-    pub fn new(label: &str, spec: FilterSpec) -> FieldFilter {
-        FieldFilter {
-            label: label.to_string(),
-            spec,
-            dropped: 0,
-        }
+    pub fn new(label: &'static str, spec: FilterSpec) -> FieldFilter {
+        FieldFilter { label, spec, dropped: 0 }
     }
 }
 
 impl Element for FieldFilter {
     fn name(&self) -> &str {
-        &self.label
+        self.label
     }
 
     fn export_metrics(&self, m: &mut MetricsSheet) {

@@ -24,7 +24,7 @@ pub enum FragmentMode {
 
 /// A fragment-policy middlebox (client-egress direction).
 pub struct FragmentHandler {
-    label: String,
+    label: &'static str,
     mode: FragmentMode,
     reasm: Reassembler,
     pub dropped: u64,
@@ -32,9 +32,9 @@ pub struct FragmentHandler {
 }
 
 impl FragmentHandler {
-    pub fn new(label: &str, mode: FragmentMode) -> FragmentHandler {
+    pub fn new(label: &'static str, mode: FragmentMode) -> FragmentHandler {
         FragmentHandler {
-            label: label.to_string(),
+            label,
             mode,
             // Reassembling boxes keep the later copy, like most OS stacks.
             reasm: Reassembler::new(OverlapPolicy::LastWins),
@@ -50,7 +50,7 @@ impl FragmentHandler {
 
 impl Element for FragmentHandler {
     fn name(&self) -> &str {
-        &self.label
+        self.label
     }
 
     fn export_metrics(&self, m: &mut MetricsSheet) {
@@ -78,7 +78,7 @@ impl Element for FragmentHandler {
                     // The reassembled datagram is a rewritten packet; check
                     // it at the rewrite site so a stale checksum is pinned
                     // on this box rather than on a downstream hop.
-                    intang_simcheck::check_wire(&full, &self.label);
+                    intang_simcheck::check_wire(&full, self.label);
                     ctx.send(dir, full);
                 }
             }

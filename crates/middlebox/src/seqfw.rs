@@ -20,7 +20,7 @@ struct Track {
 
 /// Strict in-order sequence firewall on the server side of the path.
 pub struct SeqStrictFirewall {
-    label: String,
+    label: &'static str,
     conns: FxHashMap<FourTuple, Track>,
     /// When true the box validates TCP checksums and so *drops* corrupt
     /// insertion packets instead of accepting them (harmless variant).
@@ -29,9 +29,9 @@ pub struct SeqStrictFirewall {
 }
 
 impl SeqStrictFirewall {
-    pub fn new(label: &str) -> SeqStrictFirewall {
+    pub fn new(label: &'static str) -> SeqStrictFirewall {
         SeqStrictFirewall {
-            label: label.to_string(),
+            label,
             conns: FxHashMap::default(),
             validate_checksum: false,
             blocked: 0,
@@ -41,7 +41,7 @@ impl SeqStrictFirewall {
 
 impl Element for SeqStrictFirewall {
     fn name(&self) -> &str {
-        &self.label
+        self.label
     }
 
     fn export_metrics(&self, m: &mut MetricsSheet) {

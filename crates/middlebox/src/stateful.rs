@@ -18,7 +18,7 @@ enum ConnState {
 
 /// Connection-tracking firewall.
 pub struct StatefulFirewall {
-    label: String,
+    label: &'static str,
     conns: FxHashMap<FourTuple, ConnState>,
     /// Tear down tracked state on any RST passing through.
     pub rst_tears_down: bool,
@@ -28,9 +28,9 @@ pub struct StatefulFirewall {
 }
 
 impl StatefulFirewall {
-    pub fn new(label: &str) -> StatefulFirewall {
+    pub fn new(label: &'static str) -> StatefulFirewall {
         StatefulFirewall {
-            label: label.to_string(),
+            label,
             conns: FxHashMap::default(),
             rst_tears_down: true,
             fin_tears_down: false,
@@ -41,7 +41,7 @@ impl StatefulFirewall {
 
 impl Element for StatefulFirewall {
     fn name(&self) -> &str {
-        &self.label
+        self.label
     }
 
     fn export_metrics(&self, m: &mut MetricsSheet) {

@@ -130,12 +130,12 @@ pub trait Element {
 /// placeholder middlebox slot and in tests).
 #[derive(Debug, Default)]
 pub struct PassThrough {
-    label: String,
+    label: &'static str,
 }
 
 impl PassThrough {
-    pub fn new(label: &str) -> Self {
-        PassThrough { label: label.to_string() }
+    pub fn new(label: &'static str) -> Self {
+        PassThrough { label }
     }
 }
 
@@ -144,7 +144,7 @@ impl Element for PassThrough {
         if self.label.is_empty() {
             "pass"
         } else {
-            &self.label
+            self.label
         }
     }
 

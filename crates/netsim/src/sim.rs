@@ -317,12 +317,8 @@ impl Simulation {
     fn sample_series_upto(&mut self, upto: Instant) {
         let Some(mut rec) = self.series.take() else { return };
         while rec.next_tick.saturating_mul(CADENCE_US) <= upto.0 {
-            let mut g = GaugeSample::default();
-            for e in &self.elements {
-                e.sample_gauges(&mut g);
-            }
-            g.add(GaugeId::EventQueueDepth, self.queue.len() as u64);
-            g.add(GaugeId::InflightPackets, self.queue.deliver_len() as u64);
+            // One world-level snapshot plus this thread's pool gauges.
+            let mut g = self.sample_gauges_now();
             g.add(
                 GaugeId::WireBuffers,
                 intang_packet::wire::live_buffers().saturating_sub(rec.wire_base),

@@ -347,8 +347,11 @@ impl<T: AsRef<[u8]>> TcpPacket<T> {
         u16::from_be_bytes([self.data()[16], self.data()[17]])
     }
 
+    /// The option bytes between the fixed header and the declared data
+    /// offset: empty when the offset is below 5 words or past the buffer,
+    /// as on a segment only [`TcpPacket::new_unchecked`] accepts.
     pub fn options_raw(&self) -> &[u8] {
-        &self.data()[HEADER_LEN..self.header_len()]
+        self.data().get(HEADER_LEN..self.header_len()).unwrap_or(&[])
     }
 
     pub fn options(&self) -> TcpOptionList {
@@ -597,6 +600,23 @@ mod tests {
         };
         let wire = repr.emit(a1(), a2());
         assert_eq!(TcpPacket::new_checked(&wire[..]).unwrap_err(), ParseError::BadLength);
+    }
+
+    #[test]
+    fn short_data_offset_has_no_options() {
+        // A data offset of 4 words ends the header before the fixed 20
+        // bytes do; an unchecked view must read no options, not panic.
+        let repr = TcpRepr {
+            data_offset_words_override: Some(4),
+            options: vec![TcpOption::Timestamps { tsval: 1, tsecr: 0 }, TcpOption::Md5Sig([7; 16])],
+            ..sample_repr()
+        };
+        let wire = repr.emit(a1(), a2());
+        let pkt = TcpPacket::new_unchecked(&wire[..]);
+        assert!(pkt.options_raw().is_empty());
+        assert!(pkt.options().is_empty());
+        assert_eq!(pkt.timestamps(), None);
+        assert!(!pkt.has_md5_option());
     }
 
     #[test]

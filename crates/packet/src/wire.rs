@@ -248,6 +248,22 @@ impl HeaderIndex {
         })
     }
 
+    /// The TCP view of a segment whose data offset is below 5 words, read
+    /// as the fixed 20-byte header with the payload from byte 20. The
+    /// checked views reject such a segment, so [`HeaderIndex::tcp`] has no
+    /// view of it; a reader that processes it anyway (the censor, per the
+    /// paper's Table 3) asks here. `data` is the datagram this index was
+    /// computed from.
+    pub fn tcp_short_header(&self, data: &[u8]) -> Option<TcpIndex> {
+        if self.protocol != IpProtocol::Tcp || self.frag_offset != 0 || self.tcp().is_some() {
+            return None;
+        }
+        let ihl = usize::from(self.ip_header_len);
+        let payload = data.get(ihl..usize::from(self.ip_payload_end))?;
+        let short = payload.len() >= crate::tcp::HEADER_LEN && usize::from(payload[12] >> 4) * 4 < crate::tcp::HEADER_LEN;
+        short.then(|| Self::tcp_fields(payload, ihl, crate::tcp::HEADER_LEN))
+    }
+
     fn index_tcp(payload: &[u8], ihl: usize) -> L4Index {
         // Same validation as `TcpPacket::new_checked`: short headers and
         // the "data offset < 5 words" malformation are not TCP.
@@ -258,7 +274,13 @@ impl HeaderIndex {
         if hlen < crate::tcp::HEADER_LEN || payload.len() < hlen {
             return L4Index::Other;
         }
-        L4Index::Tcp(TcpIndex {
+        L4Index::Tcp(Self::tcp_fields(payload, ihl, hlen))
+    }
+
+    /// The fixed-header fields of `payload` (at least 20 bytes), with its
+    /// data starting `hlen` bytes in.
+    fn tcp_fields(payload: &[u8], ihl: usize, hlen: usize) -> TcpIndex {
+        TcpIndex {
             src_port: u16::from_be_bytes([payload[0], payload[1]]),
             dst_port: u16::from_be_bytes([payload[2], payload[3]]),
             seq: u32::from_be_bytes([payload[4], payload[5], payload[6], payload[7]]),
@@ -268,7 +290,7 @@ impl HeaderIndex {
             header_len: hlen as u8,
             payload_start: (ihl + hlen.min(payload.len())) as u16,
             payload_end: (ihl + payload.len()) as u16,
-        })
+        }
     }
 }
 
@@ -633,6 +655,23 @@ mod tests {
         assert_eq!(t.flags, tcp.flags());
         assert_eq!(&w[usize::from(t.payload_start)..usize::from(t.payload_end)], tcp.payload());
         assert_eq!(w.four_tuple(), crate::four_tuple_of(&w));
+        assert_eq!(h.tcp_short_header(&w), None, "a valid header has its checked view");
+    }
+
+    #[test]
+    fn short_header_view_reads_the_fixed_header() {
+        let w = PacketBuilder::tcp(Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2), 40000, 80)
+            .seq(7777)
+            .flags(TcpFlags::PSH_ACK)
+            .payload(b"JJ")
+            .short_data_offset()
+            .build();
+        let h = w.headers().expect("valid datagram");
+        assert_eq!(h.tcp(), None, "the checked view rejects a 4-word offset");
+        let t = h.tcp_short_header(&w).expect("short-header view");
+        assert_eq!((t.src_port, t.dst_port, t.seq, t.flags), (40000, 80, 7777, TcpFlags::PSH_ACK));
+        assert_eq!(t.header_len, 20);
+        assert_eq!(&w[usize::from(t.payload_start)..usize::from(t.payload_end)], b"JJ");
     }
 
     #[test]

@@ -2,9 +2,10 @@
 //!
 //! Every point where the stack discards a packet without changing
 //! connection state is one of the paper's *ignore paths* (§5.3). The stack
-//! records an [`IgnoreEvent`] for each, which is exactly the observable the
-//! differential analysis in `intang-ignorepath` diffs against the GFW model
-//! to derive Table 3.
+//! records an [`IgnoreEvent`] for each, naming the path that fired. The
+//! Table 3 oracle in `intang-experiments` (`oracle`) observes the same
+//! ignores from outside, as an untouched socket, and diffs them against
+//! the executable censor.
 
 use intang_packet::FourTuple;
 

@@ -10,8 +10,9 @@
 //! *accepts* it — each such discrepancy is a candidate insertion packet
 //! (Table 3). This stack makes every one of those paths explicit: whenever
 //! a packet is discarded, an [`ignore::IgnoreEvent`] records which path
-//! fired, so tests and the `intang-ignorepath` differential analysis can
-//! observe the stack's dispositions directly.
+//! fired, so tests can see why. The Table 3 oracle in `intang-experiments`
+//! (`oracle`) drives this stack into SYN_RECV or ESTABLISHED, fires each
+//! candidate packet at it, and reads the disposition off the socket.
 //!
 //! Scope notes (in the smoltcp spirit of documenting omissions): no
 //! congestion control, no SACK, no delayed ACK, no window scaling — none of

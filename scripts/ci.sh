@@ -25,6 +25,13 @@ cargo test -q --release --test telemetry
 # strategy family, byte-compared against tests/golden/ snapshots, and the
 # whole evaluation's `all --quick` output against tests/golden/all_quick.txt.
 cargo test -q --release --test golden_traces
+# Committed evaluation record: EXPERIMENTS.md quotes experiments_output.txt
+# as the output of `all --trials 12`. Rerun it and fail on any difference,
+# so a change that moves a result must regenerate the file with it.
+record="${TMPDIR:-/tmp}/ci_experiments_output.txt"
+cargo run -q --release -p intang-experiments --bin all -- --trials 12 >"$record" 2>/dev/null
+diff -u experiments_output.txt "$record" || { echo "ci: FAIL: experiments_output.txt differs from a fresh all --trials 12" >&2; exit 1; }
+rm -f "$record"
 cargo run --release -p intang-experiments --bin bench_sweep -- --quick >/dev/null
 # Simcheck gate: the same smoke sweep with the runtime invariant checker
 # enabled must report zero violations (bench_sweep exits non-zero and

@@ -9,7 +9,6 @@ pub use intang_apps as apps;
 pub use intang_core as intang;
 pub use intang_experiments as experiments;
 pub use intang_gfw as gfw;
-pub use intang_ignorepath as ignorepath;
 pub use intang_middlebox as middlebox;
 pub use intang_netsim as netsim;
 pub use intang_packet as packet;

@@ -1,20 +1,23 @@
 //! Simcheck self-tests: one injected violation per invariant family, the
-//! whitelisted bad-checksum discrepancy, determinism with checking on, the
-//! shrinker end-to-end, and full trials with ISNs pinned at the seq-number
-//! wraparound boundary.
+//! whitelisted bad-checksum discrepancy, the Table 3 oracle's malformed
+//! probes, determinism with checking on, the shrinker end-to-end, and full
+//! trials with ISNs pinned at the seq-number wraparound boundary.
 //!
 //! Simcheck state is thread-local, so these tests do not interfere with
 //! each other even when the harness runs them concurrently.
 
 use intang_core::StrategyKind;
+use intang_experiments::oracle::derive_table3;
 use intang_experiments::runner::{run_cell_telemetry, sweep_with_threads, SweepConfig};
 use intang_experiments::scenario::Scenario;
 use intang_experiments::trial::{run_http_trial, Outcome, TrialSpec};
+use intang_gfw::GfwConfig;
 use intang_middlebox::{FieldFilter, FilterSpec};
 use intang_netsim::{Direction, Duration, Instant, Link, Simulation};
 use intang_packet::{FourTuple, PacketBuilder, TcpFlags};
 use intang_simcheck::Family;
 use intang_tcpstack::reasm::{Assembler, SegmentOverlapPolicy};
+use intang_tcpstack::StackProfile;
 use intang_telemetry::knobs::{self, RunKnobs};
 use std::net::Ipv4Addr;
 
@@ -176,6 +179,24 @@ fn deliberate_bad_checksum_insertions_are_whitelisted() {
         let _ = run_http_trial(&spec);
         let vs = intang_simcheck::take_violations();
         assert!(vs.is_empty(), "whitelisted insertions must not be flagged: {vs:?}");
+    });
+}
+
+#[test]
+fn table3_oracle_keeps_every_runtime_invariant() {
+    // The oracle's probes are malformed on purpose: its bad checksums must
+    // stay on the expected-bad whitelist, and its short headers now reach
+    // the censor's TCB machine. Every server version against both GFW
+    // generations, with the checker on.
+    with_simcheck(|| {
+        for server in StackProfile::all() {
+            for censor in [GfwConfig::evolved(), GfwConfig::old()] {
+                let findings = derive_table3(&server, &censor);
+                assert!(findings.len() >= 8, "{:?} vs {:?}", server.version, censor.generation);
+                let vs = intang_simcheck::take_violations();
+                assert!(vs.is_empty(), "{:?} vs {:?}: {vs:?}", server.version, censor.generation);
+            }
+        }
     });
 }
 
