@@ -12,10 +12,10 @@ use crate::config::{EvictionPolicy, GfwConfig, GfwGeneration};
 use crate::dpi::{Automaton, DetectionKind};
 use crate::probe::ActiveProber;
 use crate::reset::ResetInjector;
-use crate::tcb::{CensorState, CensorTcb};
+use crate::tcb::{CensorState, CensorTcb, TcbTable};
 use intang_netsim::{Ctx, Direction, Duration, Element, Instant};
 use intang_packet::frag::Reassembler;
-use intang_packet::{dns, udp, FourTuple, FxHashMap, IpProtocol, Ipv4Packet, Ipv4Repr, TcpPacket, TcpRepr, Wire};
+use intang_packet::{dns, udp, FourTuple, IpProtocol, Ipv4Packet, Ipv4Repr, TcpPacket, TcpRepr, Wire};
 use intang_telemetry::{span, Counter, GaugeId, GaugeSample, MetricsSheet, SpanId};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -140,7 +140,7 @@ struct GfwCore {
     /// Simcheck shadow domain for this device's TCB table (0 when checking
     /// is disabled).
     sc_domain: u64,
-    tcbs: FxHashMap<FourTuple, CensorTcb>,
+    tcbs: TcbTable,
     /// Censor-state lanes; index = `pair_shard(src, dst, lanes.len())`.
     lanes: Vec<CensorLane>,
     blacklist: Blacklist,
@@ -194,7 +194,7 @@ impl GfwElement {
             cfg,
             aut,
             sc_domain: intang_simcheck::new_tcb_domain(),
-            tcbs: FxHashMap::default(),
+            tcbs: TcbTable::new(),
             lanes,
             blacklist: Blacklist::new(),
             prober: ActiveProber::new(),

@@ -2,6 +2,7 @@
 //! the two detection pipelines (type-1 per-packet, type-2 reassembled).
 
 use crate::dpi::{Automaton, DetectionKind, StreamMatcher};
+use intang_packet::{FourTuple, FxHashMap};
 use intang_tcpstack::reasm::{Assembler, SegmentOverlapPolicy};
 use std::net::Ipv4Addr;
 
@@ -206,6 +207,103 @@ impl CensorTcb {
     }
 }
 
+/// The device's TCB table: a `FourTuple → u32` index over a dense slab of
+/// TCBs whose vacated entries go on a free list. The index buckets stay at
+/// 16 bytes while the TCBs themselves live once, packed, in the slab: a
+/// map holding the TCBs inline would size every bucket, occupied or not,
+/// at a whole TCB, which at the metropolis world's 64k-TCB quota is most
+/// of its heap. A dropped table hands its cleared storage to a
+/// thread-local pool for the next device on the thread (a trial builds
+/// one), so steady-state trials allocate nothing for it.
+pub(crate) struct TcbTable {
+    index: FxHashMap<FourTuple, u32>,
+    slab: Vec<Option<CensorTcb>>,
+    /// Vacant slab entries, reused before the slab grows.
+    free: Vec<u32>,
+}
+
+/// Retired table storage: index, slab and free list, empty but
+/// capacity-warm.
+type TcbStorage = (FxHashMap<FourTuple, u32>, Vec<Option<CensorTcb>>, Vec<u32>);
+
+std::thread_local! {
+    static STORAGE_POOL: std::cell::RefCell<Vec<TcbStorage>> = const { std::cell::RefCell::new(Vec::new()) };
+}
+
+/// Max retired storages kept per thread (a trial runs one or two devices).
+const STORAGE_POOL_CAP: usize = 4;
+
+impl Drop for TcbTable {
+    fn drop(&mut self) {
+        let mut storage = (
+            std::mem::take(&mut self.index),
+            std::mem::take(&mut self.slab),
+            std::mem::take(&mut self.free),
+        );
+        storage.0.clear();
+        storage.1.clear();
+        storage.2.clear();
+        let _ = STORAGE_POOL.try_with(|pool| {
+            let mut pool = pool.borrow_mut();
+            if pool.len() < STORAGE_POOL_CAP {
+                pool.push(storage);
+            }
+        });
+    }
+}
+
+impl TcbTable {
+    pub(crate) fn new() -> TcbTable {
+        let (index, slab, free) = STORAGE_POOL
+            .try_with(|pool| pool.borrow_mut().pop())
+            .ok()
+            .flatten()
+            .unwrap_or_default();
+        TcbTable { index, slab, free }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    pub(crate) fn contains_key(&self, key: &FourTuple) -> bool {
+        self.index.contains_key(key)
+    }
+
+    pub(crate) fn get(&self, key: &FourTuple) -> Option<&CensorTcb> {
+        self.index.get(key).and_then(|&i| self.slab[i as usize].as_ref())
+    }
+
+    pub(crate) fn get_mut(&mut self, key: &FourTuple) -> Option<&mut CensorTcb> {
+        self.index.get(key).and_then(|&i| self.slab[i as usize].as_mut())
+    }
+
+    /// Insert or replace the TCB for `key`.
+    pub(crate) fn insert(&mut self, key: FourTuple, tcb: CensorTcb) {
+        if let Some(&i) = self.index.get(&key) {
+            self.slab[i as usize] = Some(tcb);
+            return;
+        }
+        let i = match self.free.pop() {
+            Some(i) => {
+                self.slab[i as usize] = Some(tcb);
+                i
+            }
+            None => {
+                self.slab.push(Some(tcb));
+                u32::try_from(self.slab.len() - 1).expect("a TCB table holds fewer than 2^32 TCBs")
+            }
+        };
+        self.index.insert(key, i);
+    }
+
+    pub(crate) fn remove(&mut self, key: &FourTuple) -> Option<CensorTcb> {
+        let i = self.index.remove(key)?;
+        self.free.push(i);
+        self.slab[i as usize].take()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -304,6 +402,65 @@ mod tests {
         t.overloaded = true;
         let base = t.stream_base;
         assert!(t.feed_client_data(&a, base, b"ultrasurf", true, true).is_empty());
+    }
+
+    fn syn_tcb(k: FourTuple, isn: u32) -> CensorTcb {
+        CensorTcb::from_syn((k.src, k.src_port), (k.dst, k.dst_port), isn, SegmentOverlapPolicy::FirstWins)
+    }
+
+    #[test]
+    fn tcb_table_matches_a_hash_map_reference() {
+        // Few distinct keys, so inserts collide with live keys and removes
+        // hit as often as they miss, and the free list is reused.
+        let key = |n: u32| FourTuple::new(Ipv4Addr::new(10, 0, 0, 1), 40_000 + n as u16, Ipv4Addr::new(93, 184, 216, 34), 80);
+        let mut rng = intang_netsim::SimRng::seed_from(2017);
+        let mut table = TcbTable::new();
+        let mut reference: FxHashMap<FourTuple, u32> = FxHashMap::default();
+        for step in 0..20_000 {
+            let k = key(rng.range_u32(0, 64));
+            match rng.range_u32(0, 3) {
+                0 => {
+                    let isn = rng.next_u32();
+                    table.insert(k, syn_tcb(k, isn));
+                    reference.insert(k, isn);
+                }
+                1 => {
+                    let got = table.remove(&k).map(|t| t.client_isn);
+                    assert_eq!(got, reference.remove(&k), "step {step}: remove");
+                }
+                _ => {
+                    if let Some(t) = table.get_mut(&k) {
+                        t.client_isn = t.client_isn.wrapping_add(1);
+                    }
+                    if let Some(isn) = reference.get_mut(&k) {
+                        *isn = isn.wrapping_add(1);
+                    }
+                }
+            }
+            assert_eq!(table.len(), reference.len(), "step {step}: len");
+            assert_eq!(table.contains_key(&k), reference.contains_key(&k), "step {step}: contains");
+            assert_eq!(table.get(&k).map(|t| t.client_isn), reference.get(&k).copied(), "step {step}: get");
+        }
+        assert!(table.slab.len() <= 64, "vacated entries are reused: slab of {}", table.slab.len());
+        assert_eq!(table.slab.iter().flatten().count(), table.len(), "vacated entries hold no TCB");
+        for n in 0..64 {
+            assert_eq!(table.get(&key(n)).map(|t| t.client_isn), reference.get(&key(n)).copied());
+        }
+    }
+
+    #[test]
+    fn a_dropped_tcb_table_lends_its_storage_to_the_next() {
+        let mut table = TcbTable::new();
+        for n in 0..100u16 {
+            let k = FourTuple::new(Ipv4Addr::new(10, 0, 0, 1), n, Ipv4Addr::new(93, 184, 216, 34), 80);
+            table.insert(k, syn_tcb(k, 1));
+        }
+        let (index_cap, slab_cap) = (table.index.capacity(), table.slab.capacity());
+        drop(table);
+        let next = TcbTable::new();
+        assert_eq!(next.len(), 0);
+        assert!(next.slab.is_empty() && next.free.is_empty());
+        assert_eq!((next.index.capacity(), next.slab.capacity()), (index_cap, slab_cap));
     }
 
     #[test]

@@ -56,6 +56,67 @@ fn syn_flood_evicts_oldest_tcbs() {
     assert!(!handle.detected_any());
 }
 
+/// A three-TCB device fed a scripted mix of SYNs and pure ACKs: every SYN
+/// past the quota sheds exactly one flow, and which one is the policy.
+/// Oldest sheds in insertion order whatever the traffic; LRU sheds the flow
+/// touched longest ago, so the ACKs reorder its victims.
+#[test]
+fn small_quota_sheds_the_policys_exact_victims() {
+    use intang_gfw::{EvictionPolicy, GfwConfig, GfwElement};
+    use intang_netsim::element::PassThrough;
+    use intang_netsim::{Direction, Duration, Instant, Link, Simulation};
+    use intang_packet::{FourTuple, PacketBuilder, TcpFlags};
+
+    let client = Ipv4Addr::new(10, 0, 0, 1);
+    let server = Ipv4Addr::new(203, 0, 113, 9);
+    let port = |flow: u16| 40_000 + flow;
+    // (SYN?, flow): an ACK touches the flow's TCB if it still has one.
+    let script = [
+        (true, 0),
+        (true, 1),
+        (true, 2),
+        (false, 0),
+        (true, 3),
+        (false, 2),
+        (true, 4),
+        (false, 0),
+        (true, 5),
+        (true, 6),
+    ];
+    for (policy, want) in [(EvictionPolicy::Oldest, [0, 1, 2, 3]), (EvictionPolicy::Lru, [1, 0, 3, 2])] {
+        let mut cfg = GfwConfig::evolved().deterministic();
+        cfg.max_tcbs = 3;
+        cfg.eviction = policy;
+        let mut sim = Simulation::new(4);
+        sim.add_element(Box::new(PassThrough::new("a")));
+        sim.add_link(Link::new(Duration::from_micros(10), 0));
+        let (el, handle) = GfwElement::new(cfg);
+        sim.add_element(Box::new(el));
+        sim.add_link(Link::new(Duration::from_micros(10), 0));
+        sim.add_element(Box::new(PassThrough::new("b")));
+        let tracked = |flow: u16| handle.has_tcb(FourTuple::new(client, port(flow), server, 80));
+
+        let mut victims = Vec::new();
+        for (step, &(syn, flow)) in script.iter().enumerate() {
+            let before: Vec<u16> = (0..7).filter(|&f| tracked(f)).collect();
+            let packet = PacketBuilder::tcp(client, server, port(flow), 80).seq(1_000);
+            let packet = if syn {
+                packet.flags(TcpFlags::SYN)
+            } else {
+                packet.ack(1).flags(TcpFlags::ACK)
+            };
+            let at = Instant(1_000 * step as u64);
+            sim.inject_at(0, Direction::ToServer, packet.build(), at);
+            sim.run_until(at + Duration::from_micros(500));
+            let gone: Vec<u16> = before.into_iter().filter(|&f| !tracked(f)).collect();
+            victims.extend_from_slice(&gone);
+            assert!(handle.tcb_count() <= 3, "{policy:?} step {step}: quota holds");
+        }
+        assert_eq!(victims, want, "{policy:?}: victims in eviction order");
+        assert!((4..7).all(tracked), "{policy:?}: the three newest flows survive");
+    }
+}
+
 #[test]
 fn keyword_behind_a_short_data_offset_is_detected() {
     use intang_gfw::{GfwConfig, GfwElement};

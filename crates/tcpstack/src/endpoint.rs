@@ -14,6 +14,16 @@ use std::net::Ipv4Addr;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SocketHandle(pub usize);
 
+/// One socket-table entry.
+pub(crate) struct Slot {
+    sock: Socket,
+    /// Opened by `connect` (a client socket is never reported as accepted).
+    client: bool,
+    /// Retired: skipped by demux, polls and timers until a later
+    /// connect/accept reuses the slot.
+    retired: bool,
+}
+
 /// Cheap always-on counters for one endpoint (telemetry reads these once
 /// per trial via [`TcpEndpoint::export_metrics`]).
 #[derive(Debug, Default, Clone, Copy)]
@@ -39,11 +49,7 @@ pub struct TcpEndpoint {
     /// long-lived endpoint that retires finished flows stays bounded by its
     /// *concurrent* socket count (the table was historically grow-only,
     /// which forced multiplexers into one-endpoint-per-flow workarounds).
-    sockets: Vec<Socket>,
-    /// Parallel to `sockets`: true when the socket was opened by `connect`.
-    client_flags: Vec<bool>,
-    /// Parallel to `sockets`: slot retired, skipped by demux/poll/timers.
-    retired: Vec<bool>,
+    sockets: Vec<Slot>,
     /// Indices of retired slots available for reuse.
     free: Vec<usize>,
     listeners: Vec<u16>,
@@ -81,8 +87,6 @@ impl TcpEndpoint {
             ignore_log: IgnoreLog::pooled(),
             stats: StackStats::default(),
             sockets: crate::pool::take_socket_table(),
-            client_flags: Vec::new(),
-            retired: Vec::new(),
             free: Vec::new(),
             listeners: Vec::new(),
             accepted: Vec::new(),
@@ -131,20 +135,22 @@ impl TcpEndpoint {
 
     /// Place a socket in a free (retired) slot if one exists, else append.
     fn install_socket(&mut self, sock: Socket, client: bool) -> SocketHandle {
-        match self.free.pop() {
-            Some(idx) => {
-                self.sockets[idx] = sock;
-                self.client_flags[idx] = client;
-                self.retired[idx] = false;
-                SocketHandle(idx)
-            }
-            None => {
-                self.sockets.push(sock);
-                self.client_flags.push(client);
-                self.retired.push(false);
-                SocketHandle(self.sockets.len() - 1)
-            }
+        let slot = Slot {
+            sock,
+            client,
+            retired: false,
+        };
+        if let Some(idx) = self.free.pop() {
+            self.sockets[idx] = slot;
+            return SocketHandle(idx);
         }
+        // Most endpoints hold one socket for life (a metropolis server
+        // cell, a trial's client), and a first push would reserve four.
+        if self.sockets.capacity() == 0 {
+            self.sockets.reserve_exact(1);
+        }
+        self.sockets.push(slot);
+        SocketHandle(self.sockets.len() - 1)
     }
 
     /// Retire one socket: it stops matching incoming segments, firing
@@ -155,12 +161,12 @@ impl TcpEndpoint {
     /// count.
     pub fn retire_socket(&mut self, h: SocketHandle) {
         let idx = h.0;
-        if idx >= self.sockets.len() || self.retired[idx] {
+        if self.sockets.get(idx).is_none_or(|s| s.retired) {
             return;
         }
         // Flush anything the socket had queued (e.g. its final FIN/ACK).
         self.drain_socket(idx);
-        self.retired[idx] = true;
+        self.sockets[idx].retired = true;
         self.free.push(idx);
     }
 
@@ -171,8 +177,7 @@ impl TcpEndpoint {
     pub fn all_settled(&self) -> bool {
         self.sockets
             .iter()
-            .enumerate()
-            .all(|(i, s)| self.retired[i] || matches!(s.state(), TcpState::Closed | TcpState::TimeWait))
+            .all(|s| s.retired || matches!(s.sock.state(), TcpState::Closed | TcpState::TimeWait))
     }
 
     fn next_isn(&mut self) -> u32 {
@@ -190,11 +195,16 @@ impl TcpEndpoint {
     }
 
     pub fn socket(&mut self, h: SocketHandle) -> &mut Socket {
-        &mut self.sockets[h.0]
+        &mut self.sockets[h.0].sock
     }
 
     pub fn socket_ref(&self, h: SocketHandle) -> &Socket {
-        &self.sockets[h.0]
+        &self.sockets[h.0].sock
+    }
+
+    /// Slots the socket table has room for, live, retired and spare.
+    pub fn socket_slots(&self) -> usize {
+        self.sockets.capacity()
     }
 
     /// Server sockets that became ESTABLISHED since the last call.
@@ -252,13 +262,13 @@ impl TcpEndpoint {
         if let Some(idx) = self
             .sockets
             .iter()
-            .enumerate()
-            .position(|(i, s)| !self.retired[i] && s.tuple == tuple_local && s.state() != TcpState::Closed)
+            .position(|s| !s.retired && s.sock.tuple == tuple_local && s.sock.state() != TcpState::Closed)
         {
-            let was_established = self.sockets[idx].is_established();
-            self.sockets[idx].process(seg, now, &mut self.ignore_log);
-            self.sockets[idx].schedule_time_wait(now);
-            if !was_established && self.sockets[idx].is_established() && !self.is_client_socket(idx) {
+            let slot = &mut self.sockets[idx];
+            let was_established = slot.sock.is_established();
+            slot.sock.process(seg, now, &mut self.ignore_log);
+            slot.sock.schedule_time_wait(now);
+            if !was_established && slot.sock.is_established() && !slot.client {
                 self.accepted.push(SocketHandle(idx));
             }
             self.drain_socket(idx);
@@ -293,20 +303,21 @@ impl TcpEndpoint {
         }
     }
 
-    fn is_client_socket(&self, idx: usize) -> bool {
-        *self.client_flags.get(idx).unwrap_or(&true)
-    }
-
-    /// Wrap queued TCP segments of socket `idx` into IP datagrams.
+    /// Wrap queued TCP segments of socket `idx` into IP datagrams; a
+    /// CLOSED socket then hands its idle buffers back to the pools.
     fn drain_socket(&mut self, idx: usize) {
-        let dst = self.sockets[idx].tuple.dst;
-        let mut segs = std::mem::take(&mut self.sockets[idx].out);
+        let dst = self.sockets[idx].sock.tuple.dst;
+        let mut segs = std::mem::take(&mut self.sockets[idx].sock.out);
         for seg in segs.drain(..) {
             self.push_wire(dst, seg);
         }
         // Hand the drained (now empty) queue back so its capacity survives
         // to the next flush.
-        self.sockets[idx].out = segs;
+        let sock = &mut self.sockets[idx].sock;
+        sock.out = segs;
+        if sock.is_closed() {
+            sock.release_idle_buffers();
+        }
     }
 
     fn push_wire(&mut self, dst: Ipv4Addr, seg: TcpRepr) {
@@ -331,7 +342,7 @@ impl TcpEndpoint {
     pub fn poll_transmit_into(&mut self, out: &mut Vec<Wire>) {
         // App-level sends land in socket.out; sweep all live sockets.
         for idx in 0..self.sockets.len() {
-            if !self.retired[idx] {
+            if !self.sockets[idx].retired {
                 self.drain_socket(idx);
             }
         }
@@ -342,17 +353,17 @@ impl TcpEndpoint {
     pub fn next_deadline(&self) -> Option<Micros> {
         self.sockets
             .iter()
-            .enumerate()
-            .filter(|(i, _)| !self.retired[*i])
-            .filter_map(|(_, s)| s.next_deadline())
+            .filter(|s| !s.retired)
+            .filter_map(|s| s.sock.next_deadline())
             .min()
     }
 
     /// Fire timers that are due.
     pub fn on_timer(&mut self, now: Micros) {
         for idx in 0..self.sockets.len() {
-            if !self.retired[idx] && self.sockets[idx].next_deadline().is_some_and(|d| d <= now) {
-                self.sockets[idx].on_timer(now);
+            let slot = &mut self.sockets[idx];
+            if !slot.retired && slot.sock.next_deadline().is_some_and(|d| d <= now) {
+                slot.sock.on_timer(now);
                 self.drain_socket(idx);
             }
         }
@@ -362,8 +373,7 @@ impl TcpEndpoint {
     pub fn live_sockets(&self) -> usize {
         self.sockets
             .iter()
-            .enumerate()
-            .filter(|(i, s)| !self.retired[*i] && s.state() != TcpState::Closed)
+            .filter(|s| !s.retired && s.sock.state() != TcpState::Closed)
             .count()
     }
 

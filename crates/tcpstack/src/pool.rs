@@ -9,8 +9,8 @@
 //! unchanged) but with recycled capacity, and the endpoint returns each
 //! repr after serializing it to the wire.
 
+use crate::endpoint::Slot;
 use crate::ignore::IgnoreEvent;
-use crate::socket::Socket;
 use intang_packet::arena::Arena;
 use intang_packet::tcp::{TcpFlags, TcpRepr};
 use intang_packet::Wire;
@@ -24,7 +24,7 @@ thread_local! {
     /// Recycled segment queues (`Socket::out`, `unacked`).
     static SEG_QUEUES: RefCell<Arena<Vec<TcpRepr>>> = const { RefCell::new(Arena::new(16)) };
     /// Recycled socket tables (`TcpEndpoint::sockets`).
-    static SOCKET_TABLES: RefCell<Arena<Vec<Socket>>> = const { RefCell::new(Arena::new(8)) };
+    static SOCKET_TABLES: RefCell<Arena<Vec<Slot>>> = const { RefCell::new(Arena::new(8)) };
     /// Recycled outgoing-datagram queues (`TcpEndpoint::out`).
     static WIRE_QUEUES: RefCell<Arena<Vec<Wire>>> = const { RefCell::new(Arena::new(8)) };
     /// Recycled ignore-log storage.
@@ -32,12 +32,12 @@ thread_local! {
 }
 
 /// Lease an empty socket table with recycled capacity.
-pub(crate) fn take_socket_table() -> Vec<Socket> {
+pub(crate) fn take_socket_table() -> Vec<Slot> {
     SOCKET_TABLES.try_with(|p| p.borrow_mut().take_with(Vec::new)).unwrap_or_default()
 }
 
 /// Return a socket table: dropping the sockets here recycles their queues.
-pub(crate) fn put_socket_table(mut t: Vec<Socket>) {
+pub(crate) fn put_socket_table(mut t: Vec<Slot>) {
     t.clear();
     let _ = SOCKET_TABLES.try_with(|p| p.borrow_mut().put(t));
 }

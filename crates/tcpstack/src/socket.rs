@@ -91,6 +91,24 @@ pub struct Socket {
     pub reset_by_peer: bool,
     /// Segments queued for transmission (drained by the endpoint).
     pub out: Vec<TcpRepr>,
+    /// Which of the four buffers are still leased from the thread-local
+    /// pools (`LEASE_*` bits): each goes back exactly once, either early
+    /// through [`Socket::release_idle_buffers`] or on drop.
+    leased: u8,
+}
+
+const LEASE_SEND: u8 = 1;
+const LEASE_UNACKED: u8 = 2;
+const LEASE_RECV: u8 = 4;
+const LEASE_OUT: u8 = 8;
+
+/// Return `buf` to its pool if its `bit` is still leased and, unless
+/// `even_if_full`, it holds nothing.
+fn give_back<T>(leased: &mut u8, bit: u8, buf: &mut Vec<T>, even_if_full: bool, put: fn(Vec<T>)) {
+    if *leased & bit != 0 && (even_if_full || buf.is_empty()) {
+        *leased &= !bit;
+        put(std::mem::take(buf));
+    }
 }
 
 impl Drop for Socket {
@@ -98,10 +116,7 @@ impl Drop for Socket {
         // Recycle the queue storage (and the queued reprs) through the
         // thread-local pools: sweeps build several sockets per trial and
         // the buffers only ever need capacity, not contents.
-        crate::pool::put_seg_queue(std::mem::take(&mut self.out));
-        crate::pool::put_bytes(std::mem::take(&mut self.send_queue));
-        crate::pool::put_bytes(std::mem::take(&mut self.unacked));
-        crate::pool::put_bytes(std::mem::take(&mut self.recv_buf));
+        self.give_back_buffers(true);
     }
 }
 
@@ -158,7 +173,36 @@ impl Socket {
             time_wait_deadline: None,
             reset_by_peer: false,
             out: crate::pool::take_seg_queue(),
+            leased: LEASE_SEND | LEASE_UNACKED | LEASE_RECV | LEASE_OUT,
         }
+    }
+
+    fn give_back_buffers(&mut self, even_if_full: bool) {
+        let l = &mut self.leased;
+        give_back(l, LEASE_OUT, &mut self.out, even_if_full, crate::pool::put_seg_queue);
+        give_back(l, LEASE_SEND, &mut self.send_queue, even_if_full, crate::pool::put_bytes);
+        give_back(l, LEASE_UNACKED, &mut self.unacked, even_if_full, crate::pool::put_bytes);
+        give_back(l, LEASE_RECV, &mut self.recv_buf, even_if_full, crate::pool::put_bytes);
+    }
+
+    /// Hand every empty buffer back to the thread-local pools. The endpoint
+    /// calls this on a CLOSED socket once its last segments are flushed: a
+    /// dead socket never transmits again, yet a metropolis server cell
+    /// keeps one until its backstop timer fires. A buffer still holding
+    /// unread data stays until a later flush finds it empty.
+    pub(crate) fn release_idle_buffers(&mut self) {
+        if self.leased != 0 {
+            self.give_back_buffers(false);
+        }
+    }
+
+    /// Bytes of capacity held by the send, unacked, receive and segment
+    /// buffers.
+    pub fn buffer_capacity(&self) -> usize {
+        self.send_queue.capacity()
+            + self.unacked.capacity()
+            + self.recv_buf.capacity()
+            + self.out.capacity() * std::mem::size_of::<TcpRepr>()
     }
 
     // ------------------------------------------------------------------

@@ -2,70 +2,11 @@
 //! their `Assembler` for the whole connection, so a buffer that stayed
 //! allocated after its data was consumed would cost one B-tree leaf per
 //! live connection — tens of megabytes across a metropolis world.
-//!
-//! The test binary installs a global allocator that counts live heap bytes
-//! per thread (libtest runs each test on its own thread), so the tests can
-//! compare the heap before an insert with the heap after the data is
-//! pulled.
+
+mod live_bytes;
 
 use intang_tcpstack::reasm::{Assembler, SegmentOverlapPolicy};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
-std::thread_local! {
-    /// Bytes allocated and freed by this thread (`const`, so reading them
-    /// never allocates).
-    static ALLOCATED: Cell<usize> = const { Cell::new(0) };
-    static FREED: Cell<usize> = const { Cell::new(0) };
-}
-
-fn count(counter: &'static std::thread::LocalKey<Cell<usize>>, bytes: usize) {
-    let _ = counter.try_with(|c| c.set(c.get().wrapping_add(bytes)));
-}
-
-/// Heap bytes this thread has allocated and not yet freed.
-fn live_bytes() -> usize {
-    ALLOCATED.with(Cell::get).wrapping_sub(FREED.with(Cell::get))
-}
-
-struct LiveBytes;
-
-// SAFETY: every operation defers to `System`; the counters only record
-// sizes and never touch the returned memory.
-unsafe impl GlobalAlloc for LiveBytes {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let ptr = unsafe { System.alloc(layout) };
-        if !ptr.is_null() {
-            count(&ALLOCATED, layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let ptr = unsafe { System.alloc_zeroed(layout) };
-        if !ptr.is_null() {
-            count(&ALLOCATED, layout.size());
-        }
-        ptr
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        count(&FREED, layout.size());
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        let new = unsafe { System.realloc(ptr, layout, new_size) };
-        if !new.is_null() {
-            count(&FREED, layout.size());
-            count(&ALLOCATED, new_size);
-        }
-        new
-    }
-}
-
-#[global_allocator]
-static ALLOC: LiveBytes = LiveBytes;
+use live_bytes::live_bytes;
 
 /// Insert `segments` in order, pull everything into a pre-sized buffer,
 /// and check the heap: above its baseline while data is buffered, back at

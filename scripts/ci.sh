@@ -3,6 +3,11 @@
 # suite, then smoke-test the sweep executor (bench_sweep --quick also
 # verifies that parallel aggregates, metrics sheets and diagnoses are
 # byte-identical to the serial run, exiting non-zero if not).
+#
+# Correctness steps build under the `ci` profile (release optimization
+# without LTO, so each test binary links in parallel codegen units);
+# steps that measure (throughput, allocations, RSS) keep the fat-LTO
+# `release` profile the benchmark and the blessed baselines use.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -12,46 +17,47 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Rustdoc gate: an intra-doc link to a deleted, renamed or private item
 # fails CI instead of rotting silently.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
-cargo build --release --all-targets
-cargo test -q --release --workspace
+cargo build --profile ci --all-targets
+cargo test -q --profile ci --workspace
 # Benchmark digest gate: the quick-size workloads of the repository
 # benchmark must reproduce their checked digests. ysinm-bench is a
-# workspace of its own, so the workspace test run above never builds it.
+# workspace of its own, so the workspace test run above never builds it,
+# and it defines no `ci` profile: it builds under its own `release`.
 cargo test -q --release --offline --manifest-path ysinm-bench/Cargo.toml
 # Telemetry determinism: parallel metrics/diagnoses must be byte-identical
 # to serial, and every failed trial must land in a concrete §5 vector.
-cargo test -q --release --test telemetry
+cargo test -q --profile ci --test telemetry
 # Golden traces: the packet-level mechanism of one canonical trial per
 # strategy family, byte-compared against tests/golden/ snapshots, and the
 # whole evaluation's `all --quick` output against tests/golden/all_quick.txt.
-cargo test -q --release --test golden_traces
+cargo test -q --profile ci --test golden_traces
 # Committed evaluation record: EXPERIMENTS.md quotes experiments_output.txt
 # as the output of `all --trials 12`. Rerun it and fail on any difference,
 # so a change that moves a result must regenerate the file with it.
 record="${TMPDIR:-/tmp}/ci_experiments_output.txt"
-cargo run -q --release -p intang-experiments --bin all -- --trials 12 >"$record" 2>/dev/null
+cargo run -q --profile ci -p intang-experiments --bin all -- --trials 12 >"$record" 2>/dev/null
 diff -u experiments_output.txt "$record" || { echo "ci: FAIL: experiments_output.txt differs from a fresh all --trials 12" >&2; exit 1; }
 rm -f "$record"
-cargo run --release -p intang-experiments --bin bench_sweep -- --quick >/dev/null
+cargo run --profile ci -p intang-experiments --bin bench_sweep -- --quick >/dev/null
 # Simcheck gate: the same smoke sweep with the runtime invariant checker
 # enabled must report zero violations (bench_sweep exits non-zero and
 # drops a minimal-repro artifact into .simcheck/ otherwise), and the
 # violation-injection suite must show the shrinker producing a
 # deterministic repro for a known-bad trial.
-INTANG_SIMCHECK=1 cargo run --release -p intang-experiments --bin bench_sweep -- --quick >/dev/null
-cargo test -q --release --test simcheck
+INTANG_SIMCHECK=1 cargo run --profile ci -p intang-experiments --bin bench_sweep -- --quick >/dev/null
+cargo test -q --profile ci --test simcheck
 # Zero-copy substrate invariants: the timing-wheel event queue must pop in
 # exactly the reference (time, insertion-seq) order, COW wire buffers must
 # never alias writes across clones, the wide-word checksum and DPI
 # skip-loop kernels must agree with their scalar references at every
 # length/alignment/split, and arena recycling must be observationally
 # invisible.
-cargo test -q --release --test properties
+cargo test -q --profile ci --test properties
 # Determinism matrix: sweep outputs byte-identical at 1/2/8 workers with
 # event batching forced on and off — plus a whole-process A/B with
 # batching env-disabled (the cached-flag path bench_sweep itself takes).
-cargo test -q --release --test determinism
-INTANG_BATCH=0 cargo run --release -p intang-experiments --bin bench_sweep -- --quick >/dev/null
+cargo test -q --profile ci --test determinism
+INTANG_BATCH=0 cargo run --profile ci -p intang-experiments --bin bench_sweep -- --quick >/dev/null
 # Kernel microbench smoke: asserts kernel/reference agreement on real
 # iterations (`--quick`, 40 ms per case, keeps it a compile-and-agree
 # check, not a measurement).
@@ -72,13 +78,13 @@ INTANG_SERIES=0 INTANG_SPANS=0 INTANG_FLIGHT=0 \
 # Folded-stack export smoke: the instrumented pass must produce a
 # non-empty profile where every line parses as `stack<space>count`.
 folded="${TMPDIR:-/tmp}/ci_profile.folded"
-cargo run --release -p intang-experiments --bin bench_sweep -- --quick --profile-folded "$folded" >/dev/null
+cargo run --profile ci -p intang-experiments --bin bench_sweep -- --quick --profile-folded "$folded" >/dev/null
 test -s "$folded" || { echo "ci: FAIL: folded profile is empty" >&2; exit 1; }
 awk 'NF < 2 || $NF !~ /^[0-9]+$/ { print "ci: FAIL: bad folded line: " $0; bad = 1 } END { exit bad }' "$folded"
 rm -f "$folded"
 # Fault layer smoke: degradation matrix at all intensities; the 0.00 row
 # doubles as a no-op check for the fault plumbing.
-cargo run --release -p intang-experiments --bin fault_matrix -- --smoke >/dev/null
+cargo run --profile ci -p intang-experiments --bin fault_matrix -- --smoke >/dev/null
 # Metropolis smoke: a 1k-flow shared world with the invariant checker on
 # must finish with zero simcheck violations, zero per-flow ordering
 # regressions, and peak RSS under the ceiling (the binary reads VmHWM and
@@ -111,17 +117,17 @@ INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
 profile="${TMPDIR:-/tmp}/ci_gfw_hardened.toml"
 awk '/^# gfw_hardened.toml/ { on = 1 } on && /^```/ { exit } on' EXPERIMENTS.md > "$profile"
 grep -q '^name = "gfw_hardened"' "$profile" || { echo "ci: FAIL: no gfw_hardened.toml example in EXPERIMENTS.md" >&2; exit 1; }
-cargo run --release -p intang-experiments --bin table1 -- --quick --censor-profile "$profile" >/dev/null
+cargo run --profile ci -p intang-experiments --bin table1 -- --quick --censor-profile "$profile" >/dev/null
 printf '[censor]\nname = "ci_overflow"\n[dynamics]\nreaction_delay_us = 18446744073709551615\n' > "$profile"
 status=0
-cargo run -q --release -p intang-experiments --bin table1 -- --quick --censor-profile "$profile" >/dev/null 2>&1 || status=$?
+cargo run -q --profile ci -p intang-experiments --bin table1 -- --quick --censor-profile "$profile" >/dev/null 2>&1 || status=$?
 rm -f "$profile"
 [ "$status" -eq 2 ] || { echo "ci: FAIL: a reaction_delay_us past one simulated day exited $status, not 2" >&2; exit 1; }
 # Metropolis folded-stack export: the profiled world runs on an executor
 # worker, so the profile is the merge of the worker span sheets; it must
 # be non-empty and every line must parse as `stack<space>count`.
 folded="${TMPDIR:-/tmp}/ci_metro_profile.folded"
-cargo run --release -p intang-experiments --bin metropolis -- --quick --profile-folded "$folded" >/dev/null
+cargo run --profile ci -p intang-experiments --bin metropolis -- --quick --profile-folded "$folded" >/dev/null
 test -s "$folded" || { echo "ci: FAIL: metropolis folded profile is empty" >&2; exit 1; }
 awk 'NF < 2 || $NF !~ /^[0-9]+$/ { print "ci: FAIL: bad folded line: " $0; bad = 1 } END { exit bad }' "$folded"
 rm -f "$folded"
