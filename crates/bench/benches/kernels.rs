@@ -2,7 +2,7 @@
 //! the scalar reference, the DPI clean-byte skip loop vs the plain
 //! node-by-node walk, RFC 1624 incremental checksum update vs a full
 //! header re-sum, and the shard-arena lease/return cycle vs fresh heap
-//! allocation. These isolate the kernels that the batched engine leans on;
+//! allocation. These isolate the kernels that the event loop leans on;
 //! `scripts/ci.sh` runs this bench with `--quick` (40 ms per case) as a
 //! smoke test (it asserts kernel/reference agreement on every iteration,
 //! so a silently-diverging kernel fails CI here before the property suite).

@@ -5,13 +5,12 @@
 //! machine's available cores (warning when a worker count exceeds them —
 //! those "speedups" are scheduler artifacts), per-worker busy time with
 //! contention counters (merge-mutex wait, steal attempts/failures) and the
-//! streaming merge's reorder high-water mark per run, event-batching
-//! statistics, the wire pool's and recycling arenas' hit/miss counters,
-//! and — built with `--features alloc-count` — heap allocations per trial
-//! at steady state. After the timed measurements an *instrumented* serial
-//! pass (gauge series + span profiler enabled) populates the `series` and
-//! `profile` sections, so observability cost never touches the throughput
-//! numbers.
+//! streaming merge's reorder high-water mark per run, the wire pool's and
+//! recycling arenas' hit/miss counters, and — built with `--features
+//! alloc-count` — heap allocations per trial at steady state. After the
+//! timed measurements an *instrumented* serial pass (gauge series + span
+//! profiler enabled) populates the `series` and `profile` sections, so
+//! observability cost never touches the throughput numbers.
 //!
 //! Writes `BENCH_sweep.json` into the current directory. `--quick` shrinks
 //! the workload to a smoke-test size (used by `scripts/ci.sh`); `--smoke`
@@ -181,7 +180,7 @@ fn alloc_gate() -> Option<f64> {
 /// is read at startup: any value but unset, `0` or `1` exits 2 naming the
 /// variable, so `INTANG_BLESS=true` cannot silently skip a re-bless.
 fn bless() -> bool {
-    intang_telemetry::knobs::flag("INTANG_BLESS", false).unwrap_or_else(|msg| {
+    intang_telemetry::knobs::flag("INTANG_BLESS").unwrap_or_else(|msg| {
         eprintln!("error: {msg}");
         std::process::exit(2);
     })
@@ -218,7 +217,6 @@ fn main() {
              their \"speedup\" measures scheduler time-slicing, not parallel hardware"
         );
     }
-    intang_netsim::batch::reset_stats();
 
     let mut serial_runs: Option<Vec<SweepRun>> = None;
     let mut serial_wall = 0.0f64;
@@ -275,7 +273,6 @@ fn main() {
             merge_high_water,
         });
     }
-    let (batches, batched_events, batch_hist) = intang_netsim::batch::stats();
 
     // Steady-state allocation profile: the loop above warmed every scratch
     // buffer and code path; rerun the serial workload with the counters
@@ -395,16 +392,6 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"arenas\": {{\"hits\": {arena_hits}, \"misses\": {arena_misses}, \"hit_rate\": {arena_hit_rate:.4}}},"
-    );
-    // Batch accounting covers the whole measurement loop (all worker
-    // counts); diagnostics only — never part of the telemetry sheets.
-    let mean_batch = batched_events as f64 / batches.max(1) as f64;
-    let hist: Vec<String> = batch_hist.iter().map(u64::to_string).collect();
-    let _ = writeln!(
-        json,
-        "  \"event_batching\": {{\"batches\": {batches}, \"batched_events\": {batched_events}, \
-         \"mean_batch\": {mean_batch:.2}, \"size_hist_log2\": [{}]}},",
-        hist.join(", ")
     );
     // An unmeasurable quantity is reported as unmeasured, never as a bare
     // null a consumer could misread as "zero allocations".

@@ -8,8 +8,8 @@
 //! ([`intang_telemetry::OrderedFold`]) or stores results by index.
 //!
 //! Each worker first installs the caller's [`RunKnobs`], so every
-//! simulation a worker builds sees the same batch, flight, series, spans
-//! and simcheck switches the caller captured. That is the determinism
+//! simulation a worker builds sees the same flight, series, spans and
+//! simcheck switches the caller captured. That is the determinism
 //! contract's one replay point: thread-locals do not follow work onto
 //! spawned threads, and no caller replays a switch by hand.
 
@@ -90,8 +90,7 @@ mod tests {
 
     /// Every switch as a (caller-side setter, worker-side reader) pair.
     type Knob = (fn(Option<bool>) -> Option<bool>, fn() -> bool);
-    const KNOBS: [(&str, Knob); 5] = [
-        ("batch", (intang_netsim::batch::set_thread, intang_netsim::batch::enabled)),
+    const KNOBS: [(&str, Knob); 4] = [
         ("flight", (intang_netsim::flight::set_thread, intang_netsim::flight::enabled)),
         ("series", (intang_telemetry::series::set_thread, intang_telemetry::series::enabled)),
         ("spans", (intang_telemetry::spans::set_thread, intang_telemetry::spans::enabled)),

@@ -447,8 +447,8 @@ fn run_one_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32
 /// Censor and shim state run sharded (`state_shards = p.shards`), so the
 /// per-shard event streams are causally closed and the merged output —
 /// outcome grid, counters, metrics sheet, gauge series — is byte-identical
-/// to the `domains = 1` serial reference at any `(domains, workers,
-/// batching)` combination (asserted by `tests/determinism.rs`).
+/// to the `domains = 1` serial reference at any `(domains, workers)`
+/// combination (asserted by `tests/determinism.rs`).
 ///
 /// Every lane owns a deterministic share of the TCB budget, and
 /// cross-flow interference happens within a lane; the partition is part

@@ -1,12 +1,12 @@
-//! The five run switches (`INTANG_BATCH`, `INTANG_FLIGHT`, `INTANG_SERIES`,
-//! `INTANG_SPANS`, `INTANG_SIMCHECK`) accept only unset, `0` or `1`. Any
-//! other value exits 2 with an error naming the variable before a run
-//! starts, instead of silently meaning "on" (`INTANG_SIMCHECK=false` once
-//! enabled the checker, and `INTANG_BATCH=off` left batching on).
+//! The four run switches (`INTANG_FLIGHT`, `INTANG_SERIES`, `INTANG_SPANS`,
+//! `INTANG_SIMCHECK`) accept only unset, `0` or `1`. Any other value exits
+//! 2 with an error naming the variable before a run starts, instead of
+//! silently meaning "on" (`INTANG_SIMCHECK=false` once enabled the
+//! checker).
 
 use std::process::Command;
 
-const SWITCHES: [&str; 5] = ["INTANG_BATCH", "INTANG_FLIGHT", "INTANG_SERIES", "INTANG_SPANS", "INTANG_SIMCHECK"];
+const SWITCHES: [&str; 4] = ["INTANG_FLIGHT", "INTANG_SERIES", "INTANG_SPANS", "INTANG_SIMCHECK"];
 
 /// Run `bin` with `args` and the switch `name` set to `value` (the other
 /// switches unset); returns the exit code, stdout and stderr.
@@ -45,7 +45,7 @@ fn bad_switch_values_exit_2_naming_the_variable() {
 
 #[test]
 fn zero_and_one_run() {
-    for (name, value) in [("INTANG_BATCH", "0"), ("INTANG_SERIES", "1")] {
+    for (name, value) in [("INTANG_FLIGHT", "0"), ("INTANG_SERIES", "1")] {
         let (code, _, stderr) = run(env!("CARGO_BIN_EXE_table1"), &["--quick"], name, value);
         assert_eq!(code, Some(0), "{name}={value} must run; stderr:\n{stderr}");
     }

@@ -379,34 +379,6 @@ impl EventQueue {
         }
     }
 
-    /// Drain the entire run of events sharing the minimal timestamp into
-    /// `out` (appended in exact `(time, insertion-seq)` pop order); returns
-    /// the run length. Equivalent to calling [`EventQueue::pop`] until the
-    /// head time changes — but after the first pop locates the minimum, the
-    /// rest of the run drains straight off the front heap: same-time events
-    /// share the cursor's epoch, and upper levels / overflow hold strictly
-    /// later epochs only, so no cascade checks are needed mid-run.
-    pub fn pop_batch(&mut self, out: &mut Vec<(Instant, Event)>) -> usize {
-        let Some((at, event)) = self.pop() else {
-            return 0;
-        };
-        out.push((at, event));
-        let mut n = 1;
-        while let Some(FrontItem(q)) = self.front.peek() {
-            if q.at != at {
-                break;
-            }
-            let FrontItem(q) = self.front.pop().expect("peeked non-empty");
-            self.len -= 1;
-            if matches!(q.event, Event::Deliver { .. }) {
-                self.deliver_len -= 1;
-            }
-            out.push((q.at, q.event));
-            n += 1;
-        }
-        n
-    }
-
     pub fn peek_time(&self) -> Option<Instant> {
         if let Some(FrontItem(q)) = self.front.peek() {
             return Some(q.at);
@@ -545,40 +517,6 @@ mod tests {
     }
 
     #[test]
-    fn pop_batch_drains_equal_time_runs_in_seq_order() {
-        let mut q = EventQueue::new();
-        q.push(Instant(10), Event::Timer { elem: 0, token: 0 });
-        q.push(Instant(5), Event::Timer { elem: 0, token: 1 });
-        q.push(Instant(10), Event::Timer { elem: 0, token: 2 });
-        q.push(Instant(10), Event::Timer { elem: 0, token: 3 });
-        q.push(Instant(4_200), Event::Timer { elem: 0, token: 4 }); // next epoch
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), 1, "lone minimum");
-        assert_eq!(q.pop_batch(&mut out), 3, "the t=10 run drains together");
-        assert_eq!(q.pop_batch(&mut out), 1, "upper-level event after cascade");
-        assert_eq!(q.pop_batch(&mut out), 0);
-        let seen: Vec<(u64, u64)> = out.into_iter().map(|(at, e)| (at.0, token_of(e))).collect();
-        assert_eq!(seen, vec![(5, 1), (10, 0), (10, 2), (10, 3), (4_200, 4)]);
-        assert!(q.is_empty());
-        assert!(q.structural_imbalance().is_none());
-    }
-
-    #[test]
-    fn pop_batch_only_takes_the_current_minimum_run() {
-        // Same-time events pushed *after* a batch was drained form their own
-        // later batch (higher seq), exactly like repeated single pops.
-        let mut q = EventQueue::new();
-        q.push(Instant(10), Event::Timer { elem: 0, token: 0 });
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), 1);
-        q.push(Instant(10), Event::Timer { elem: 0, token: 1 });
-        q.push(Instant(10), Event::Timer { elem: 0, token: 2 });
-        assert_eq!(q.pop_batch(&mut out), 2, "new same-time pushes drain next");
-        let seen: Vec<u64> = out.into_iter().map(|(_, e)| token_of(e)).collect();
-        assert_eq!(seen, vec![0, 1, 2]);
-    }
-
-    #[test]
     fn deliver_len_tracks_only_deliver_events() {
         let mut q = EventQueue::new();
         q.push(Instant(1), Event::Timer { elem: 0, token: 0 });
@@ -604,8 +542,9 @@ mod tests {
         assert_eq!(q.len(), 3);
         q.pop(); // timer
         assert_eq!(q.deliver_len(), 2);
-        let mut out = Vec::new();
-        assert_eq!(q.pop_batch(&mut out), 2, "both delivers share t=2");
+        q.pop();
+        assert_eq!(q.deliver_len(), 1);
+        q.pop();
         assert_eq!(q.deliver_len(), 0);
         assert!(q.is_empty());
     }

@@ -13,13 +13,12 @@ use intang_telemetry::series::CADENCE_US;
 use intang_telemetry::{Counter, GaugeId, GaugeSample, MetricsSheet, SeriesSheet, SpanId};
 use std::cell::RefCell;
 
-/// The six recycled `Simulation` construction buffers, in declaration
-/// order: emission scratch, timer scratch, batch drain ring, element
-/// table, element-name table, link table.
+/// The five recycled `Simulation` construction buffers, in declaration
+/// order: emission scratch, timer scratch, element table, element-name
+/// table, link table.
 type SimScratchArenas = (
     Arena<Vec<Emission>>,
     Arena<Vec<(Instant, u64)>>,
-    Arena<Vec<(Instant, Event)>>,
     Arena<Vec<Box<dyn Element>>>,
     Arena<Vec<NameId>>,
     Arena<Vec<Link>>,
@@ -29,18 +28,11 @@ thread_local! {
     /// Recycled buffers for `Simulation`s built on this thread: a sweep
     /// constructs one simulation per trial, and these vectors only ever
     /// need to *grow* — handing the grown capacity to the next trial
-    /// removes the per-trial growth allocations (the three event-loop
+    /// removes the per-trial growth allocations (the two event-loop
     /// scratch buffers plus the element/name/link tables). Behavior is
     /// unaffected: leased vectors are always empty.
     static SCRATCH_POOL: RefCell<SimScratchArenas> = const {
-        RefCell::new((
-            Arena::new(4),
-            Arena::new(4),
-            Arena::new(4),
-            Arena::new(4),
-            Arena::new(4),
-            Arena::new(4),
-        ))
+        RefCell::new((Arena::new(4), Arena::new(4), Arena::new(4), Arena::new(4), Arena::new(4)))
     };
 }
 
@@ -78,9 +70,6 @@ pub struct Simulation {
     /// here so the event loop stops allocating once they have grown.
     scratch_emissions: Vec<Emission>,
     scratch_timers: Vec<(Instant, u64)>,
-    /// Reusable drain ring for [`Simulation::step_batch`]; like the other
-    /// scratch buffers it grows once and is then lent out per batch.
-    scratch_batch: Vec<(Instant, Event)>,
     /// Total packets that fully traversed at least one link (statistics).
     pub delivered: u64,
     /// Packets lost to link loss.
@@ -100,15 +89,6 @@ pub struct Simulation {
     /// simulation was constructed; cached so the disabled-mode cost per
     /// hop is one field read.
     simcheck: bool,
-    /// Whether batched dispatch was enabled when this simulation was
-    /// constructed (see [`crate::batch`]); cached like `simcheck`.
-    batching: bool,
-    /// Batches dispatched / events dispatched in batches / log₂ batch-size
-    /// histogram — plain integers on the hot path, folded into the
-    /// process-wide [`crate::batch::stats`] on drop.
-    batch_batches: u64,
-    batch_events: u64,
-    batch_hist: [u64; crate::batch::HIST_BUCKETS],
     /// Conservation accounting (simcheck): total transmissions attempted.
     sc_emitted: u64,
     /// Conservation accounting (simcheck): emissions past the edge of the
@@ -147,21 +127,15 @@ impl Drop for Simulation {
                 eprintln!("{dump}");
             }
         }
-        // Diagnostics only: fold this run's batch accounting into the
-        // process-wide totals (never into a MetricsSheet — batching on/off
-        // must not change telemetry bytes).
-        crate::batch::note_run(self.batch_batches, self.batch_events, &self.batch_hist);
         // Hand the grown scratch buffers to the next simulation on this
         // thread (cleared — only capacity is recycled).
         let mut emissions = std::mem::take(&mut self.scratch_emissions);
         let mut timers = std::mem::take(&mut self.scratch_timers);
-        let mut batch = std::mem::take(&mut self.scratch_batch);
         let mut elements = std::mem::take(&mut self.elements);
         let mut element_names = std::mem::take(&mut self.element_names);
         let mut links = std::mem::take(&mut self.links);
         emissions.clear();
         timers.clear();
-        batch.clear();
         elements.clear();
         element_names.clear();
         links.clear();
@@ -169,10 +143,9 @@ impl Drop for Simulation {
             let mut p = p.borrow_mut();
             p.0.put(emissions);
             p.1.put(timers);
-            p.2.put(batch);
-            p.3.put(elements);
-            p.4.put(element_names);
-            p.5.put(links);
+            p.2.put(elements);
+            p.3.put(element_names);
+            p.4.put(links);
         });
     }
 }
@@ -183,13 +156,12 @@ impl Simulation {
             now: Instant::ZERO,
             rng: SimRng::seed_from(seed),
             trace: Trace::new(),
-            elements: SCRATCH_POOL.with(|p| p.borrow_mut().3.take_with(Vec::new)),
-            element_names: SCRATCH_POOL.with(|p| p.borrow_mut().4.take_with(Vec::new)),
-            links: SCRATCH_POOL.with(|p| p.borrow_mut().5.take_with(Vec::new)),
+            elements: SCRATCH_POOL.with(|p| p.borrow_mut().2.take_with(Vec::new)),
+            element_names: SCRATCH_POOL.with(|p| p.borrow_mut().3.take_with(Vec::new)),
+            links: SCRATCH_POOL.with(|p| p.borrow_mut().4.take_with(Vec::new)),
             queue: EventQueue::new(),
             scratch_emissions: SCRATCH_POOL.with(|p| p.borrow_mut().0.take_with(Vec::new)),
             scratch_timers: SCRATCH_POOL.with(|p| p.borrow_mut().1.take_with(Vec::new)),
-            scratch_batch: SCRATCH_POOL.with(|p| p.borrow_mut().2.take_with(Vec::new)),
             delivered: 0,
             lost: 0,
             ttl_expired: 0,
@@ -199,10 +171,6 @@ impl Simulation {
             mtu_dropped: 0,
             burst_losses: 0,
             simcheck: intang_simcheck::enabled(),
-            batching: crate::batch::enabled(),
-            batch_batches: 0,
-            batch_events: 0,
-            batch_hist: [0; crate::batch::HIST_BUCKETS],
             sc_emitted: 0,
             sc_edge: 0,
             series: intang_telemetry::series::enabled().then(|| {
@@ -258,36 +226,18 @@ impl Simulation {
 
     /// Run until the queue empties or `deadline` passes. Returns the number
     /// of events processed.
-    ///
-    /// With batching enabled (the default, see [`crate::batch`]), each
-    /// iteration drains the whole equal-timestamp run at the head of the
-    /// queue via [`Simulation::step_batch`]; the batch shares the head's
-    /// timestamp, so the deadline test on the head covers every event in
-    /// it. Result-identical to single-step mode either way.
     pub fn run_until(&mut self, deadline: Instant) -> u64 {
         let _s = intang_telemetry::span(SpanId::EventLoop);
         let mut n = 0;
-        if self.batching {
-            while let Some(t) = self.queue.peek_time() {
-                if t > deadline {
-                    break;
-                }
-                if self.series.is_some() {
-                    self.sample_series_upto(t);
-                }
-                n += self.step_batch();
+        while let Some(t) = self.queue.peek_time() {
+            if t > deadline {
+                break;
             }
-        } else {
-            while let Some(t) = self.queue.peek_time() {
-                if t > deadline {
-                    break;
-                }
-                if self.series.is_some() {
-                    self.sample_series_upto(t);
-                }
-                self.step();
-                n += 1;
+            if self.series.is_some() {
+                self.sample_series_upto(t);
             }
+            self.step();
+            n += 1;
         }
         if self.series.is_some() {
             self.sample_series_upto(deadline);
@@ -362,10 +312,13 @@ impl Simulation {
             .map(|f| f.render(|i| self.elements.get(i).map_or_else(|| format!("elem{i}"), |e| e.name().to_string())))
     }
 
-    /// Pre-dispatch invariants for a popped head time: clock monotonicity
-    /// and queue-structure coherence. One enablement read per call — which
-    /// batching turns into one per *batch*.
-    fn pre_dispatch_checks(&mut self, at: Instant) {
+    /// Process a single event: the only dispatcher, popping in exact
+    /// `(time, insertion-seq)` order. Returns false when the queue is empty.
+    pub fn step(&mut self) -> bool {
+        let Some((at, event)) = self.queue.pop() else {
+            return false;
+        };
+        // Clock monotonicity and queue-structure coherence.
         if self.simcheck {
             if at < self.now {
                 let now = self.now;
@@ -379,58 +332,8 @@ impl Simulation {
         } else {
             debug_assert!(at >= self.now, "time went backwards");
         }
-    }
-
-    /// Process a single event. Returns false when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((at, event)) = self.queue.pop() else {
-            return false;
-        };
-        self.pre_dispatch_checks(at);
         self.now = at;
         self.events_processed += 1;
-        let tracing = self.trace.is_enabled();
-        self.dispatch(at, event, tracing);
-        true
-    }
-
-    /// Drain and process the entire equal-timestamp run at the head of the
-    /// queue: one clock update, one trace-enablement check and one
-    /// simcheck-enablement load for the whole run, with the events
-    /// dispatched in exact pop order (so emissions are appended in pop
-    /// order and `(time, insertion-seq)` semantics are untouched — events
-    /// pushed *by* the batch carry later seqs and drain in a later batch,
-    /// exactly as under single-stepping). Returns the number of events
-    /// processed (0 = queue empty).
-    pub fn step_batch(&mut self) -> u64 {
-        let mut ring = std::mem::take(&mut self.scratch_batch);
-        debug_assert!(ring.is_empty());
-        let n = self.queue.pop_batch(&mut ring);
-        if n == 0 {
-            self.scratch_batch = ring;
-            return 0;
-        }
-        let at = ring[0].0;
-        self.pre_dispatch_checks(at);
-        self.now = at;
-        self.events_processed += n as u64;
-        self.batch_batches += 1;
-        self.batch_events += n as u64;
-        self.batch_hist[crate::batch::bucket(n as u64)] += 1;
-        let tracing = self.trace.is_enabled();
-        for (at, event) in ring.drain(..) {
-            self.dispatch(at, event, tracing);
-        }
-        self.scratch_batch = ring;
-        n as u64
-    }
-
-    /// Deliver one already-popped event to its element and apply the
-    /// effects. `at` is the event's timestamp (== `self.now` by the time
-    /// this runs; passed through to keep trace records exact). `tracing`
-    /// is the caller's hoisted `trace.is_enabled()` read — per batch in
-    /// [`Simulation::step_batch`], per event in [`Simulation::step`].
-    fn dispatch(&mut self, at: Instant, event: Event, tracing: bool) {
         if let Some(f) = &mut self.flight {
             f.record(crate::flight::FlightRec::of(at, &event));
         }
@@ -444,9 +347,9 @@ impl Simulation {
             Event::Deliver { elem, dir, wire, cause } => {
                 // Lineage: the arrival is caused by the emission that put
                 // the packet in flight; everything the element now emits is
-                // caused by this arrival. The `tracing` guard keeps the
+                // caused by this arrival. The enablement guard keeps the
                 // disabled-trace hot path free of argument construction.
-                let arrive_id = if tracing {
+                let arrive_id = if self.trace.is_enabled() {
                     self.trace.record(
                         at,
                         TracePoint::Element {
@@ -475,6 +378,7 @@ impl Simulation {
         }
         self.scratch_emissions = emissions;
         self.scratch_timers = timers;
+        true
     }
 
     fn apply_effects(&mut self, from: usize, cause: Option<TraceId>, emissions: &mut Vec<Emission>, timers: &mut Vec<(Instant, u64)>) {
@@ -944,32 +848,6 @@ mod tests {
         assert_eq!(sim.run_until(Instant(5_000)), 1);
         assert_eq!(*fired.borrow(), vec![1, 2, 3], "each event popped exactly once");
         assert_eq!(sim.now, Instant(5_000), "clock advances to the idle deadline");
-    }
-
-    #[test]
-    fn batched_run_matches_single_step_run() {
-        // Same seed, same injected load (including same-time collisions and
-        // loss draws): batched and single-step dispatch must agree on every
-        // observable — clock, counters, deliveries and the trace.
-        let build_and_run = |batch: bool| {
-            let prev = crate::batch::set_thread(Some(batch));
-            let link = Link::new(Duration::from_millis(1), 2).with_loss(0.3);
-            let (mut sim, got) = two_node_sim(link);
-            sim.trace.enable();
-            for i in 0..60u64 {
-                // Three same-time injections per wave → real batches.
-                let t = Instant((i / 3) * 500);
-                sim.inject_at(0, Direction::ToServer, pkt(64), t);
-            }
-            let n = sim.run_until(Instant(1_000_000));
-            crate::batch::set_thread(prev);
-            let deliveries: Vec<(Instant, Vec<u8>)> = got.borrow().iter().map(|(at, w)| (*at, w.to_vec())).collect();
-            let trace: Vec<String> = sim.trace.events().iter().map(|e| format!("{e:?}")).collect();
-            (n, sim.now, sim.delivered, sim.lost, sim.events_processed, deliveries, trace)
-        };
-        let single = build_and_run(false);
-        let batched = build_and_run(true);
-        assert_eq!(single, batched);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Per-thread run switches: every mode a simulation caches at construction,
 //! held in one value.
 //!
-//! The five `INTANG_*` variables are read once, into one process-wide
+//! The four `INTANG_*` variables are read once, into one process-wide
 //! default ([`env()`]; each must be unset, `0` or `1`). A thread may
 //! [`install`] its own [`RunKnobs`] over it; [`current`] is what every
 //! module's `enabled()` reads. Thread-locals do not follow work onto
@@ -13,11 +13,9 @@ use std::cell::Cell;
 use std::sync::OnceLock;
 
 /// Every per-thread switch. None of them may change experiment output:
-/// each is an A/B toggle (batch) or an observer (the rest).
+/// each is an observer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunKnobs {
-    /// Batched equal-timestamp dispatch (`INTANG_BATCH`, default on).
-    pub batch: bool,
     /// Per-simulation flight recorder (`INTANG_FLIGHT`).
     pub flight: bool,
     /// Gauge time-series sampling (`INTANG_SERIES`).
@@ -28,33 +26,32 @@ pub struct RunKnobs {
     pub simcheck: bool,
 }
 
-/// One switch variable: unset keeps `default`, `0` is off and `1` is on.
-/// Any other value is an error naming the variable. Every `INTANG_*`
-/// on/off variable goes through here, `INTANG_BLESS` included.
-pub fn flag(name: &str, default: bool) -> Result<bool, String> {
+/// One switch variable: unset or `0` is off and `1` is on. Any other
+/// value is an error naming the variable. Every `INTANG_*` on/off variable
+/// goes through here, `INTANG_BLESS` included.
+pub fn flag(name: &str) -> Result<bool, String> {
     match std::env::var_os(name) {
-        None => Ok(default),
+        None => Ok(false),
         Some(v) if v == "0" => Ok(false),
         Some(v) if v == "1" => Ok(true),
         Some(v) => Err(format!("{name} must be unset, 0 or 1, got {v:?}")),
     }
 }
 
-/// The process-wide defaults, read from the environment once: batch is on
-/// unless `INTANG_BATCH=0`; the rest are off unless their variable is `1`.
-/// Any other value is an error: it is printed, naming the variable, and the
-/// process exits with status 2. Binaries call this at startup, so a bad
-/// value stops them before any run starts.
+/// The process-wide defaults, read from the environment once: each switch
+/// is off unless its variable is `1`. A value other than unset, `0` or `1`
+/// is an error: it is printed, naming the variable, and the process exits
+/// with status 2. Binaries call this at startup, so a bad value stops them
+/// before any run starts.
 pub fn env() -> RunKnobs {
     static ENV: OnceLock<RunKnobs> = OnceLock::new();
     *ENV.get_or_init(|| {
         let read = || -> Result<RunKnobs, String> {
             Ok(RunKnobs {
-                batch: flag("INTANG_BATCH", true)?,
-                flight: flag("INTANG_FLIGHT", false)?,
-                series: flag("INTANG_SERIES", false)?,
-                spans: flag("INTANG_SPANS", false)?,
-                simcheck: flag("INTANG_SIMCHECK", false)?,
+                flight: flag("INTANG_FLIGHT")?,
+                series: flag("INTANG_SERIES")?,
+                spans: flag("INTANG_SPANS")?,
+                simcheck: flag("INTANG_SIMCHECK")?,
             })
         };
         read().unwrap_or_else(|msg| {

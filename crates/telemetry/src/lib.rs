@@ -32,7 +32,7 @@
 //!   fixed subsystem buckets and folded-stack export (diagnostics only;
 //!   wall-clock, never part of experiment output).
 //! * [`knobs`] — [`RunKnobs`], the one per-thread value holding every
-//!   run switch (batch, flight, series, spans, simcheck), read once from
+//!   run switch (flight, series, spans, simcheck), read once from
 //!   the environment and installed in every executor worker.
 //!
 //! The crate depends on nothing, so every layer — netsim, gfw, middlebox,

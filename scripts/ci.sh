@@ -18,19 +18,30 @@ cargo clippy --workspace --all-targets -- -D warnings
 # fails CI instead of rotting silently.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 cargo build --profile ci --all-targets
+# The full suite. The root package `ysinm` is a workspace member, so this
+# one run includes the root integration suites:
+# - telemetry: parallel metrics/diagnoses must be byte-identical to
+#   serial, and every failed trial must land in a concrete §5 vector;
+# - golden_traces: the packet-level mechanism of one canonical trial per
+#   strategy family, byte-compared against tests/golden/ snapshots, and the
+#   whole evaluation's `all --quick` output against
+#   tests/golden/all_quick.txt;
+# - simcheck: the violation-injection suite must show the shrinker
+#   producing a deterministic repro for a known-bad trial;
+# - properties: zero-copy substrate invariants. The timing-wheel event
+#   queue must pop in exactly the reference (time, insertion-seq) order,
+#   COW wire buffers must never alias writes across clones, the wide-word
+#   checksum and DPI skip-loop kernels must agree with their scalar
+#   references at every length/alignment/split, and arena recycling must
+#   be observationally invisible;
+# - determinism: sweep outputs byte-identical at 1/2/8 workers, and
+#   metropolis outputs at 1/2/8 event domains on 1/2/8 workers.
 cargo test -q --profile ci --workspace
 # Benchmark digest gate: the quick-size workloads of the repository
 # benchmark must reproduce their checked digests. ysinm-bench is a
 # workspace of its own, so the workspace test run above never builds it,
 # and it defines no `ci` profile: it builds under its own `release`.
 cargo test -q --release --offline --manifest-path ysinm-bench/Cargo.toml
-# Telemetry determinism: parallel metrics/diagnoses must be byte-identical
-# to serial, and every failed trial must land in a concrete §5 vector.
-cargo test -q --profile ci --test telemetry
-# Golden traces: the packet-level mechanism of one canonical trial per
-# strategy family, byte-compared against tests/golden/ snapshots, and the
-# whole evaluation's `all --quick` output against tests/golden/all_quick.txt.
-cargo test -q --profile ci --test golden_traces
 # Committed evaluation record: EXPERIMENTS.md quotes experiments_output.txt
 # as the output of `all --trials 12`. Rerun it and fail on any difference,
 # so a change that moves a result must regenerate the file with it.
@@ -41,23 +52,8 @@ rm -f "$record"
 cargo run --profile ci -p intang-experiments --bin bench_sweep -- --quick >/dev/null
 # Simcheck gate: the same smoke sweep with the runtime invariant checker
 # enabled must report zero violations (bench_sweep exits non-zero and
-# drops a minimal-repro artifact into .simcheck/ otherwise), and the
-# violation-injection suite must show the shrinker producing a
-# deterministic repro for a known-bad trial.
+# drops a minimal-repro artifact into .simcheck/ otherwise).
 INTANG_SIMCHECK=1 cargo run --profile ci -p intang-experiments --bin bench_sweep -- --quick >/dev/null
-cargo test -q --profile ci --test simcheck
-# Zero-copy substrate invariants: the timing-wheel event queue must pop in
-# exactly the reference (time, insertion-seq) order, COW wire buffers must
-# never alias writes across clones, the wide-word checksum and DPI
-# skip-loop kernels must agree with their scalar references at every
-# length/alignment/split, and arena recycling must be observationally
-# invisible.
-cargo test -q --profile ci --test properties
-# Determinism matrix: sweep outputs byte-identical at 1/2/8 workers with
-# event batching forced on and off — plus a whole-process A/B with
-# batching env-disabled (the cached-flag path bench_sweep itself takes).
-cargo test -q --profile ci --test determinism
-INTANG_BATCH=0 cargo run --profile ci -p intang-experiments --bin bench_sweep -- --quick >/dev/null
 # Kernel microbench smoke: asserts kernel/reference agreement on real
 # iterations (`--quick`, 40 ms per case, keeps it a compile-and-agree
 # check, not a measurement).

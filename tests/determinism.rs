@@ -79,56 +79,38 @@ fn whole_cells_replay_bit_identically() {
     assert_eq!(a, b);
 }
 
-#[test]
-fn sweep_results_are_independent_of_worker_count() {
-    // The work-stealing executor must merge per-cell aggregates into
-    // results byte-identical to a serial (single-worker) run, whatever the
-    // stealing order — including in adaptive mode (strategy: None), where
-    // each cell owns its history.
+/// Every observable sweep output — rows, events, trials, the merged
+/// metrics sheet, and every per-trial diagnosis — must be byte-identical
+/// at 1, 2, and 8 workers. The streaming merge is a pure scheduling
+/// change; any drift here means it changed semantics.
+fn assert_sweep_identical_across_workers(cfg: &SweepConfig) {
     let s = Scenario::smoke(7);
-    let max_workers = std::thread::available_parallelism().map(std::num::NonZeroUsize::get).unwrap_or(4);
-    for cfg in [
-        SweepConfig::new(Some(StrategyKind::ImprovedTeardown), true, 2, 1312),
-        SweepConfig::new(None, true, 2, 1312),
-    ] {
-        let serial = sweep_with_threads(&s, &cfg, 1);
-        let parallel = sweep_with_threads(&s, &cfg, max_workers);
-        assert_eq!(serial.rows, parallel.rows, "rows differ at {max_workers} workers");
-        assert_eq!(serial.events, parallel.events);
-        assert_eq!(serial.trials, parallel.trials);
+    let reference = sweep_with_threads(&s, cfg, 1);
+    for workers in [2usize, 8] {
+        let run = sweep_with_threads(&s, cfg, workers);
+        let tag = format!("{workers} workers, strategy {:?}", cfg.strategy);
+        assert_eq!(reference.rows, run.rows, "rows differ at {tag}");
+        assert_eq!(reference.events, run.events, "events differ at {tag}");
+        assert_eq!(reference.trials, run.trials, "trials differ at {tag}");
+        assert_eq!(reference.metrics, run.metrics, "metrics differ at {tag}");
+        assert_eq!(reference.diagnoses, run.diagnoses, "diagnoses differ at {tag}");
+        // Diagnostics (worker_stats, merge_high_water) are intentionally
+        // excluded: wall-clock and reorder depth are scheduling-dependent.
     }
 }
 
 #[test]
+fn sweep_results_are_independent_of_worker_count() {
+    // Adaptive mode (strategy: None), where each cell owns its history.
+    assert_sweep_identical_across_workers(&SweepConfig::new(None, true, 2, 1312));
+}
+
+#[test]
 fn sweeps_are_identical_across_workers_and_batching_modes() {
-    // The full tentpole matrix: every observable sweep output — rows,
-    // events, the merged metrics sheet, and every per-trial diagnosis —
-    // must be byte-identical at 1, 2, and 8 workers, with batched event
-    // dispatch forced on AND forced off. Batching and the streaming merge
-    // are pure scheduling changes; any drift here means a hot-path
-    // "optimisation" changed semantics.
-    let s = Scenario::smoke(7);
-    let cfg = SweepConfig::new(Some(StrategyKind::ImprovedTeardown), true, 3, 1312);
-    let reference = {
-        let prev = intang_netsim::batch::set_thread(Some(false));
-        let run = sweep_with_threads(&s, &cfg, 1);
-        intang_netsim::batch::set_thread(prev);
-        run
-    };
-    for batching in [false, true] {
-        for workers in [1usize, 2, 8] {
-            let prev = intang_netsim::batch::set_thread(Some(batching));
-            let run = sweep_with_threads(&s, &cfg, workers);
-            intang_netsim::batch::set_thread(prev);
-            let tag = format!("{workers} workers, batching={batching}");
-            assert_eq!(reference.rows, run.rows, "rows differ at {tag}");
-            assert_eq!(reference.events, run.events, "events differ at {tag}");
-            assert_eq!(reference.metrics, run.metrics, "metrics differ at {tag}");
-            assert_eq!(reference.diagnoses, run.diagnoses, "diagnoses differ at {tag}");
-            // Diagnostics (worker_stats, merge_high_water) are intentionally
-            // excluded: wall-clock and reorder depth are scheduling-dependent.
-        }
-    }
+    // A fixed strategy. The name dates from when event dispatch also had
+    // a batched mode; `Simulation::step` is now the only dispatcher, so
+    // the worker count is the one axis left.
+    assert_sweep_identical_across_workers(&SweepConfig::new(Some(StrategyKind::ImprovedTeardown), true, 3, 1312));
 }
 
 #[test]
@@ -230,61 +212,56 @@ fn scenario_generation_is_pure() {
 
 #[test]
 fn metropolis_domains_are_identical_to_the_serial_reference() {
-    // The parallel-metropolis tentpole matrix: one 5k-flow world at 8
-    // state shards, split into 1/2/8 event domains on 1/2/8 work-stealing
-    // threads, with batching forced off AND on — every cell byte-compared
-    // against the domains=1 serial reference. The sharded censor/shim
-    // lanes make each shard's event stream causally closed, so grouping
-    // shards into domains must not move a single byte: outcome grid,
-    // counts, total events, merged metrics, and the zip-summed gauge
-    // series all identical.
+    // The parallel-metropolis matrix: one 5k-flow world at 8 state
+    // shards, split into 1/2/8 event domains on 1/2/8 work-stealing
+    // threads — every cell byte-compared against the domains=1 serial
+    // reference. The sharded censor/shim lanes make each shard's event
+    // stream causally closed, so grouping shards into domains must not
+    // move a single byte: outcome grid, counts, total events, merged
+    // metrics, and the zip-summed gauge series all identical.
     use intang_experiments::metropolis::{run_metropolis_domains, MetroDomainsRun, MetroParams};
 
-    let run_grid_cell = |domains: u32, workers: usize, batching: bool| -> MetroDomainsRun {
-        let prev_batch = intang_netsim::batch::set_thread(Some(batching));
+    let run_grid_cell = |domains: u32, workers: usize| -> MetroDomainsRun {
         let prev_series = intang_telemetry::series::set_thread(Some(true));
         let mut p = MetroParams::new(5_000, 77);
         p.shards = 8;
         let run = run_metropolis_domains(&p, domains, workers);
         intang_telemetry::series::set_thread(prev_series);
-        intang_netsim::batch::set_thread(prev_batch);
         run
     };
 
-    let reference = run_grid_cell(1, 1, false);
+    let reference = run_grid_cell(1, 1);
     let ref_grid: Vec<_> = reference.run.results.iter().map(|r| (r.outcome, r.latency_us)).collect();
     assert_eq!(reference.run.counts.0, 5_000);
     assert_eq!(reference.run.order_violations, 0);
     assert!(reference.run.series.is_some(), "series telemetry must be on for the grid");
 
-    for batching in [false, true] {
-        for domains in [1u32, 2, 8] {
-            for workers in [1usize, 2, 8] {
-                let run = run_grid_cell(domains, workers, batching);
-                let tag = format!("{domains} domains, {workers} workers, batching={batching}");
-                let grid: Vec<_> = run.run.results.iter().map(|r| (r.outcome, r.latency_us)).collect();
-                assert_eq!(ref_grid, grid, "per-flow outcome grid differs at {tag}");
-                assert_eq!(reference.run.counts, run.run.counts, "counts differ at {tag}");
-                assert_eq!(reference.run.events, run.run.events, "events differ at {tag}");
-                assert_eq!(reference.run.metrics, run.run.metrics, "merged metrics differ at {tag}");
-                assert_eq!(reference.run.series, run.run.series, "gauge series differ at {tag}");
-                assert_eq!(reference.run.shards, run.run.shards, "shard summaries differ at {tag}");
-                assert_eq!(
-                    (
-                        reference.run.collateral_resets,
-                        reference.run.tcbs_evicted,
-                        reference.run.resync_storms
-                    ),
-                    (run.run.collateral_resets, run.run.tcbs_evicted, run.run.resync_storms),
-                    "censor counters differ at {tag}"
-                );
-                assert_eq!(run.run.order_violations, 0, "ordering regressions at {tag}");
-                assert_eq!(
-                    run.domain_stats.iter().map(|d| d.events).sum::<u64>(),
-                    run.run.events,
-                    "domain events must partition the total at {tag}"
-                );
-            }
+    for domains in [1u32, 2, 8] {
+        for workers in [1usize, 2, 8] {
+            let run = run_grid_cell(domains, workers);
+            let tag = format!("{domains} domains, {workers} workers");
+            let grid: Vec<_> = run.run.results.iter().map(|r| (r.outcome, r.latency_us)).collect();
+            assert_eq!(ref_grid, grid, "per-flow outcome grid differs at {tag}");
+            assert_eq!(reference.run.counts, run.run.counts, "counts differ at {tag}");
+            assert_eq!(reference.run.events, run.run.events, "events differ at {tag}");
+            assert_eq!(reference.run.metrics, run.run.metrics, "merged metrics differ at {tag}");
+            assert_eq!(reference.run.series, run.run.series, "gauge series differ at {tag}");
+            assert_eq!(reference.run.shards, run.run.shards, "shard summaries differ at {tag}");
+            assert_eq!(
+                (
+                    reference.run.collateral_resets,
+                    reference.run.tcbs_evicted,
+                    reference.run.resync_storms
+                ),
+                (run.run.collateral_resets, run.run.tcbs_evicted, run.run.resync_storms),
+                "censor counters differ at {tag}"
+            );
+            assert_eq!(run.run.order_violations, 0, "ordering regressions at {tag}");
+            assert_eq!(
+                run.domain_stats.iter().map(|d| d.events).sum::<u64>(),
+                run.run.events,
+                "domain events must partition the total at {tag}"
+            );
         }
     }
 }

@@ -79,7 +79,7 @@ fn check(name: &str, kind: StrategyKind) {
 /// snapshot under `INTANG_BLESS=1`.
 fn compare(name: &str, rendered: &str) {
     let path = golden_path(name);
-    if intang_telemetry::knobs::flag("INTANG_BLESS", false).unwrap_or_else(|msg| panic!("{msg}")) {
+    if intang_telemetry::knobs::flag("INTANG_BLESS").unwrap_or_else(|msg| panic!("{msg}")) {
         std::fs::create_dir_all(path.parent().expect("golden dir")).expect("create tests/golden");
         std::fs::write(&path, rendered).expect("write golden snapshot");
         return;
