@@ -6,15 +6,15 @@
 //! replacing the two hosts with two multiplexing elements:
 //!
 //! * [`MetroClients`] (leftmost): hosts every client flow. Per-flow state
-//!   (a dedicated [`TcpEndpoint`], an `HttpFetch`, outcome slot) lives
-//!   in **shards** — flow-keyed hash maps partitioned by
-//!   [`intang_packet::pair_shard`] of the flow's *address pair* (never the
-//!   ports, see [`shard_of`]) — the same partition key the sharded censor
-//!   and shim lanes use, so a shard's flows and the cross-flow state they
-//!   touch are causally closed. That closure is what lets
-//!   [`MetroClients::for_domain`] split the shards across independent
-//!   **event domains** (one [`Simulation`] per worker thread) without
-//!   changing a single emitted byte.
+//!   (a dedicated [`TcpEndpoint`], an `HttpFetch`, outcome slot) belongs
+//!   to a **shard**, picked by [`intang_packet::pair_shard`] of the flow's
+//!   *address pair* (never the ports, see [`shard_of`]) — the same
+//!   partition key the sharded censor and shim lanes use, so a shard's
+//!   flows and the cross-flow state they touch are causally closed. That
+//!   closure is what lets [`MetroClients::for_domain`] split the shards
+//!   across independent **event domains** (one [`Simulation`] per worker
+//!   thread) without changing a single emitted byte; each domain holds
+//!   state only for the flows it owns.
 //! * [`MetroServers`] (rightmost): hosts every origin site. One small
 //!   endpoint and one `HttpServe` per *connection*, created on the first
 //!   SYN and reaped as soon as the request is answered and every socket has
@@ -36,11 +36,11 @@
 //!
 //! Determinism: flows spawn from a pre-generated, start-sorted spec list
 //! via per-shard chained timers (never by iterating a hash map), per-flow
-//! timers are keyed by flow id, and the end-of-run sweep walks each shard's
-//! flow ids in spec order. Shard assignment is a pure function of the flow
-//! key, so any shard count partitions the *same* per-flow results, and any
-//! grouping of shards into domains replays each shard's exact serial event
-//! stream.
+//! timers are keyed by the flow's local id, and the end-of-run sweep walks
+//! each shard's flows in spec order. Shard assignment is a pure function of
+//! the flow key, so any shard count partitions the *same* per-flow
+//! results, and any grouping of shards into domains replays each shard's
+//! exact serial event stream.
 
 use crate::http::{FetchEnd, HttpFetch, HttpServe, Reply};
 use intang_netsim::{Ctx, Direction, Duration, Element, Instant, Simulation};
@@ -51,6 +51,7 @@ use intang_telemetry::{span, Counter, GaugeId, GaugeSample, HistId, MetricsSheet
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// Every metropolis site serves plain HTTP.
 pub const METRO_PORT: u16 = 80;
@@ -59,7 +60,7 @@ pub const METRO_PORT: u16 = 80;
 pub const METRO_BASE_PORT: u16 = 40_000;
 
 /// Timer-token namespaces live in bits 32+; the low 32 bits carry the
-/// argument. Kind 1: per-flow TCP/retransmit clock (`| flow_id`).
+/// argument. Kind 1: per-flow TCP/retransmit clock (`| local id`).
 const CLIENT_TCP_BASE: u64 = 1 << 32;
 /// Kind 2: per-shard chained spawn cursor (`| shard`).
 const SPAWN_BASE: u64 = 2 << 32;
@@ -113,7 +114,7 @@ impl From<TrialOutcome> for FlowOutcome {
     }
 }
 
-/// Result slot for one flow, indexed by flow id.
+/// Result slot for one flow.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowResult {
     pub outcome: FlowOutcome,
@@ -142,10 +143,14 @@ struct FlowCell {
     started: Instant,
 }
 
-/// Shared, handle-visible run state (outcome grid + interference-free
-/// aggregate counters + the per-shard event ordering ledger).
+/// Shared, handle-visible run state (the owned flows' result slots +
+/// interference-free aggregate counters + the per-shard event ordering
+/// ledger).
 pub struct MetroState {
-    /// One slot per flow id; `shard` is filled at construction.
+    /// Flow id of each owned flow, by local id (shared with the element).
+    ids: Arc<[u32]>,
+    /// One slot per owned flow, by local id; `shard` is filled at
+    /// construction.
     pub results: Vec<FlowResult>,
     pub spawned: u64,
     pub succeeded: u64,
@@ -156,7 +161,7 @@ pub struct MetroState {
     /// Per-shard monotone event sequence (feeds the simcheck FlowOrder
     /// shadow and the cheap always-on ordering check below).
     shard_seq: Vec<u64>,
-    /// Last `(time, shard-seq)` observed per live flow.
+    /// Last `(time, shard-seq)` observed per live flow, by local id.
     flow_last: FxHashMap<u32, (u64, u64)>,
     /// Events observed out of `(time, seq)` order within a flow — must
     /// stay zero; checked even when simcheck is off.
@@ -170,8 +175,19 @@ pub struct MetroHandle {
 }
 
 impl MetroHandle {
+    /// The owned flows' result slots, by local id. Owned flows keep their
+    /// flow-id order, so in the serial element (one domain owning every
+    /// flow) slot `i` is flow `i`.
     pub fn results(&self) -> Vec<FlowResult> {
         self.state.borrow().results.clone()
+    }
+
+    /// Move the owned flows' result slots out once the run is over, with
+    /// the flow id of each slot, so a merge can scatter them into one grid
+    /// without copying.
+    pub fn take_results(&self) -> (Arc<[u32]>, Vec<FlowResult>) {
+        let mut st = self.state.borrow_mut();
+        (st.ids.clone(), std::mem::take(&mut st.results))
     }
 
     pub fn live(&self) -> u64 {
@@ -181,35 +197,32 @@ impl MetroHandle {
     pub fn order_violations(&self) -> u64 {
         self.state.borrow().order_violations
     }
-
-    /// Outcome of one flow by id.
-    pub fn outcome(&self, id: u32) -> FlowOutcome {
-        self.state.borrow().results[id as usize].outcome
-    }
 }
 
 /// The client-side multiplexer element (leftmost, egress `ToServer`).
+///
+/// It holds per-flow state only for the flows it *owns*: every flow in the
+/// serial world, or a domain's shards of them. Owned flows are numbered by
+/// a **local id** (their rank among the owned flows, in flow-id order),
+/// and every per-flow array and key below but `specs` is indexed by it.
 pub struct MetroClients {
-    specs: Vec<FlowSpec>,
-    /// Flow id → four-tuple (derived once: per-client port counters in
-    /// spec order).
+    /// The world's flow specs by flow id, shared by every domain.
+    specs: Arc<[FlowSpec]>,
+    /// Flow id of each owned flow, by local id (shared with the handle).
+    ids: Arc<[u32]>,
+    /// Four-tuple of each owned flow, by local id.
     tuples: Vec<FourTuple>,
-    /// Flow id → shard index (pure [`shard_of`] of the tuple).
-    shard_idx: Vec<u32>,
-    /// Sharded per-flow engine state, keyed by flow id inside each shard.
-    shards: Vec<FxHashMap<u32, FlowCell>>,
-    /// Ingress demux: `(client addr, src port)` → live flow id.
+    /// Live flows' engine state, keyed by local id.
+    cells: FxHashMap<u32, FlowCell>,
+    /// Ingress demux: `(client addr, src port)` → live local id.
     route: FxHashMap<(Ipv4Addr, u16), u32>,
-    /// Flow ids per shard, in spec (start) order: both the spawn cursor
-    /// chain and the end-of-run sweep walk these, never hash maps.
+    /// Local ids per shard, in spec (start) order: both the spawn cursor
+    /// chain and the end-of-run sweep walk these, never hash maps. Empty
+    /// for shards another domain owns.
     shard_flow_ids: Vec<Vec<u32>>,
     /// Next position in `shard_flow_ids[s]` that shard's spawn timer will
     /// realize.
     cursors: Vec<usize>,
-    /// Shards this instance actually runs. The serial world owns them all;
-    /// an event domain owns the subset `shard % domains == domain` and
-    /// never spawns (or routes, or times) anyone else's flows.
-    owned: Vec<bool>,
     state: Rc<RefCell<MetroState>>,
     profile: StackProfile,
     req_keyword: Rc<Vec<u8>>,
@@ -224,25 +237,43 @@ pub struct MetroClients {
     sc: bool,
 }
 
-impl MetroClients {
-    /// Build the element. `specs` must be sorted by `start`; source ports
-    /// are assigned per client address in spec order starting at
-    /// [`METRO_BASE_PORT`] (panics if an address would exhaust its range).
-    pub fn new(clients: Vec<Ipv4Addr>, sites: Vec<Ipv4Addr>, specs: Vec<FlowSpec>, shards: u32) -> (MetroClients, MetroHandle) {
-        Self::for_domain(clients, sites, specs, shards, 1, 0)
-    }
+/// Every flow's four-tuple and shard, in flow-id order. Source ports count
+/// up per client address in spec order from [`METRO_BASE_PORT`], so a
+/// flow's port depends on every earlier flow of its client, whichever
+/// domain owns them (panics if an address would exhaust its range).
+fn flow_keys<'a>(
+    clients: &'a [Ipv4Addr],
+    sites: &'a [Ipv4Addr],
+    specs: &'a [FlowSpec],
+    shards: u32,
+) -> impl Iterator<Item = (FourTuple, u32)> + 'a {
+    let mut next_port = vec![METRO_BASE_PORT; clients.len()];
+    specs.iter().map(move |spec| {
+        let addr = clients[spec.client as usize];
+        let port = next_port[spec.client as usize];
+        assert!(port < u16::MAX, "client {addr} exhausted its source-port range");
+        next_port[spec.client as usize] = port + 1;
+        let tuple = FourTuple::new(addr, port, sites[spec.site as usize], METRO_PORT);
+        (tuple, shard_of(&tuple, shards))
+    })
+}
 
+impl MetroClients {
     /// Build the element for one event domain of a `domains`-way split of
     /// the shards: this instance owns (spawns, pumps, retires) only the
-    /// flows whose shard satisfies `shard % domains == domain`. Tuples,
-    /// shard indices and the result grid still cover *all* flows — slots
-    /// of flows owned elsewhere stay [`FlowOutcome::Pending`] — so
-    /// per-domain result vectors scatter-merge by owned slot into exactly
-    /// the serial grid. `for_domain(.., 1, 0)` *is* the serial element.
+    /// flows whose shard satisfies `shard % domains == domain`, and holds
+    /// tuples, result slots and cells for those alone. Ports and shards
+    /// cost two passes over `specs` that allocate only a per-client port
+    /// counter (one counts the owned flows so every per-flow array is
+    /// reserved exactly, one fills them); the specs themselves are shared,
+    /// not copied. Domains' result slots scatter by flow id
+    /// ([`MetroHandle::take_results`]) into exactly the serial grid, and
+    /// `for_domain(.., 1, 0)` *is* the serial element. `specs` must be
+    /// sorted by `start`.
     pub fn for_domain(
-        clients: Vec<Ipv4Addr>,
-        sites: Vec<Ipv4Addr>,
-        specs: Vec<FlowSpec>,
+        clients: &[Ipv4Addr],
+        sites: &[Ipv4Addr],
+        specs: Arc<[FlowSpec]>,
         shards: u32,
         domains: u32,
         domain: u32,
@@ -251,30 +282,32 @@ impl MetroClients {
         assert!(specs.windows(2).all(|w| w[0].start <= w[1].start), "specs must be start-sorted");
         assert!(domains >= 1 && domain < domains, "domain index out of range");
         let shards = shards.max(1);
-        let mut next_port = vec![METRO_BASE_PORT; clients.len()];
-        let mut tuples = Vec::with_capacity(specs.len());
-        let mut shard_idx = Vec::with_capacity(specs.len());
-        let mut results = Vec::with_capacity(specs.len());
-        let mut shard_flow_ids: Vec<Vec<u32>> = vec![Vec::new(); shards as usize];
-        for (id, spec) in specs.iter().enumerate() {
-            let addr = clients[spec.client as usize];
-            let site = sites[spec.site as usize];
-            let port = next_port[spec.client as usize];
-            assert!(port < u16::MAX, "client {addr} exhausted its source-port range");
-            next_port[spec.client as usize] = port + 1;
-            let tuple = FourTuple::new(addr, port, site, METRO_PORT);
-            let shard = shard_of(&tuple, shards);
+        let owns = |shard: u32| shard % domains == domain;
+        let mut per_shard = vec![0usize; shards as usize];
+        for (_, shard) in flow_keys(clients, sites, &specs, shards) {
+            per_shard[shard as usize] += usize::from(owns(shard));
+        }
+        let owned: usize = per_shard.iter().sum();
+        let mut shard_flow_ids: Vec<Vec<u32>> = per_shard.iter().map(|&n| Vec::with_capacity(n)).collect();
+        let mut ids = Vec::with_capacity(owned);
+        let mut tuples = Vec::with_capacity(owned);
+        let mut results = Vec::with_capacity(owned);
+        for (id, (tuple, shard)) in flow_keys(clients, sites, &specs, shards).enumerate() {
+            if !owns(shard) {
+                continue;
+            }
+            shard_flow_ids[shard as usize].push(ids.len() as u32);
+            ids.push(id as u32);
             tuples.push(tuple);
-            shard_idx.push(shard);
-            shard_flow_ids[shard as usize].push(id as u32);
             results.push(FlowResult {
                 outcome: FlowOutcome::Pending,
                 latency_us: 0,
                 shard,
             });
         }
-        let owned: Vec<bool> = (0..shards).map(|s| s % domains == domain).collect();
+        let ids: Arc<[u32]> = ids.into();
         let state = Rc::new(RefCell::new(MetroState {
+            ids: ids.clone(),
             results,
             spawned: 0,
             succeeded: 0,
@@ -287,13 +320,12 @@ impl MetroClients {
         }));
         let el = MetroClients {
             specs,
+            ids,
             tuples,
-            shard_idx,
-            shards: (0..shards).map(|_| FxHashMap::default()).collect(),
+            cells: FxHashMap::default(),
             route: FxHashMap::default(),
             shard_flow_ids,
             cursors: vec![0; shards as usize],
-            owned,
             state: state.clone(),
             profile: StackProfile::linux_4_4(),
             req_keyword: Rc::new(HttpRequest::get("/search?q=ultrasurf", "metropolis.example").encode()),
@@ -305,11 +337,21 @@ impl MetroClients {
         (el, MetroHandle { state })
     }
 
-    /// Four-tuple each flow id will use (available before the element is
-    /// boxed into the simulation — experiments preset per-flow strategies
-    /// against these keys).
+    /// Four-tuple of each owned flow, by local id (available before the
+    /// element is boxed into the simulation — experiments preset per-flow
+    /// strategies against these keys).
     pub fn tuples(&self) -> &[FourTuple] {
         &self.tuples
+    }
+
+    /// Flow id of each owned flow, by local id (increasing).
+    pub fn flow_ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// The spec of the owned flow with local id `local`.
+    fn spec(&self, local: u32) -> &FlowSpec {
+        &self.specs[self.ids[local as usize] as usize]
     }
 
     /// Install the per-flow retirement hook (e.g. the INTANG shim's
@@ -325,11 +367,8 @@ impl MetroClients {
     /// is the property the domain split relies on.
     pub fn bootstrap(&self, sim: &mut Simulation, idx: usize, horizon: Instant) {
         for (s, ids) in self.shard_flow_ids.iter().enumerate() {
-            if !self.owned[s] || ids.is_empty() {
-                continue;
-            }
-            let first = self.specs[ids[0] as usize].start;
-            sim.schedule_timer(idx, first, SPAWN_BASE | s as u64);
+            let Some(&first) = ids.first() else { continue };
+            sim.schedule_timer(idx, self.spec(first).start, SPAWN_BASE | s as u64);
             sim.schedule_timer(idx, horizon, FINISH_BASE | s as u64);
         }
     }
@@ -337,14 +376,14 @@ impl MetroClients {
     /// Record one flow event on the flow's shard ledger: bumps the shard
     /// sequence, checks per-flow `(time, seq)` monotonicity, and feeds the
     /// simcheck FlowOrder shadow.
-    fn note_event(&mut self, id: u32, now: Instant) {
-        let shard = self.shard_idx[id as usize] as usize;
+    fn note_event(&mut self, local: u32, now: Instant) {
         let (t, seq) = {
             let mut st = self.state.borrow_mut();
+            let shard = st.results[local as usize].shard as usize;
             st.shard_seq[shard] += 1;
             let seq = st.shard_seq[shard];
             let t = now.micros();
-            let last = st.flow_last.entry(id).or_insert((0, 0));
+            let last = st.flow_last.entry(local).or_insert((0, 0));
             let regressed = (t, seq) < *last;
             *last = (t, seq);
             if regressed {
@@ -353,29 +392,28 @@ impl MetroClients {
             (t, seq)
         };
         if self.sc {
-            intang_simcheck::flow_event(u64::from(id), t, seq);
+            intang_simcheck::flow_event(u64::from(self.ids[local as usize]), t, seq);
         }
     }
 
     /// Realize every spec of one shard due at `now`, then re-arm that
     /// shard's cursor timer.
     fn spawn_due(&mut self, ctx: &mut Ctx<'_>, shard: usize) {
-        while let Some(&id) = self.shard_flow_ids[shard].get(self.cursors[shard]) {
-            if self.specs[id as usize].start > ctx.now {
+        while let Some(&local) = self.shard_flow_ids[shard].get(self.cursors[shard]) {
+            if self.spec(local).start > ctx.now {
                 break;
             }
             self.cursors[shard] += 1;
-            self.spawn(ctx, id);
+            self.spawn(ctx, local);
         }
-        if let Some(&id) = self.shard_flow_ids[shard].get(self.cursors[shard]) {
-            ctx.set_timer(self.specs[id as usize].start, SPAWN_BASE | shard as u64);
+        if let Some(&local) = self.shard_flow_ids[shard].get(self.cursors[shard]) {
+            ctx.set_timer(self.spec(local).start, SPAWN_BASE | shard as u64);
         }
     }
 
-    fn spawn(&mut self, ctx: &mut Ctx<'_>, id: u32) {
-        let spec = self.specs[id as usize];
-        let tuple = self.tuples[id as usize];
-        let shard = self.shard_idx[id as usize] as usize;
+    fn spawn(&mut self, ctx: &mut Ctx<'_>, local: u32) {
+        let spec = *self.spec(local);
+        let tuple = self.tuples[local as usize];
         let mut ep = TcpEndpoint::new(tuple.src, self.profile);
         ep.set_isn_base(spec.isn);
         let sock = ep.connect_from(tuple.src_port, tuple.dst, tuple.dst_port, ctx.now.micros());
@@ -384,9 +422,9 @@ impl MetroClients {
         } else {
             self.req_benign.clone()
         };
-        self.route.insert((tuple.src, tuple.src_port), id);
-        self.shards[shard].insert(
-            id,
+        self.route.insert((tuple.src, tuple.src_port), local);
+        self.cells.insert(
+            local,
             FlowCell {
                 tuple,
                 ep,
@@ -399,14 +437,13 @@ impl MetroClients {
             st.spawned += 1;
             st.live += 1;
         }
-        self.note_event(id, ctx.now);
-        self.pump_flow(ctx, id);
+        self.note_event(local, ctx.now);
+        self.pump_flow(ctx, local);
     }
 
     /// Advance one flow's fetch machine, transmit, and re-arm its timer.
-    fn pump_flow(&mut self, ctx: &mut Ctx<'_>, id: u32) {
-        let shard = self.shard_idx[id as usize] as usize;
-        let Some(cell) = self.shards[shard].get_mut(&id) else { return };
+    fn pump_flow(&mut self, ctx: &mut Ctx<'_>, local: u32) {
+        let Some(cell) = self.cells.get_mut(&local) else { return };
         let now = ctx.now;
         let end = cell.fetch.poll(&mut cell.ep, now);
         // When the fetch ends this is the cell's last transmit (it carries
@@ -419,8 +456,8 @@ impl MetroClients {
         self.tx_scratch = scratch;
         match end {
             Some(end) => {
-                self.note_event(id, now);
-                self.retire(id, end, now);
+                self.note_event(local, now);
+                self.retire(local, end, now);
             }
             None => {
                 let wake = [cell.ep.next_deadline().map(Instant), cell.fetch.wake_at()]
@@ -429,7 +466,7 @@ impl MetroClients {
                     .min();
                 if let Some(at) = wake {
                     let at = at.max(Instant(now.micros() + 1));
-                    ctx.set_timer(at, CLIENT_TCP_BASE | u64::from(id));
+                    ctx.set_timer(at, CLIENT_TCP_BASE | u64::from(local));
                 }
             }
         }
@@ -438,9 +475,8 @@ impl MetroClients {
     /// Drop a flow's cell and record its outcome: the fetch's own evidence
     /// plus the resets the shim saw on the flow, through the one §3.4
     /// definition.
-    fn retire(&mut self, id: u32, end: FetchEnd, now: Instant) {
-        let shard = self.shard_idx[id as usize] as usize;
-        let Some(cell) = self.shards[shard].remove(&id) else { return };
+    fn retire(&mut self, local: u32, end: FetchEnd, now: Instant) {
+        let Some(cell) = self.cells.remove(&local) else { return };
         self.route.remove(&(cell.tuple.src, cell.tuple.src_port));
         let shim_resets = self.on_retire.as_ref().map_or(0, |f| f(cell.tuple));
         let outcome = FlowOutcome::from(TrialOutcome::of_fetch(end.complete, shim_resets + u64::from(end.reset)));
@@ -457,15 +493,13 @@ impl MetroClients {
                 FlowOutcome::Stalled => st.stalled += 1,
                 FlowOutcome::Pending => {}
             }
-            st.results[id as usize] = FlowResult {
-                outcome,
-                latency_us,
-                shard: shard as u32,
-            };
-            st.flow_last.remove(&id);
+            let slot = &mut st.results[local as usize];
+            slot.outcome = outcome;
+            slot.latency_us = latency_us;
+            st.flow_last.remove(&local);
         }
         if self.sc {
-            intang_simcheck::flow_retired(u64::from(id));
+            intang_simcheck::flow_retired(u64::from(self.ids[local as usize]));
         }
     }
 }
@@ -477,22 +511,21 @@ impl Element for MetroClients {
 
     fn on_packet(&mut self, ctx: &mut Ctx<'_>, _dir: Direction, wire: Wire) {
         let _s = span(SpanId::Tcpstack);
-        let id = {
+        let local = {
             let Ok(ip) = Ipv4Packet::new_checked(&wire[..]) else { return };
             let Ok(tcp) = TcpPacket::new_checked(ip.payload()) else { return };
             // Demux on the flow's own (addr, port); packets for retired
             // flows (late FIN-ACKs, censor stragglers) fall off the edge.
             match self.route.get(&(ip.dst_addr(), tcp.dst_port())) {
-                Some(&id) => id,
+                Some(&local) => local,
                 None => return,
             }
         };
-        self.note_event(id, ctx.now);
-        let shard = self.shard_idx[id as usize] as usize;
-        if let Some(cell) = self.shards[shard].get_mut(&id) {
+        self.note_event(local, ctx.now);
+        if let Some(cell) = self.cells.get_mut(&local) {
             cell.ep.on_packet(wire, ctx.now.micros());
         }
-        self.pump_flow(ctx, id);
+        self.pump_flow(ctx, local);
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
@@ -500,25 +533,24 @@ impl Element for MetroClients {
         let arg = (token & 0xFFFF_FFFF) as u32;
         match token >> 32 {
             k if k == CLIENT_TCP_BASE >> 32 => {
-                let id = arg;
-                let shard = self.shard_idx[id as usize] as usize;
-                if let Some(cell) = self.shards[shard].get_mut(&id) {
+                let local = arg;
+                if let Some(cell) = self.cells.get_mut(&local) {
                     cell.ep.on_timer(ctx.now.micros());
-                    self.note_event(id, ctx.now);
-                    self.pump_flow(ctx, id);
+                    self.note_event(local, ctx.now);
+                    self.pump_flow(ctx, local);
                 }
             }
             k if k == SPAWN_BASE >> 32 => self.spawn_due(ctx, arg as usize),
             k if k == FINISH_BASE >> 32 => {
                 // End of the world for one shard: every still-live flow
                 // retires with no response and an open socket, swept in
-                // spec order — never the shard maps.
+                // spec order — never the cell map.
                 let shard = arg as usize;
                 for i in 0..self.shard_flow_ids[shard].len() {
-                    let id = self.shard_flow_ids[shard][i];
-                    if self.shards[shard].contains_key(&id) {
-                        self.note_event(id, ctx.now);
-                        self.retire(id, FetchEnd::default(), ctx.now);
+                    let local = self.shard_flow_ids[shard][i];
+                    if self.cells.contains_key(&local) {
+                        self.note_event(local, ctx.now);
+                        self.retire(local, FetchEnd::default(), ctx.now);
                     }
                 }
             }
@@ -731,7 +763,7 @@ mod tests {
     fn domains_partition_shards_exhaustively() {
         let clients: Vec<Ipv4Addr> = (0..32u32).map(|i| Ipv4Addr::from(0x0A00_0100 + i)).collect();
         let sites = vec![Ipv4Addr::new(93, 184, 216, 34)];
-        let specs: Vec<FlowSpec> = (0..64)
+        let specs: Arc<[FlowSpec]> = (0..64)
             .map(|i| FlowSpec {
                 start: Instant(i * 1_000),
                 client: (i % 32) as u32,
@@ -741,21 +773,25 @@ mod tests {
                 request_delay: Duration::ZERO,
             })
             .collect();
-        let els: Vec<MetroClients> = (0..3)
-            .map(|d| MetroClients::for_domain(clients.clone(), sites.clone(), specs.clone(), 8, 3, d).0)
-            .collect();
-        for s in 0..8 {
-            let owners = els.iter().filter(|e| e.owned[s]).count();
-            assert_eq!(owners, 1, "shard {s} must be owned by exactly one domain");
+        let (serial, _) = MetroClients::for_domain(&clients, &sites, specs.clone(), 8, 1, 0);
+        assert_eq!(
+            serial.flow_ids(),
+            (0..64).collect::<Vec<u32>>(),
+            "the serial element owns every flow"
+        );
+        let mut owner: Vec<Option<u32>> = vec![None; specs.len()];
+        for d in 0..3 {
+            let (el, metro) = MetroClients::for_domain(&clients, &sites, specs.clone(), 8, 3, d);
+            assert!(el.flow_ids().windows(2).all(|w| w[0] < w[1]), "local ids keep flow-id order");
+            assert_eq!(el.tuples().len(), el.flow_ids().len(), "one tuple per owned flow");
+            assert_eq!(metro.results().len(), el.flow_ids().len(), "one result slot per owned flow");
+            for (&id, tuple) in el.flow_ids().iter().zip(el.tuples()) {
+                assert_eq!(*tuple, serial.tuples()[id as usize], "flow {id} keeps its serial four-tuple");
+                assert_eq!(shard_of(tuple, 8) % 3, d, "flow {id} belongs to another domain");
+                assert_eq!(owner[id as usize].replace(d), None, "flow {id} is owned twice");
+            }
         }
-        // Every domain sees the same full flow universe, partitioned the
-        // same way.
-        let total: usize = els[0].shard_flow_ids.iter().map(Vec::len).sum();
-        assert_eq!(total, specs.len());
-        for e in &els[1..] {
-            assert_eq!(e.shard_flow_ids, els[0].shard_flow_ids);
-            assert_eq!(e.tuples(), els[0].tuples());
-        }
+        assert!(owner.iter().all(Option::is_some), "every flow has an owner: {owner:?}");
     }
 
     #[test]
@@ -770,7 +806,7 @@ mod tests {
     fn port_assignment_is_per_client_and_in_spec_order() {
         let clients = vec![Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2)];
         let sites = vec![Ipv4Addr::new(93, 184, 216, 34)];
-        let specs: Vec<FlowSpec> = (0..4)
+        let specs: Arc<[FlowSpec]> = (0..4)
             .map(|i| FlowSpec {
                 start: Instant(i * 1_000),
                 client: (i % 2) as u32,
@@ -780,7 +816,7 @@ mod tests {
                 request_delay: Duration::ZERO,
             })
             .collect();
-        let (el, _h) = MetroClients::new(clients, sites, specs, 2);
+        let (el, _h) = MetroClients::for_domain(&clients, &sites, specs, 2, 1, 0);
         let t = el.tuples();
         assert_eq!(t[0].src_port, METRO_BASE_PORT);
         assert_eq!(t[1].src_port, METRO_BASE_PORT, "second client starts its own range");

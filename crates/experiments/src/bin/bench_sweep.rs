@@ -1,7 +1,9 @@
 //! Sweep-executor benchmark: runs a fixed-seed multi-strategy sweep at
-//! several worker counts and reports wall time, trials/sec, events/sec and
-//! speedup vs the serial (1-worker) run, verifying along the way that every
-//! worker count produces byte-identical aggregates. Also reports the
+//! several worker counts, [`ROUNDS`] timed passes each taken round-robin
+//! across the counts, and reports each count's median wall time,
+//! trials/sec, events/sec (with min, quartiles and max of the passes) and
+//! speedup vs the serial (1-worker) median, verifying along the way that
+//! every pass produces byte-identical aggregates. Also reports the
 //! machine's available cores (warning when a worker count exceeds them —
 //! those "speedups" are scheduler artifacts), per-worker busy time with
 //! contention counters (merge-mutex wait, steal attempts/failures) and the
@@ -40,6 +42,12 @@ static ALLOC: intang_telemetry::alloc::CountingAlloc = intang_telemetry::alloc::
 /// without flaking on scheduler noise.
 const SMOKE_FLOOR: f64 = 0.75;
 
+/// Timed passes per worker count. The counts take turns, one pass each per
+/// round, so every count's samples spread over the same stretch of
+/// machine noise; back-to-back single passes of one build read 3.64M and
+/// 2.90M events/s serial on a shared 2-vCPU VM.
+const ROUNDS: usize = 5;
+
 struct Workload {
     name: &'static str,
     scenario: Scenario,
@@ -72,12 +80,9 @@ fn workload(quick: bool) -> Workload {
     }
 }
 
-struct Measurement {
-    threads: usize,
+/// One timed pass of the whole workload at one worker count.
+struct Pass {
     wall_s: f64,
-    trials: u64,
-    events: u64,
-    identical_to_serial: bool,
     /// Per-worker busy time, summed across the workload's strategy sweeps
     /// (worker i of each sweep maps to slot i).
     busy_s: Vec<f64>,
@@ -89,6 +94,48 @@ struct Measurement {
     steal_failures: Vec<u64>,
     /// Largest reorder window the streaming merge buffered in any sweep.
     merge_high_water: usize,
+}
+
+struct Measurement {
+    threads: usize,
+    trials: u64,
+    events: u64,
+    /// Every pass reproduced the first serial pass's aggregates.
+    identical_to_serial: bool,
+    /// Timed passes in round order.
+    passes: Vec<Pass>,
+}
+
+impl Measurement {
+    /// The pass with the median wall time: its contention profile is the
+    /// one reported beside the median rates.
+    fn median_pass(&self) -> &Pass {
+        let mut order: Vec<&Pass> = self.passes.iter().collect();
+        order.sort_by(|a, b| a.wall_s.total_cmp(&b.wall_s));
+        order[order.len() / 2]
+    }
+
+    /// `count` per second of each pass, sorted ascending.
+    fn rates(&self, count: u64) -> Vec<f64> {
+        let mut rates: Vec<f64> = self.passes.iter().map(|p| count as f64 / p.wall_s).collect();
+        rates.sort_by(f64::total_cmp);
+        rates
+    }
+}
+
+/// Nearest-rank quantile `q` of ascending `sorted` (non-empty).
+fn quantile(sorted: &[f64], q: f64) -> f64 {
+    sorted[((sorted.len() - 1) as f64 * q).round() as usize]
+}
+
+/// `{"min": .., "p25": .., "median": .., "p75": .., "max": ..}` of ascending
+/// `sorted`, each value printed with `decimals` decimals.
+fn spread_json(sorted: &[f64], decimals: usize) -> String {
+    let parts: Vec<String> = [("min", 0.0), ("p25", 0.25), ("median", 0.5), ("p75", 0.75), ("max", 1.0)]
+        .iter()
+        .map(|(name, q)| format!("\"{name}\": {:.decimals$}", quantile(sorted, *q)))
+        .collect();
+    format!("{{{}}}", parts.join(", "))
 }
 
 fn run_all(w: &Workload, threads: usize, progress: bool) -> (Vec<SweepRun>, f64) {
@@ -219,59 +266,71 @@ fn main() {
     }
 
     let mut serial_runs: Option<Vec<SweepRun>> = None;
-    let mut serial_wall = 0.0f64;
-    let mut measurements = Vec::new();
+    let mut measurements: Vec<Measurement> = thread_counts
+        .iter()
+        .map(|&threads| Measurement {
+            threads,
+            trials: 0,
+            events: 0,
+            identical_to_serial: true,
+            passes: Vec::with_capacity(ROUNDS),
+        })
+        .collect();
     let mut total_violations = 0u64;
     let mut checked_cells = 0u64;
-    for &threads in &thread_counts {
-        let (runs, wall_s) = run_all(&w, threads, args.progress);
-        let trials: u64 = runs.iter().map(|r| r.trials).sum();
-        let events: u64 = runs.iter().map(|r| r.events).sum();
-        total_violations += runs.iter().map(|r| r.violations).sum::<u64>();
-        checked_cells += runs.iter().map(|r| r.checked_cells).sum::<u64>();
-        let mut busy_s = vec![0.0f64; threads];
-        let mut merge_wait_s = vec![0.0f64; threads];
-        let mut steal_attempts = vec![0u64; threads];
-        let mut steal_failures = vec![0u64; threads];
-        let mut merge_high_water = 0usize;
-        for r in &runs {
-            for (slot, ws) in r.worker_stats.iter().enumerate().take(threads) {
-                busy_s[slot] += ws.busy.as_secs_f64();
-                merge_wait_s[slot] += ws.merge_wait.as_secs_f64();
-                steal_attempts[slot] += ws.steal_attempts;
-                steal_failures[slot] += ws.steal_failures;
+    for _ in 0..ROUNDS {
+        for m in &mut measurements {
+            let threads = m.threads;
+            let (runs, wall_s) = run_all(&w, threads, args.progress);
+            m.trials = runs.iter().map(|r| r.trials).sum();
+            m.events = runs.iter().map(|r| r.events).sum();
+            total_violations += runs.iter().map(|r| r.violations).sum::<u64>();
+            checked_cells += runs.iter().map(|r| r.checked_cells).sum::<u64>();
+            let mut pass = Pass {
+                wall_s,
+                busy_s: vec![0.0f64; threads],
+                merge_wait_s: vec![0.0f64; threads],
+                steal_attempts: vec![0u64; threads],
+                steal_failures: vec![0u64; threads],
+                merge_high_water: 0,
+            };
+            for r in &runs {
+                for (i, ws) in r.worker_stats.iter().enumerate().take(threads) {
+                    pass.busy_s[i] += ws.busy.as_secs_f64();
+                    pass.merge_wait_s[i] += ws.merge_wait.as_secs_f64();
+                    pass.steal_attempts[i] += ws.steal_attempts;
+                    pass.steal_failures[i] += ws.steal_failures;
+                }
+                pass.merge_high_water = pass.merge_high_water.max(r.merge_high_water);
             }
-            merge_high_water = merge_high_water.max(r.merge_high_water);
+            let identical = match &serial_runs {
+                None => {
+                    serial_runs = Some(runs);
+                    true
+                }
+                Some(serial) => serial
+                    .iter()
+                    .zip(&runs)
+                    .all(|(a, b)| a.rows == b.rows && a.events == b.events && a.metrics == b.metrics && a.diagnoses == b.diagnoses),
+            };
+            m.identical_to_serial &= identical;
+            m.passes.push(pass);
         }
-        let identical = match &serial_runs {
-            None => {
-                serial_wall = wall_s;
-                serial_runs = Some(runs);
-                true
-            }
-            Some(serial) => serial
-                .iter()
-                .zip(&runs)
-                .all(|(a, b)| a.rows == b.rows && a.events == b.events && a.metrics == b.metrics && a.diagnoses == b.diagnoses),
-        };
+    }
+    let serial_wall = measurements[0].median_pass().wall_s;
+    for m in &measurements {
+        let wall_s = m.median_pass().wall_s;
+        let events = m.rates(m.events);
         eprintln!(
-            "  {threads:>3} workers: {wall_s:8.2}s  {:>9.1} trials/s  {:>11.0} events/s  speedup {:>5.2}x  identical={identical}",
-            trials as f64 / wall_s,
-            events as f64 / wall_s,
+            "  {:>3} workers: median of {ROUNDS} {wall_s:8.2}s  {:>9.1} trials/s  {:>11.0} events/s (min {:.0}, max {:.0})  speedup {:>5.2}x  identical={}",
+            m.threads,
+            m.trials as f64 / wall_s,
+            quantile(&events, 0.5),
+            events[0],
+            events[events.len() - 1],
             serial_wall / wall_s,
+            m.identical_to_serial,
         );
-        measurements.push(Measurement {
-            threads,
-            wall_s,
-            trials,
-            events,
-            identical_to_serial: identical,
-            busy_s,
-            merge_wait_s,
-            steal_attempts,
-            steal_failures,
-            merge_high_water,
-        });
     }
 
     // Steady-state allocation profile: the loop above warmed every scratch
@@ -423,26 +482,31 @@ fn main() {
     );
     json.push_str("  \"runs\": [\n");
     for (i, m) in measurements.iter().enumerate() {
-        let busy: Vec<String> = m.busy_s.iter().map(|b| format!("{b:.3}")).collect();
-        let waits: Vec<String> = m.merge_wait_s.iter().map(|b| format!("{b:.3}")).collect();
-        let attempts: Vec<String> = m.steal_attempts.iter().map(u64::to_string).collect();
-        let failures: Vec<String> = m.steal_failures.iter().map(u64::to_string).collect();
+        let p = m.median_pass();
+        let (trial_rates, event_rates) = (m.rates(m.trials), m.rates(m.events));
+        let busy: Vec<String> = p.busy_s.iter().map(|b| format!("{b:.3}")).collect();
+        let waits: Vec<String> = p.merge_wait_s.iter().map(|b| format!("{b:.3}")).collect();
+        let attempts: Vec<String> = p.steal_attempts.iter().map(u64::to_string).collect();
+        let failures: Vec<String> = p.steal_failures.iter().map(u64::to_string).collect();
         let _ = write!(
             json,
-            "    {{\"threads\": {}, \"wall_s\": {:.3}, \"trials\": {}, \"trials_per_s\": {:.1}, \"events\": {}, \"events_per_s\": {:.0}, \"speedup_vs_serial\": {:.2}, \"identical_to_serial\": {}, \"worker_busy_s\": [{}], \"merge_wait_s\": [{}], \"steal_attempts\": [{}], \"steal_failures\": [{}], \"merge_high_water\": {}}}",
+            "    {{\"threads\": {}, \"passes\": {}, \"wall_s\": {:.3}, \"trials\": {}, \"trials_per_s\": {:.1}, \"trials_per_s_spread\": {}, \"events\": {}, \"events_per_s\": {:.0}, \"events_per_s_spread\": {}, \"speedup_vs_serial\": {:.2}, \"identical_to_serial\": {}, \"worker_busy_s\": [{}], \"merge_wait_s\": [{}], \"steal_attempts\": [{}], \"steal_failures\": [{}], \"merge_high_water\": {}}}",
             m.threads,
-            m.wall_s,
+            m.passes.len(),
+            p.wall_s,
             m.trials,
-            m.trials as f64 / m.wall_s,
+            quantile(&trial_rates, 0.5),
+            spread_json(&trial_rates, 1),
             m.events,
-            m.events as f64 / m.wall_s,
-            serial_wall / m.wall_s,
+            quantile(&event_rates, 0.5),
+            spread_json(&event_rates, 0),
+            serial_wall / p.wall_s,
             m.identical_to_serial,
             busy.join(", "),
             waits.join(", "),
             attempts.join(", "),
             failures.join(", "),
-            m.merge_high_water,
+            p.merge_high_water,
         );
         json.push_str(if i + 1 < measurements.len() { ",\n" } else { "\n" });
     }

@@ -30,6 +30,7 @@ use intang_netsim::{Duration, Instant, Link, Simulation};
 use intang_telemetry::{classify, FailureVector, TrialEvidence, TrialOutcome};
 use intang_telemetry::{Counter, MetricsSheet, RunKnobs, SeriesSheet};
 use std::net::Ipv4Addr;
+use std::sync::Arc;
 
 /// Total client→server hop count of the metropolis path (2 on the censor
 /// side + 3 on the server side); seeded into the INTANG shim so
@@ -103,11 +104,12 @@ impl MetroParams {
 }
 
 /// The generated world: address pools, start-sorted flow specs, and each
-/// flow's preset strategy draw.
+/// flow's preset strategy draw. The specs are shared: every domain built
+/// from the world reads them in place.
 pub struct MetroWorld {
     pub clients: Vec<Ipv4Addr>,
     pub sites: Vec<Ipv4Addr>,
-    pub specs: Vec<FlowSpec>,
+    pub specs: Arc<[FlowSpec]>,
     pub strategies: Vec<StrategyKind>,
 }
 
@@ -123,25 +125,28 @@ pub fn generate_world(p: &MetroParams) -> MetroWorld {
         .map(|i| Ipv4Addr::new(203, 0, 113, (i + 1) as u8))
         .collect();
     let pool = StrategyKind::adaptive_pool();
-    let mut specs = Vec::with_capacity(p.flows as usize);
     let mut strategies = Vec::with_capacity(p.flows as usize);
     let mut t = 0u64;
-    for _ in 0..p.flows {
-        t += rng.range_u64(0, 2 * p.mean_interarrival_us + 1);
-        specs.push(FlowSpec {
-            start: Instant(t),
-            client: rng.index(clients.len()) as u32,
-            site: rng.index(sites.len()) as u32,
-            isn: rng.next_u32(),
-            keyword: rng.chance(p.keyword_prob),
-            request_delay: Duration::from_micros(rng.range_u64(0, p.max_request_delay_us + 1)),
-        });
-        // One draw in five runs bare: those keyword flows are the ones the
-        // censor detects, and their blacklist entries are what makes
-        // cross-flow collateral observable in the shared world.
-        let k = rng.index(pool.len() + 1);
-        strategies.push(if k == pool.len() { StrategyKind::NoStrategy } else { pool[k] });
-    }
+    // Collected straight into the shared slice (one allocation, no copy).
+    let specs = (0..p.flows)
+        .map(|_| {
+            t += rng.range_u64(0, 2 * p.mean_interarrival_us + 1);
+            let spec = FlowSpec {
+                start: Instant(t),
+                client: rng.index(clients.len()) as u32,
+                site: rng.index(sites.len()) as u32,
+                isn: rng.next_u32(),
+                keyword: rng.chance(p.keyword_prob),
+                request_delay: Duration::from_micros(rng.range_u64(0, p.max_request_delay_us + 1)),
+            };
+            // One draw in five runs bare: those keyword flows are the ones
+            // the censor detects, and their blacklist entries are what
+            // makes cross-flow collateral observable in the shared world.
+            let k = rng.index(pool.len() + 1);
+            strategies.push(if k == pool.len() { StrategyKind::NoStrategy } else { pool[k] });
+            spec
+        })
+        .collect();
     MetroWorld {
         clients,
         sites,
@@ -244,8 +249,12 @@ const SHIM_LANE_SEED: u64 = 0x5348_494d_4c41_4e45; // "SHIMLANE"
 
 /// Build one event domain of a `domains`-way parallel metropolis without
 /// running it: the metro clients own only the shards with
-/// `shard % domains == domain`, and the censor and shim run with
-/// `state_shards = p.shards` so every piece of cross-flow state — TCB
+/// `shard % domains == domain`, and the domain holds tuples, result slots
+/// and shim strategy presets for those flows alone. Deriving ports and
+/// shards walks every spec, but the memory the domain keeps scales with
+/// the flows it owns; the specs are shared with `world`, not copied. The
+/// censor and shim run with `state_shards = p.shards` so every piece of
+/// cross-flow state — TCB
 /// eviction order and capacity quota, resync windows, sticky draws,
 /// injector RNG streams, learned δ overrides — is partitioned by the same
 /// [`intang_packet::pair_shard`] key the metro flows shard by. Each
@@ -275,16 +284,9 @@ pub fn build_metropolis_domain(p: &MetroParams, world: &MetroWorld, domains: u32
     }
 
     // [0] every client flow (this domain's shards of them).
-    let (mut clients_el, metro) = MetroClients::for_domain(
-        world.clients.clone(),
-        world.sites.clone(),
-        world.specs.clone(),
-        p.shards,
-        domains,
-        domain,
-    );
-    for (tuple, kind) in clients_el.tuples().iter().zip(&world.strategies) {
-        intang.preset_strategy(*tuple, *kind);
+    let (mut clients_el, metro) = MetroClients::for_domain(&world.clients, &world.sites, world.specs.clone(), p.shards, domains, domain);
+    for (tuple, &id) in clients_el.tuples().iter().zip(clients_el.flow_ids()) {
+        intang.preset_strategy(*tuple, world.strategies[id as usize]);
     }
     let shim = intang.clone();
     clients_el.set_retire_hook(Box::new(move |tuple| shim.retire_flow(tuple)));
@@ -379,6 +381,8 @@ pub struct MetroDomainsRun {
 /// Everything one domain worker ships back to the merge — plain data
 /// only; simulations, wires and `Rc` handles never cross threads.
 struct DomainOut {
+    /// The domain's owned flows: flow id and result slot, by local id.
+    ids: Arc<[u32]>,
     results: Vec<FlowResult>,
     events: u64,
     /// Every element's counters, the run totals among them.
@@ -427,8 +431,10 @@ fn run_one_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32
     let mut metrics = MetricsSheet::new();
     sim.export_metrics(&mut metrics);
     let violations = if sc { intang_simcheck::take_violations().len() as u64 } else { 0 };
+    let (ids, results) = parts.metro.take_results();
     DomainOut {
-        results: parts.metro.results(),
+        ids,
+        results,
         events,
         metrics,
         samples,
@@ -476,14 +482,24 @@ pub fn run_metropolis_domains_world(p: &MetroParams, world: &MetroWorld, domains
         |d| run_one_domain(p, world, domains, d as u32, series_wanted),
         |d, out| outs[d] = Some(out),
     );
-    let outs: Vec<DomainOut> = outs.into_iter().map(|o| o.expect("every domain must have run")).collect();
+    let mut outs: Vec<DomainOut> = outs.into_iter().map(|o| o.expect("every domain must have run")).collect();
 
-    // Deterministic merge, all of it in domain-index order. Every domain's
-    // grid carries the full shard column; the owner of flow i is its shard
-    // mod domains.
-    let results: Vec<FlowResult> = (0..world.specs.len())
-        .map(|i| outs[(outs[0].results[i].shard % domains) as usize].results[i])
-        .collect();
+    // Deterministic merge, all of it in domain-index order. Each domain
+    // holds result slots only for the flows it owns, and the domains
+    // partition the flows, so scattering every domain's slots by flow id
+    // fills each slot of the one grid exactly once. Each domain's slots
+    // move in by value and are freed as they go.
+    let pending = FlowResult {
+        outcome: FlowOutcome::Pending,
+        latency_us: 0,
+        shard: 0,
+    };
+    let mut results = vec![pending; world.specs.len()];
+    for o in &mut outs {
+        for (&id, r) in o.ids.iter().zip(std::mem::take(&mut o.results)) {
+            results[id as usize] = r;
+        }
+    }
     let mut events = 0u64;
     let mut order_violations = 0u64;
     let mut violations = 0u64;
@@ -571,7 +587,7 @@ mod tests {
         let b = generate_world(&p);
         assert_eq!(a.specs.len(), 500);
         assert!(a.specs.windows(2).all(|w| w[0].start <= w[1].start));
-        for (x, y) in a.specs.iter().zip(&b.specs) {
+        for (x, y) in a.specs.iter().zip(b.specs.iter()) {
             assert_eq!(format!("{x:?}"), format!("{y:?}"));
         }
         assert_eq!(a.strategies, b.strategies);

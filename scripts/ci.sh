@@ -87,23 +87,27 @@ cargo run --profile ci -p intang-experiments --bin fault_matrix -- --smoke >/dev
 # exits non-zero past it).
 # Every --smoke also runs a parallel leg (multi-domain, 2 workers)
 # byte-compared against its serial reference.
-INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
+# RSS ceilings: each is twice the top of the largest peak that 10 runs of
+# its own step read on a 2-vCPU VM. The gate floors VmHWM to whole MB, so
+# a 5 MB reading is a peak under 6 MB: the 5 MB steps get 12, and the
+# 8-worker step, which read 5-6 MB, gets 14. A doubled footprint fails.
+INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=12 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke
 # Parallel metropolis smoke at full width: 8 event domains on 8 worker
 # threads under the invariant checker; exits non-zero on any
 # serial/parallel divergence (outcome grid, counters, metrics) or an RSS
 # peak past the ceiling.
-INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
+INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=14 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke --domains 8 --workers 8
 # Middlebox-enabled metropolis smoke: the seqfw hop behind the censor must
 # not cost serial/parallel identity.
-INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
+INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=12 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke --middlebox
 # Blockpage-censor metropolis smoke: the Turkmenistan profile answers a
 # forbidden request with a spoofed 403 and then resets. Its blockpage path
 # must keep zero simcheck violations and serial/parallel identity at
 # metropolis scale.
-INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=128 \
+INTANG_SIMCHECK=1 INTANG_METRO_RSS_MB=12 \
     cargo run --release -p intang-experiments --bin metropolis -- --smoke --censor-profile turkmenistan
 # Censor profile files: every other --censor-profile step names a
 # builtin, so this is the one that runs the profile text parser. The
