@@ -20,6 +20,8 @@
 //!   SYN and reaped as soon as the request is answered and every socket has
 //!   settled (a TTL timer remains as a backstop for conversations that
 //!   never complete), so the steady-state cost of finished flows is zero.
+//!   A connection that was never served and whose endpoint went quiet
+//!   waits out the backstop as a 10-byte [`QuietEndpoint`] snapshot.
 //!
 //! Both elements only host the two HTTP machines of [`crate::http`], the
 //! same ones a per-trial host runs, and a flow's outcome comes from the
@@ -46,7 +48,7 @@ use crate::http::{FetchEnd, HttpFetch, HttpServe, Reply};
 use intang_netsim::{Ctx, Direction, Duration, Element, Instant, Simulation};
 use intang_packet::http::{HttpRequest, HttpResponse};
 use intang_packet::{FourTuple, FxHashMap, Ipv4Packet, TcpPacket, Wire};
-use intang_tcpstack::{StackProfile, TcpEndpoint};
+use intang_tcpstack::{QuietEndpoint, StackProfile, TcpEndpoint};
 use intang_telemetry::{span, Counter, GaugeId, GaugeSample, HistId, MetricsSheet, SpanId, TrialOutcome};
 use std::cell::RefCell;
 use std::net::Ipv4Addr;
@@ -598,6 +600,23 @@ struct ServerCell {
     serve: Option<HttpServe>,
 }
 
+/// A server cell as the cell map holds it: a live cell, boxed so that the
+/// map's buckets stay small, or the snapshot of a never-served cell whose
+/// endpoint went quiet.
+enum ServerSlot {
+    Live(Box<ServerCell>),
+    Quiet(QuietEndpoint),
+}
+
+// With its 6-byte key, a map bucket takes 24 bytes; an inline cell took 376.
+const _: () = assert!(std::mem::size_of::<ServerSlot>() <= 16);
+
+impl ServerSlot {
+    fn live(ep: TcpEndpoint) -> ServerSlot {
+        ServerSlot::Live(Box::new(ServerCell { ep, serve: None }))
+    }
+}
+
 /// The origin-site multiplexer element (rightmost, egress `ToClient`).
 ///
 /// Connections are keyed by the *peer's* `(addr, port)` — unique per flow
@@ -614,13 +633,18 @@ struct ServerCell {
 /// the backstop behind a CLOSED socket. They stay because a dead cell
 /// still answers: a straggler segment for its flow draws an RST down the
 /// endpoint's dead-port path, where a reaped cell would swallow it, so
-/// reaping them early would change the world's output. The closed socket
-/// has handed its buffers back to the pools, so such a cell costs its
-/// endpoint and a one-slot socket table.
+/// reaping them early would change the world's output. Everything such a
+/// cell can still do depends only on its site address and two counters, so
+/// once its endpoint is quiet ([`TcpEndpoint::quiet_snapshot`]) the cell keeps only
+/// that snapshot and the endpoint's buffers go back to the pools. A segment
+/// for a quiet cell wakes the endpoint ([`TcpEndpoint::wake`]) and goes
+/// through the one endpoint code path; the cell may go quiet again after.
+/// The snapshot drops the endpoint's `StackStats` and ignore-log counts,
+/// which nothing reads: this element exports no endpoint counters.
 pub struct MetroServers {
     sites: Vec<Ipv4Addr>,
     profile: StackProfile,
-    cells: FxHashMap<(Ipv4Addr, u16), ServerCell>,
+    cells: FxHashMap<(Ipv4Addr, u16), ServerSlot>,
     reply: Reply,
     /// Hard per-cell lifetime.
     ttl: Duration,
@@ -640,7 +664,8 @@ impl MetroServers {
     }
 
     fn pump_cell(&mut self, ctx: &mut Ctx<'_>, key: (Ipv4Addr, u16)) {
-        let Some(cell) = self.cells.get_mut(&key) else { return };
+        let Some(slot) = self.cells.get_mut(&key) else { return };
+        let ServerSlot::Live(cell) = slot else { return };
         if cell.serve.is_none() {
             cell.serve = cell.ep.take_accepted().pop().map(HttpServe::new);
         }
@@ -654,12 +679,17 @@ impl MetroServers {
         }
         self.tx_scratch = scratch;
         let reap = cell.serve.as_ref().is_some_and(HttpServe::is_done) && cell.ep.all_settled();
+        let quiet = cell.serve.is_none().then(|| cell.ep.quiet_snapshot()).flatten();
         let deadline = cell.ep.next_deadline();
         if reap {
             // Answered and fully wound down: the cell is garbage now, not
             // 30 seconds from now. Metropolis links are lossless, so no
             // late retransmit will ever want it back.
             self.cells.remove(&key);
+        } else if let Some(q) = quiet {
+            // Never served and quiet (so no timer to arm): dropping the
+            // endpoint hands its buffers back to the pools.
+            *slot = ServerSlot::Quiet(q);
         } else if let Some(d) = deadline {
             let at = Instant(d).max(Instant(ctx.now.micros() + 1));
             ctx.set_timer(at, srv_token(SRV_KIND_TCP, key));
@@ -690,12 +720,16 @@ impl Element for MetroServers {
                 }
                 let mut ep = TcpEndpoint::new(dst, self.profile);
                 ep.listen(METRO_PORT);
-                self.cells.insert(key, ServerCell { ep, serve: None });
+                self.cells.insert(key, ServerSlot::live(ep));
                 ctx.set_timer(ctx.now + self.ttl, srv_token(SRV_KIND_EXPIRE, key));
             }
             key
         };
-        if let Some(cell) = self.cells.get_mut(&key) {
+        let Some(slot) = self.cells.get_mut(&key) else { return };
+        if let ServerSlot::Quiet(q) = *slot {
+            *slot = ServerSlot::live(TcpEndpoint::wake(q, self.profile, METRO_PORT));
+        }
+        if let ServerSlot::Live(cell) = slot {
             cell.ep.on_packet(wire, ctx.now.micros());
         }
         self.pump_cell(ctx, key);
@@ -706,7 +740,8 @@ impl Element for MetroServers {
         let key = srv_token_key(token);
         match token >> SRV_KIND_SHIFT {
             SRV_KIND_TCP => {
-                if let Some(cell) = self.cells.get_mut(&key) {
+                // A quiet cell has no timer armed; this one is stale.
+                if let Some(ServerSlot::Live(cell)) = self.cells.get_mut(&key) {
                     cell.ep.on_timer(ctx.now.micros());
                     self.pump_cell(ctx, key);
                 }
@@ -726,6 +761,8 @@ impl Element for MetroServers {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use intang_netsim::Link;
+    use intang_packet::{PacketBuilder, TcpFlags};
 
     fn tuple(sp: u16) -> FourTuple {
         FourTuple::new(Ipv4Addr::new(10, 0, 0, 1), sp, Ipv4Addr::new(93, 184, 216, 34), 80)
@@ -800,6 +837,92 @@ mod tests {
         let t = srv_token(SRV_KIND_EXPIRE, key);
         assert_eq!(t >> SRV_KIND_SHIFT, SRV_KIND_EXPIRE);
         assert_eq!(srv_token_key(t), key);
+    }
+
+    /// Lends a `MetroServers` to a simulation while the test keeps a
+    /// handle on its cells.
+    struct SharedServers(Rc<RefCell<MetroServers>>);
+
+    impl Element for SharedServers {
+        fn name(&self) -> &str {
+            "metro-servers"
+        }
+        fn on_packet(&mut self, ctx: &mut Ctx<'_>, dir: Direction, wire: Wire) {
+            self.0.borrow_mut().on_packet(ctx, dir, wire);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_>, token: u64) {
+            self.0.borrow_mut().on_timer(ctx, token);
+        }
+    }
+
+    /// The client end of the path: keeps what reaches it.
+    struct Recorder(Rc<RefCell<Vec<Wire>>>);
+
+    impl Element for Recorder {
+        fn name(&self) -> &str {
+            "peer"
+        }
+        fn on_packet(&mut self, _ctx: &mut Ctx<'_>, _dir: Direction, wire: Wire) {
+            self.0.borrow_mut().push(wire);
+        }
+    }
+
+    /// A reset handshake leaves a quiet cell that answers a straggler as
+    /// its endpoint would have, until the backstop removes it. (That the
+    /// cell-map value fits 16 bytes is a `const` assertion by `ServerSlot`.)
+    #[test]
+    fn a_reset_handshake_leaves_a_quiet_cell_that_answers_like_its_endpoint() {
+        let (client, site) = (Ipv4Addr::new(10, 1, 0, 1), Ipv4Addr::new(203, 0, 113, 1));
+        let key = (client, 40_000);
+        let servers = Rc::new(RefCell::new(MetroServers::new(vec![site])));
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulation::new(1);
+        sim.add_element(Box::new(Recorder(seen.clone())));
+        sim.add_link(Link::new(Duration::from_millis(1), 0));
+        sim.add_element(Box::new(SharedServers(servers.clone())));
+        // The same segments also go to an endpoint that never goes quiet.
+        let mut reference = TcpEndpoint::new(site, StackProfile::linux_4_4());
+        reference.listen(METRO_PORT);
+        let segment = |flags, seq, ack| {
+            PacketBuilder::tcp(client, site, key.1, METRO_PORT)
+                .flags(flags)
+                .seq(seq)
+                .ack(ack)
+                .build()
+        };
+        // What the servers and the reference send back for `wire` at `t`.
+        let mut exchange = |sim: &mut Simulation, wire: Wire, t: u64| {
+            seen.borrow_mut().clear();
+            sim.inject_at(1, Direction::ToServer, wire.clone(), Instant(t));
+            sim.run_until(Instant(t + 5_000));
+            reference.on_packet(wire, t);
+            let bytes = |ws: &[Wire]| ws.iter().map(|w| w.to_vec()).collect::<Vec<_>>();
+            (bytes(&seen.borrow()), bytes(&reference.poll_transmit()))
+        };
+        let quiet = |servers: &Rc<RefCell<MetroServers>>| matches!(servers.borrow().cells.get(&key), Some(ServerSlot::Quiet(_)));
+
+        let (got, want) = exchange(&mut sim, segment(TcpFlags::SYN, 1_000, 0), 0);
+        assert_eq!((got.len(), &got), (1, &want), "one SYN/ACK, as the endpoint sends it");
+        assert!(!quiet(&servers), "SYN_RECV has its retransmission timer armed");
+        let srv_isn = TcpPacket::new_checked(Ipv4Packet::new_checked(&got[0][..]).unwrap().payload())
+            .unwrap()
+            .seq_number();
+
+        let (got, want) = exchange(&mut sim, segment(TcpFlags::RST, 1_001, 0), 10_000);
+        assert!(got.is_empty() && want.is_empty(), "the client's reset draws no reply");
+        assert!(quiet(&servers), "a never-served cell whose handshake was reset goes quiet");
+
+        let straggler = segment(TcpFlags::ACK, 1_001, srv_isn.wrapping_add(1));
+        let (got, want) = exchange(&mut sim, straggler.clone(), 20_000);
+        assert_eq!((got.len(), &got), (1, &want), "a straggler ACK draws the endpoint's own RST");
+        assert!(quiet(&servers), "and the cell goes quiet again");
+        assert_eq!(servers.borrow().cells.len(), 1);
+
+        sim.run_until(Instant(30_000_000));
+        assert!(servers.borrow().cells.is_empty(), "the 30 s backstop removes the quiet cell");
+        let (got, want) = exchange(&mut sim, straggler, 31_000_000);
+        assert!(got.is_empty(), "a straggler after the backstop is swallowed");
+        assert_eq!(want.len(), 1, "where the endpoint would still have answered");
     }
 
     #[test]

@@ -179,6 +179,11 @@ impl Reassembler {
     pub fn pending_count(&self) -> usize {
         self.pending.len()
     }
+
+    /// Who wins when two fragments overlap.
+    pub fn policy(&self) -> OverlapPolicy {
+        self.policy
+    }
 }
 
 /// Reassemble a complete set of fragments in one call (test helper).

@@ -37,6 +37,25 @@ pub struct StackStats {
     pub resets_rx: u64,
 }
 
+/// First source port [`TcpEndpoint::connect`] hands out.
+const EPHEMERAL_BASE: u16 = 40_000;
+
+/// All that a quiet endpoint (see [`TcpEndpoint::quiet_snapshot`]) still
+/// needs to answer a segment: its address and its ISN and IP-ident
+/// counters, 10 bytes. With no live socket, every later segment meets the
+/// listener or the dead-port path, and those read nothing else.
+/// [`TcpEndpoint::wake`] rebuilds an endpoint that answers every later
+/// segment byte for byte as the snapshotted one would have.
+///
+/// A snapshot drops the endpoint's [`StackStats`] and ignore-log counts:
+/// the woken endpoint counts from zero.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct QuietEndpoint {
+    addr: Ipv4Addr,
+    isn_counter: u32,
+    ident_counter: u16,
+}
+
 /// A host's TCP layer.
 pub struct TcpEndpoint {
     pub addr: Ipv4Addr,
@@ -101,8 +120,44 @@ impl TcpEndpoint {
             rx_seg: crate::pool::take_repr(0, 0),
             isn_counter: 0x1000_0000,
             ident_counter: 1,
-            ephemeral_next: 40_000,
+            ephemeral_next: EPHEMERAL_BASE,
         }
+    }
+
+    /// The snapshot of this endpoint if it is quiet: every socket CLOSED
+    /// or retired with no timer armed and nothing left to send, no queued
+    /// datagram, no pending IP fragment and no unclaimed accept. A
+    /// snapshot carries neither the listeners, the fragment-overlap policy
+    /// nor the ephemeral-port counter, so the endpoint must also listen on
+    /// exactly one port, keep the default policy and have the first
+    /// ephemeral port next. Handles into the endpoint die with it.
+    pub fn quiet_snapshot(&self) -> Option<QuietEndpoint> {
+        let quiet = self.out.is_empty()
+            && self.accepted.is_empty()
+            && self.ip_reasm.pending_count() == 0
+            && self
+                .sockets
+                .iter()
+                .all(|s| s.retired || (s.sock.is_closed() && s.sock.next_deadline().is_none() && s.sock.out.is_empty()))
+            && self.listeners.len() == 1
+            && self.ip_reasm.policy() == OverlapPolicy::LastWins
+            && self.ephemeral_next == EPHEMERAL_BASE;
+        quiet.then_some(QuietEndpoint {
+            addr: self.addr,
+            isn_counter: self.isn_counter,
+            ident_counter: self.ident_counter,
+        })
+    }
+
+    /// Rebuild a quiet endpoint from its snapshot. `profile` and `port`
+    /// must be the profile the snapshotted endpoint ran and the one port
+    /// it listened on.
+    pub fn wake(q: QuietEndpoint, profile: StackProfile, port: u16) -> TcpEndpoint {
+        let mut ep = TcpEndpoint::new(q.addr, profile);
+        ep.isn_counter = q.isn_counter;
+        ep.ident_counter = q.ident_counter;
+        ep.listen(port);
+        ep
     }
 
     /// Override the IP fragment overlap preference (server diversity, §3.4).
@@ -119,7 +174,7 @@ impl TcpEndpoint {
     /// Open a client connection; emits the SYN immediately.
     pub fn connect(&mut self, dst: Ipv4Addr, dst_port: u16, now: Micros) -> SocketHandle {
         let src_port = self.ephemeral_next;
-        self.ephemeral_next = self.ephemeral_next.wrapping_add(1).max(40_000);
+        self.ephemeral_next = self.ephemeral_next.wrapping_add(1).max(EPHEMERAL_BASE);
         self.connect_from(src_port, dst, dst_port, now)
     }
 

@@ -30,7 +30,7 @@ pub mod profile;
 pub mod reasm;
 pub mod socket;
 
-pub use endpoint::{SocketHandle, TcpEndpoint};
+pub use endpoint::{QuietEndpoint, SocketHandle, TcpEndpoint};
 pub use ignore::{IgnoreEvent, IgnoreReason};
 pub use profile::{LinuxVersion, RstPolicy, StackProfile, SynInEstablished};
 pub use socket::{Socket, TcpState};

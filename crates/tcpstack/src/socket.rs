@@ -187,9 +187,12 @@ impl Socket {
 
     /// Hand every empty buffer back to the thread-local pools. The endpoint
     /// calls this on a CLOSED socket once its last segments are flushed: a
-    /// dead socket never transmits again, yet a metropolis server cell
-    /// keeps one until its backstop timer fires. A buffer still holding
-    /// unread data stays until a later flush finds it empty.
+    /// dead socket never transmits again, yet it keeps its table slot until
+    /// the slot is reused or the endpoint is dropped. (A never-served
+    /// metropolis server cell does not wait out its backstop with one: once
+    /// the endpoint is quiet the cell keeps only its
+    /// [`crate::QuietEndpoint`] snapshot.) A buffer still holding unread
+    /// data stays until a later flush finds it empty.
     pub(crate) fn release_idle_buffers(&mut self) {
         if self.leased != 0 {
             self.give_back_buffers(false);

@@ -1,7 +1,7 @@
-//! A CLOSED socket holds no buffers. A metropolis server cell whose
-//! handshake never completes keeps its endpoint until a 30-second
-//! backstop timer, and thousands of such cells are alive at once, so every
-//! byte a dead socket keeps is paid thousands of times over.
+//! A CLOSED socket holds no buffers. It keeps its table slot until the
+//! slot is reused or its endpoint dropped, and an endpoint may outlive
+//! its sockets by far (a trial's hosts live until the trial ends), so a
+//! dead socket should cost no more than its slot.
 
 mod live_bytes;
 
