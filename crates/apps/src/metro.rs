@@ -205,15 +205,19 @@ impl MetroHandle {
 ///
 /// It holds per-flow state only for the flows it *owns*: every flow in the
 /// serial world, or a domain's shards of them. Owned flows are numbered by
-/// a **local id** (their rank among the owned flows, in flow-id order),
-/// and every per-flow array and key below but `specs` is indexed by it.
+/// a **local id** (their rank among the owned flows, in flow-id order).
+/// The world's pools, specs and keys are indexed by flow id and shared with
+/// every other domain; every other per-flow array and key below is indexed
+/// by local id.
 pub struct MetroClients {
-    /// The world's flow specs by flow id, shared by every domain.
+    /// The world's client and site address pools.
+    clients: Arc<[Ipv4Addr]>,
+    sites: Arc<[Ipv4Addr]>,
+    /// The world's flow specs and flow keys, by flow id.
     specs: Arc<[FlowSpec]>,
+    keys: Arc<[FlowKey]>,
     /// Flow id of each owned flow, by local id (shared with the handle).
     ids: Arc<[u32]>,
-    /// Four-tuple of each owned flow, by local id.
-    tuples: Vec<FourTuple>,
     /// Live flows' engine state, keyed by local id.
     cells: FxHashMap<u32, FlowCell>,
     /// Ingress demux: `(client addr, src port)` → live local id.
@@ -230,6 +234,11 @@ pub struct MetroClients {
     req_keyword: Rc<Vec<u8>>,
     req_benign: Rc<Vec<u8>>,
     tx_scratch: Vec<Wire>,
+    /// Invoked once per spawned flow with its flow id and four-tuple,
+    /// before its first segment leaves (the experiment wires this to
+    /// `IntangHandle::preset_strategy`, so the shim holds a flow's preset
+    /// only while its first SYN is in flight).
+    on_spawn: Option<Box<dyn Fn(u32, FourTuple)>>,
     /// Invoked once per retired flow; returns the resets the shim saw on
     /// it (the experiment wires this to `IntangHandle::retire_flow`, so
     /// shim-side per-flow state dies with the flow and its reset count
@@ -239,72 +248,87 @@ pub struct MetroClients {
     sc: bool,
 }
 
-/// Every flow's four-tuple and shard, in flow-id order. Source ports count
-/// up per client address in spec order from [`METRO_BASE_PORT`], so a
-/// flow's port depends on every earlier flow of its client, whichever
-/// domain owns them (panics if an address would exhaust its range).
-fn flow_keys<'a>(
-    clients: &'a [Ipv4Addr],
-    sites: &'a [Ipv4Addr],
-    specs: &'a [FlowSpec],
-    shards: u32,
-) -> impl Iterator<Item = (FourTuple, u32)> + 'a {
+/// A flow's key, derived once per world by [`flow_keys`]: the source port
+/// the flow connects from and the shard its state lives in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FlowKey {
+    pub port: u16,
+    pub shard: u16,
+}
+
+/// Every flow's [`FlowKey`], by flow id, for a world of `shards` shards:
+/// one pass over `specs`. Source ports count up per client address in spec
+/// order from [`METRO_BASE_PORT`], so a flow's port depends on every
+/// earlier flow of its client, whichever domain owns them; the shard is
+/// [`shard_of`] the flow's address pair. Panics if a pool is empty, the
+/// specs are not sorted by `start`, an address would exhaust its port
+/// range, or `shards` exceeds the 65,536 a key can name.
+pub fn flow_keys(clients: &[Ipv4Addr], sites: &[Ipv4Addr], specs: &[FlowSpec], shards: u32) -> Arc<[FlowKey]> {
+    assert!(!clients.is_empty() && !sites.is_empty());
+    assert!(shards <= 1 << 16, "{shards} shards: a flow key names at most 65536");
     let mut next_port = vec![METRO_BASE_PORT; clients.len()];
-    specs.iter().map(move |spec| {
-        let addr = clients[spec.client as usize];
-        let port = next_port[spec.client as usize];
-        assert!(port < u16::MAX, "client {addr} exhausted its source-port range");
-        next_port[spec.client as usize] = port + 1;
-        let tuple = FourTuple::new(addr, port, sites[spec.site as usize], METRO_PORT);
-        (tuple, shard_of(&tuple, shards))
-    })
+    let mut last = Instant::default();
+    specs
+        .iter()
+        .map(|spec| {
+            assert!(spec.start >= last, "specs must be start-sorted");
+            last = spec.start;
+            let addr = clients[spec.client as usize];
+            let port = next_port[spec.client as usize];
+            assert!(port < u16::MAX, "client {addr} exhausted its source-port range");
+            next_port[spec.client as usize] = port + 1;
+            let tuple = FourTuple::new(addr, port, sites[spec.site as usize], METRO_PORT);
+            FlowKey {
+                port,
+                shard: shard_of(&tuple, shards) as u16,
+            }
+        })
+        .collect()
 }
 
 impl MetroClients {
     /// Build the element for one event domain of a `domains`-way split of
     /// the shards: this instance owns (spawns, pumps, retires) only the
     /// flows whose shard satisfies `shard % domains == domain`, and holds
-    /// tuples, result slots and cells for those alone. Ports and shards
-    /// cost two passes over `specs` that allocate only a per-client port
-    /// counter (one counts the owned flows so every per-flow array is
-    /// reserved exactly, one fills them); the specs themselves are shared,
-    /// not copied. Domains' result slots scatter by flow id
-    /// ([`MetroHandle::take_results`]) into exactly the serial grid, and
-    /// `for_domain(.., 1, 0)` *is* the serial element. `specs` must be
-    /// sorted by `start`.
+    /// result slots and cells for those alone. The build reads only the
+    /// world's [`FlowKey`]s (`keys`, from [`flow_keys`] over the same pools,
+    /// specs and `shards`), twice: once to count the owned flows so every
+    /// per-flow array is reserved exactly, once to fill them. A flow's
+    /// four-tuple is derived from its spec and key when it spawns. The
+    /// pools, specs and keys are shared, not copied. Domains' result slots
+    /// scatter by flow id ([`MetroHandle::take_results`]) into exactly the
+    /// serial grid, and `for_domain(.., 1, 0)` *is* the serial element.
     pub fn for_domain(
-        clients: &[Ipv4Addr],
-        sites: &[Ipv4Addr],
+        clients: Arc<[Ipv4Addr]>,
+        sites: Arc<[Ipv4Addr]>,
         specs: Arc<[FlowSpec]>,
+        keys: Arc<[FlowKey]>,
         shards: u32,
         domains: u32,
         domain: u32,
     ) -> (MetroClients, MetroHandle) {
-        assert!(!clients.is_empty() && !sites.is_empty());
-        assert!(specs.windows(2).all(|w| w[0].start <= w[1].start), "specs must be start-sorted");
+        assert_eq!(keys.len(), specs.len(), "one key per flow spec");
         assert!(domains >= 1 && domain < domains, "domain index out of range");
         let shards = shards.max(1);
-        let owns = |shard: u32| shard % domains == domain;
+        // Whether this domain owns each shard: both walks test every key,
+        // where a table lookup costs less than `shard % domains`.
+        let owns: Vec<bool> = (0..shards).map(|s| s % domains == domain).collect();
         let mut per_shard = vec![0usize; shards as usize];
-        for (_, shard) in flow_keys(clients, sites, &specs, shards) {
-            per_shard[shard as usize] += usize::from(owns(shard));
+        for key in keys.iter() {
+            let shard = usize::from(key.shard);
+            per_shard[shard] += usize::from(owns[shard]);
         }
         let owned: usize = per_shard.iter().sum();
         let mut shard_flow_ids: Vec<Vec<u32>> = per_shard.iter().map(|&n| Vec::with_capacity(n)).collect();
         let mut ids = Vec::with_capacity(owned);
-        let mut tuples = Vec::with_capacity(owned);
         let mut results = Vec::with_capacity(owned);
-        for (id, (tuple, shard)) in flow_keys(clients, sites, &specs, shards).enumerate() {
-            if !owns(shard) {
-                continue;
-            }
-            shard_flow_ids[shard as usize].push(ids.len() as u32);
+        for (id, key) in keys.iter().enumerate().filter(|(_, k)| owns[usize::from(k.shard)]) {
+            shard_flow_ids[usize::from(key.shard)].push(ids.len() as u32);
             ids.push(id as u32);
-            tuples.push(tuple);
             results.push(FlowResult {
                 outcome: FlowOutcome::Pending,
                 latency_us: 0,
-                shard,
+                shard: u32::from(key.shard),
             });
         }
         let ids: Arc<[u32]> = ids.into();
@@ -321,9 +345,11 @@ impl MetroClients {
             order_violations: 0,
         }));
         let el = MetroClients {
+            clients,
+            sites,
             specs,
+            keys,
             ids,
-            tuples,
             cells: FxHashMap::default(),
             route: FxHashMap::default(),
             shard_flow_ids,
@@ -333,27 +359,35 @@ impl MetroClients {
             req_keyword: Rc::new(HttpRequest::get("/search?q=ultrasurf", "metropolis.example").encode()),
             req_benign: Rc::new(HttpRequest::get("/index.html", "metropolis.example").encode()),
             tx_scratch: Vec::new(),
+            on_spawn: None,
             on_retire: None,
             sc: intang_simcheck::enabled(),
         };
         (el, MetroHandle { state })
     }
 
-    /// Four-tuple of each owned flow, by local id (available before the
-    /// element is boxed into the simulation — experiments preset per-flow
-    /// strategies against these keys).
-    pub fn tuples(&self) -> &[FourTuple] {
-        &self.tuples
-    }
-
-    /// Flow id of each owned flow, by local id (increasing).
-    pub fn flow_ids(&self) -> &[u32] {
-        &self.ids
+    /// Four-tuple of the owned flow with local id `local`: its spec's
+    /// client and site addresses, and its key's source port.
+    fn tuple(&self, local: u32) -> FourTuple {
+        let id = self.ids[local as usize] as usize;
+        let spec = &self.specs[id];
+        FourTuple::new(
+            self.clients[spec.client as usize],
+            self.keys[id].port,
+            self.sites[spec.site as usize],
+            METRO_PORT,
+        )
     }
 
     /// The spec of the owned flow with local id `local`.
     fn spec(&self, local: u32) -> &FlowSpec {
         &self.specs[self.ids[local as usize] as usize]
+    }
+
+    /// Install the per-flow spawn hook (e.g. presetting the INTANG shim's
+    /// strategy for the flow), called with the flow id and four-tuple.
+    pub fn set_spawn_hook(&mut self, f: Box<dyn Fn(u32, FourTuple)>) {
+        self.on_spawn = Some(f);
     }
 
     /// Install the per-flow retirement hook (e.g. the INTANG shim's
@@ -415,7 +449,10 @@ impl MetroClients {
 
     fn spawn(&mut self, ctx: &mut Ctx<'_>, local: u32) {
         let spec = *self.spec(local);
-        let tuple = self.tuples[local as usize];
+        let tuple = self.tuple(local);
+        if let Some(f) = &self.on_spawn {
+            f(self.ids[local as usize], tuple);
+        }
         let mut ep = TcpEndpoint::new(tuple.src, self.profile);
         ep.set_isn_base(spec.isn);
         let sock = ep.connect_from(tuple.src_port, tuple.dst, tuple.dst_port, ctx.now.micros());
@@ -796,10 +833,24 @@ mod tests {
         assert!(seen.iter().all(|&s| s), "200 client addresses should touch all 4 shards");
     }
 
+    /// Domain `domain` of a `domains`-way split, over keys derived for
+    /// `shards` shards.
+    fn domain_element(
+        clients: &Arc<[Ipv4Addr]>,
+        sites: &Arc<[Ipv4Addr]>,
+        specs: &Arc<[FlowSpec]>,
+        shards: u32,
+        domains: u32,
+        domain: u32,
+    ) -> (MetroClients, MetroHandle) {
+        let keys = flow_keys(clients, sites, specs, shards);
+        MetroClients::for_domain(clients.clone(), sites.clone(), specs.clone(), keys, shards, domains, domain)
+    }
+
     #[test]
     fn domains_partition_shards_exhaustively() {
-        let clients: Vec<Ipv4Addr> = (0..32u32).map(|i| Ipv4Addr::from(0x0A00_0100 + i)).collect();
-        let sites = vec![Ipv4Addr::new(93, 184, 216, 34)];
+        let clients: Arc<[Ipv4Addr]> = (0..32u32).map(|i| Ipv4Addr::from(0x0A00_0100 + i)).collect();
+        let sites: Arc<[Ipv4Addr]> = Arc::new([Ipv4Addr::new(93, 184, 216, 34)]);
         let specs: Arc<[FlowSpec]> = (0..64)
             .map(|i| FlowSpec {
                 start: Instant(i * 1_000),
@@ -810,21 +861,19 @@ mod tests {
                 request_delay: Duration::ZERO,
             })
             .collect();
-        let (serial, _) = MetroClients::for_domain(&clients, &sites, specs.clone(), 8, 1, 0);
-        assert_eq!(
-            serial.flow_ids(),
-            (0..64).collect::<Vec<u32>>(),
-            "the serial element owns every flow"
-        );
+        let (serial, _) = domain_element(&clients, &sites, &specs, 8, 1, 0);
+        assert_eq!(*serial.ids, *(0..64).collect::<Vec<u32>>(), "the serial element owns every flow");
         let mut owner: Vec<Option<u32>> = vec![None; specs.len()];
         for d in 0..3 {
-            let (el, metro) = MetroClients::for_domain(&clients, &sites, specs.clone(), 8, 3, d);
-            assert!(el.flow_ids().windows(2).all(|w| w[0] < w[1]), "local ids keep flow-id order");
-            assert_eq!(el.tuples().len(), el.flow_ids().len(), "one tuple per owned flow");
-            assert_eq!(metro.results().len(), el.flow_ids().len(), "one result slot per owned flow");
-            for (&id, tuple) in el.flow_ids().iter().zip(el.tuples()) {
-                assert_eq!(*tuple, serial.tuples()[id as usize], "flow {id} keeps its serial four-tuple");
-                assert_eq!(shard_of(tuple, 8) % 3, d, "flow {id} belongs to another domain");
+            let (el, metro) = domain_element(&clients, &sites, &specs, 8, 3, d);
+            assert!(el.ids.windows(2).all(|w| w[0] < w[1]), "local ids keep flow-id order");
+            let results = metro.results();
+            assert_eq!(results.len(), el.ids.len(), "one result slot per owned flow");
+            for (local, &id) in el.ids.iter().enumerate() {
+                let tuple = el.tuple(local as u32);
+                assert_eq!(tuple, serial.tuple(id), "flow {id} keeps its serial four-tuple");
+                assert_eq!(results[local].shard, shard_of(&tuple, 8), "flow {id}'s slot names its shard");
+                assert_eq!(shard_of(&tuple, 8) % 3, d, "flow {id} belongs to another domain");
                 assert_eq!(owner[id as usize].replace(d), None, "flow {id} is owned twice");
             }
         }
@@ -927,8 +976,8 @@ mod tests {
 
     #[test]
     fn port_assignment_is_per_client_and_in_spec_order() {
-        let clients = vec![Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2)];
-        let sites = vec![Ipv4Addr::new(93, 184, 216, 34)];
+        let clients: Arc<[Ipv4Addr]> = Arc::new([Ipv4Addr::new(10, 0, 0, 1), Ipv4Addr::new(10, 0, 0, 2)]);
+        let sites: Arc<[Ipv4Addr]> = Arc::new([Ipv4Addr::new(93, 184, 216, 34)]);
         let specs: Arc<[FlowSpec]> = (0..4)
             .map(|i| FlowSpec {
                 start: Instant(i * 1_000),
@@ -939,8 +988,8 @@ mod tests {
                 request_delay: Duration::ZERO,
             })
             .collect();
-        let (el, _h) = MetroClients::for_domain(&clients, &sites, specs, 2, 1, 0);
-        let t = el.tuples();
+        let (el, _h) = domain_element(&clients, &sites, &specs, 2, 1, 0);
+        let t: Vec<FourTuple> = (0..4).map(|local| el.tuple(local)).collect();
         assert_eq!(t[0].src_port, METRO_BASE_PORT);
         assert_eq!(t[1].src_port, METRO_BASE_PORT, "second client starts its own range");
         assert_eq!(t[2].src_port, METRO_BASE_PORT + 1);

@@ -8,7 +8,8 @@
 //! a `BinaryHeap` reference to keep the wheel honest. The `metro-80k`
 //! cases hold a metropolis world's depth instead: ~80k resident timers,
 //! most of them far out, so they exercise the upper wheel levels, their
-//! node slab and the cascades that the small churns never reach.
+//! node slab and the cascades that the small churns never reach. They
+//! peek before each pop, as the simulator's run loop does.
 
 use intang_bench::harness::bench_elems;
 use intang_netsim::event::{Event, EventQueue};
@@ -103,7 +104,9 @@ fn metro_delay(kind: u64, rng: &mut Rng) -> u64 {
     base + rng.next() % spread
 }
 
-/// A wheel at metro depth; each call runs `steps` pop/re-arm steps on it.
+/// A wheel at metro depth; each call runs `steps` steps on it, each a peek,
+/// a pop and a re-arm: `Simulation::run_until` peeks at the next event's
+/// time before every step, so a peek that walks a slot shows up here.
 fn metro_wheel(steps: u64) -> impl FnMut() -> u64 {
     let mut rng = Rng(0x2017_1cc7);
     let mut q = EventQueue::new();
@@ -113,10 +116,12 @@ fn metro_wheel(steps: u64) -> impl FnMut() -> u64 {
     move || {
         let mut acc = 0u64;
         for _ in 0..steps {
+            let next = q.peek_time().expect("resident events");
             let (at, event) = q.pop().expect("resident events");
             let Event::Timer { token: kind, .. } = event else {
                 unreachable!("only timers are pushed")
             };
+            assert_eq!(next, at, "the peeked time is the popped one");
             acc = acc.wrapping_add(at.0);
             q.push(Instant(at.0 + metro_delay(kind, &mut rng)), Event::Timer { elem: 0, token: kind });
         }
@@ -135,7 +140,9 @@ fn metro_heap(steps: u64) -> impl FnMut() -> u64 {
     move || {
         let mut acc = 0u64;
         for _ in 0..steps {
+            let Reverse((next, _, _)) = *q.peek().expect("resident events");
             let Reverse((at, _, kind)) = q.pop().expect("resident events");
+            assert_eq!(next, at, "the peeked time is the popped one");
             acc = acc.wrapping_add(at);
             q.push(Reverse((at + metro_delay(kind, &mut rng), seq, kind)));
             seq += 1;

@@ -11,6 +11,8 @@
 //! * `stack` — TCP endpoint handshake and bulk-transfer cost;
 //! * `trials` — full end-to-end trial throughput per strategy (the unit of
 //!   work behind every Table 1/4 cell).
+//! * `metro` — metropolis set-up at 100k flows: world generation, the
+//!   serial build and the eight domain builds, timed apart.
 //!
 //! Sweep-level wall-clock numbers (the work-stealing executor speedup)
 //! come from the `bench_sweep` binary in `intang-experiments`, which

@@ -26,11 +26,12 @@
 //!
 //! Extra flags beyond the common set: `--flows N` caps the sweep at `N`
 //! flows (adding `N` as a sweep point), `--shards N` overrides the shard
-//! count (default 8), `--domains N` the parallel domain count (default =
-//! shards), `--workers N` the max worker-thread count (default = cores),
-//! `--middlebox` inserts a strict server-side sequence firewall one hop
-//! past the censor, and `--censor-profile SPEC` (common set) runs the
-//! censor from a compiled profile instead of the stock evolved model.
+//! count (default 8, at most 65535), `--domains N` the parallel domain
+//! count (default = shards), `--workers N` the max worker-thread count
+//! (default = cores), `--middlebox` inserts a strict server-side sequence
+//! firewall one hop past the censor, and `--censor-profile SPEC` (common
+//! set) runs the censor from a compiled profile instead of the stock
+//! evolved model.
 //! A count that does not fit its type, or a non-numeric
 //! `INTANG_METRO_RSS_MB`, exits 2.
 
@@ -213,7 +214,8 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--flows" => flows_cap = Some(numeric("--flows", it.next())),
-            "--shards" => shards = numeric("--shards", it.next()),
+            // A flow key names its shard in 16 bits.
+            "--shards" => shards = u32::from(numeric::<u16>("--shards", it.next())),
             "--domains" => domains = Some(numeric("--domains", it.next())),
             "--workers" => max_workers = Some(numeric("--workers", it.next())),
             "--middlebox" => middlebox = true,

@@ -21,7 +21,7 @@
 //! worker count (asserted by `tests/determinism.rs`).
 
 use crate::runner::MinMaxAvg;
-use intang_apps::metro::{FlowOutcome, FlowResult, FlowSpec, MetroClients, MetroHandle, MetroServers};
+use intang_apps::metro::{flow_keys, FlowKey, FlowOutcome, FlowResult, FlowSpec, MetroClients, MetroHandle, MetroServers};
 use intang_core::{IntangConfig, IntangElement, StrategyKind};
 use intang_gfw::{EvictionPolicy, GfwConfig, GfwElement, GfwHandle};
 use intang_middlebox::SeqStrictFirewall;
@@ -103,14 +103,70 @@ impl MetroParams {
     }
 }
 
-/// The generated world: address pools, start-sorted flow specs, and each
-/// flow's preset strategy draw. The specs are shared: every domain built
-/// from the world reads them in place.
+/// The generated world: address pools, start-sorted flow specs, each
+/// flow's preset strategy draw, and each flow's key (source port and
+/// shard), derived once by [`MetroWorld::new`] for the world's shard count.
+/// Everything is shared: every domain built from the world reads it in
+/// place. The keys follow from the pools and specs, so those are read-only;
+/// `specs` stays a public field for the benchmark harness, which counts
+/// flows with it, and must not be replaced either.
 pub struct MetroWorld {
-    pub clients: Vec<Ipv4Addr>,
-    pub sites: Vec<Ipv4Addr>,
+    clients: Arc<[Ipv4Addr]>,
+    sites: Arc<[Ipv4Addr]>,
     pub specs: Arc<[FlowSpec]>,
-    pub strategies: Vec<StrategyKind>,
+    strategies: Arc<[StrategyKind]>,
+    keys: Arc<[FlowKey]>,
+    shards: u32,
+}
+
+impl MetroWorld {
+    /// Assemble a world for `shards` shards (0 counts as 1) and derive
+    /// every flow's key: the one pass over the specs that all of the
+    /// world's domain builds share. `specs` must be start-sorted, with one
+    /// strategy per spec.
+    pub fn new(
+        clients: Arc<[Ipv4Addr]>,
+        sites: Arc<[Ipv4Addr]>,
+        specs: Arc<[FlowSpec]>,
+        strategies: Arc<[StrategyKind]>,
+        shards: u32,
+    ) -> MetroWorld {
+        assert_eq!(strategies.len(), specs.len(), "one strategy per flow spec");
+        let shards = shards.max(1);
+        let keys = flow_keys(&clients, &sites, &specs, shards);
+        MetroWorld {
+            clients,
+            sites,
+            specs,
+            strategies,
+            keys,
+            shards,
+        }
+    }
+
+    pub fn clients(&self) -> &[Ipv4Addr] {
+        &self.clients
+    }
+
+    pub fn sites(&self) -> &[Ipv4Addr] {
+        &self.sites
+    }
+
+    /// Each flow's preset strategy, by flow id.
+    pub fn strategies(&self) -> &[StrategyKind] {
+        &self.strategies
+    }
+
+    /// Each flow's key, by flow id.
+    pub fn keys(&self) -> &[FlowKey] {
+        &self.keys
+    }
+
+    /// The shard count the keys were derived for; a build must run the
+    /// same count.
+    pub fn shards(&self) -> u32 {
+        self.shards
+    }
 }
 
 /// Deterministic load plan: every draw comes from one SplitMix stream
@@ -118,10 +174,10 @@ pub struct MetroWorld {
 /// world regardless of shard or worker count.
 pub fn generate_world(p: &MetroParams) -> MetroWorld {
     let mut rng = SimRng::seed_from(p.seed ^ 0x4d45_5452_4f50_4f4c); // "METROPOL"
-    let clients: Vec<Ipv4Addr> = (0..p.clients.max(1))
+    let clients: Arc<[Ipv4Addr]> = (0..p.clients.max(1))
         .map(|i| Ipv4Addr::new(10, 1, (i >> 8) as u8, (i & 0xff) as u8))
         .collect();
-    let sites: Vec<Ipv4Addr> = (0..p.sites.clamp(1, 64))
+    let sites: Arc<[Ipv4Addr]> = (0..p.sites.clamp(1, 64))
         .map(|i| Ipv4Addr::new(203, 0, 113, (i + 1) as u8))
         .collect();
     let pool = StrategyKind::adaptive_pool();
@@ -147,12 +203,7 @@ pub fn generate_world(p: &MetroParams) -> MetroWorld {
             spec
         })
         .collect();
-    MetroWorld {
-        clients,
-        sites,
-        specs,
-        strategies,
-    }
+    MetroWorld::new(clients, sites, specs, strategies.into(), p.shards)
 }
 
 /// Per-shard fold of the flow-result grid (a pure function of the
@@ -249,23 +300,30 @@ const SHIM_LANE_SEED: u64 = 0x5348_494d_4c41_4e45; // "SHIMLANE"
 
 /// Build one event domain of a `domains`-way parallel metropolis without
 /// running it: the metro clients own only the shards with
-/// `shard % domains == domain`, and the domain holds tuples, result slots
-/// and shim strategy presets for those flows alone. Deriving ports and
-/// shards walks every spec, but the memory the domain keeps scales with
-/// the flows it owns; the specs are shared with `world`, not copied. The
-/// censor and shim run with `state_shards = p.shards` so every piece of
-/// cross-flow state — TCB
+/// `shard % domains == domain`, and the domain holds result slots for
+/// those flows alone. The build walks the world's 4-byte flow keys to pick
+/// out its flows and copies nothing else of the world: a flow's four-tuple
+/// is derived from its spec and key when it spawns, and a spawn hook
+/// presets its shim strategy then. The censor and shim run with
+/// `state_shards = p.shards` so every piece of cross-flow state — TCB
 /// eviction order and capacity quota, resync windows, sticky draws,
 /// injector RNG streams, learned δ overrides — is partitioned by the same
 /// [`intang_packet::pair_shard`] key the metro flows shard by. Each
 /// shard's event stream is then causally closed, so any grouping of
-/// shards into domains replays identical per-shard bytes.
+/// shards into domains replays identical per-shard bytes. Panics, naming
+/// both counts, if `p.shards` is not the world's shard count.
 ///
 /// `domains = 1, domain = 0` is the **serial reference** for the parallel
 /// determinism grid: one simulation hosting all shards. At `p.shards = 1`
 /// it is the global censor: one lane with the whole `max_tcbs` quota and
 /// every draw from the simulation RNG.
 pub fn build_metropolis_domain(p: &MetroParams, world: &MetroWorld, domains: u32, domain: u32) -> (Simulation, MetroParts) {
+    assert!(
+        world.shards == p.shards.max(1),
+        "the world's flow keys are for {} shards, but the build runs {} shards",
+        world.shards,
+        p.shards.max(1)
+    );
     let mut sim = Simulation::new(p.seed);
 
     // The INTANG shim fronts every client address; per-flow strategy
@@ -279,15 +337,22 @@ pub fn build_metropolis_domain(p: &MetroParams, world: &MetroWorld, domains: u32
         ..IntangConfig::default()
     };
     let (intang_el, intang) = IntangElement::new(world.clients[0], cfg);
-    for site in &world.sites {
+    for site in world.sites.iter() {
         intang.seed_hops(*site, PATH_HOPS);
     }
 
     // [0] every client flow (this domain's shards of them).
-    let (mut clients_el, metro) = MetroClients::for_domain(&world.clients, &world.sites, world.specs.clone(), p.shards, domains, domain);
-    for (tuple, &id) in clients_el.tuples().iter().zip(clients_el.flow_ids()) {
-        intang.preset_strategy(*tuple, world.strategies[id as usize]);
-    }
+    let (mut clients_el, metro) = MetroClients::for_domain(
+        world.clients.clone(),
+        world.sites.clone(),
+        world.specs.clone(),
+        world.keys.clone(),
+        world.shards,
+        domains,
+        domain,
+    );
+    let (shim, strategies) = (intang.clone(), world.strategies.clone());
+    clients_el.set_spawn_hook(Box::new(move |id, tuple| shim.preset_strategy(tuple, strategies[id as usize])));
     let shim = intang.clone();
     clients_el.set_retire_hook(Box::new(move |tuple| shim.retire_flow(tuple)));
     // Arm the per-shard spawn/finish chains before the element moves into
@@ -322,12 +387,12 @@ pub fn build_metropolis_domain(p: &MetroParams, world: &MetroWorld, domains: u32
         sim.add_link(Link::new(Duration::from_millis(1), 1).with_router_base(Ipv4Addr::new(172, 16, 3, 0)));
         sim.add_element(Box::new(SeqStrictFirewall::new("metro-seqfw")));
         sim.add_link(Link::new(Duration::from_millis(1), 2).with_router_base(Ipv4Addr::new(172, 16, 4, 0)));
-        sim.add_element(Box::new(MetroServers::new(world.sites.clone())));
+        sim.add_element(Box::new(MetroServers::new(world.sites.to_vec())));
     } else {
         // [3] every origin site (3 more hops; TTL-scoped insertions with
         // the seeded PATH_HOPS estimate die on this link).
         sim.add_link(Link::new(Duration::from_millis(2), 3).with_router_base(Ipv4Addr::new(172, 16, 3, 0)));
-        sim.add_element(Box::new(MetroServers::new(world.sites.clone())));
+        sim.add_element(Box::new(MetroServers::new(world.sites.to_vec())));
     }
 
     (sim, MetroParts { metro, gfw })
@@ -591,6 +656,16 @@ mod tests {
             assert_eq!(format!("{x:?}"), format!("{y:?}"));
         }
         assert_eq!(a.strategies, b.strategies);
+        assert_eq!(a.keys(), b.keys());
+    }
+
+    #[test]
+    #[should_panic(expected = "the world's flow keys are for 8 shards, but the build runs 4 shards")]
+    fn a_build_at_another_shard_count_panics_naming_both() {
+        let mut p = MetroParams::new(40, 3);
+        let world = generate_world(&p);
+        p.shards = 4;
+        drop(build_metropolis_domain(&p, &world, 1, 0));
     }
 
     #[test]

@@ -28,11 +28,20 @@ fn a_domain_build_holds_only_its_own_flows() {
     drop(build_metropolis_domain(&p, &world, 1, 0));
     let serial = held_by_build(&p, &world, 1, 0);
     let domain = held_by_build(&p, &world, 8, 0);
-    // Domain 0 owns about 1/8 of the flows. Measured: the serial build
-    // held 1,086,680 bytes (about 66 per flow) and domain 0 held 139,208
-    // (0.128 of it). A quarter leaves room for the fixed cost of a path;
-    // a domain that keeps per-flow state for every flow holds about as
-    // much as the serial build.
+    let flows = world.specs.len();
+    // Measured: the serial build held 1,086,680 bytes (66 per flow) when
+    // it stored every flow's four-tuple and put every flow's shim strategy
+    // preset in the shim before the first event, and 398,600 (24 per flow)
+    // now that a flow's four-tuple is derived and its preset made when it
+    // spawns. Either old cost alone exceeds the bound.
+    assert!(
+        serial <= flows * 32,
+        "the serial build holds {serial} bytes for {flows} flows, {} per flow",
+        serial / flows
+    );
+    // Domain 0 owns about 1/8 of the flows. A quarter leaves room for the
+    // fixed cost of a path; a domain that keeps per-flow state for every
+    // flow holds about as much as the serial build.
     assert!(
         domain * 4 <= serial,
         "domain 0 of 8 holds {domain} bytes, more than a quarter of the serial build's {serial}"

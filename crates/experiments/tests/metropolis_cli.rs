@@ -39,3 +39,11 @@ fn counts_above_u32_max_exit_2_instead_of_wrapping() {
     }
     assert_rejected(&["--workers", "18446744073709551616", "--quick"], &[], "--workers");
 }
+
+#[test]
+fn shard_counts_past_16_bits_exit_2() {
+    // A flow key names its shard in 16 bits.
+    for value in ["65536", "100000"] {
+        assert_rejected(&["--shards", value, "--quick"], &[], "--shards");
+    }
+}

@@ -155,8 +155,6 @@ pub struct EventQueue {
     /// Events beyond the wheel horizon, unordered; migrated in when the
     /// wheel drains. Every overflow time exceeds every wheel time.
     overflow: Vec<Queued>,
-    /// Earliest `(at, seq)` in `overflow`, maintained on push.
-    overflow_min: Option<(Instant, u64)>,
     next_seq: u64,
     len: usize,
     /// Deliver events currently queued (packets in flight, excluding
@@ -222,7 +220,6 @@ impl EventQueue {
             wheel_now: 0,
             upper_len: 0,
             overflow: Vec::new(),
-            overflow_min: None,
             next_seq: 0,
             len: 0,
             deliver_len: 0,
@@ -269,12 +266,7 @@ impl EventQueue {
                 self.link(up, slot, n);
                 self.upper_len += 1;
             }
-            Place::Overflow => {
-                if self.overflow_min.is_none_or(|m| (q.at, q.seq) < m) {
-                    self.overflow_min = Some((q.at, q.seq));
-                }
-                self.overflow.push(q);
-            }
+            Place::Overflow => self.overflow.push(q),
         }
     }
 
@@ -311,7 +303,6 @@ impl EventQueue {
         let min_at = self.overflow.iter().map(|q| q.at.0).min().expect("overflow non-empty");
         self.wheel_now = self.wheel_now.max(min_at);
         let pending = std::mem::take(&mut self.overflow);
-        self.overflow_min = None;
         for q in pending {
             self.insert(q);
         }
@@ -324,25 +315,35 @@ impl EventQueue {
     }
 
     pub fn pop(&mut self) -> Option<(Instant, Event)> {
-        if self.len == 0 {
-            return None;
+        self.settle_front();
+        let FrontItem(q) = self.front.pop()?;
+        // The front min is the global min: upper levels and overflow hold
+        // strictly-later epochs only.
+        self.len -= 1;
+        if matches!(q.event, Event::Deliver { .. }) {
+            self.deliver_len -= 1;
         }
-        loop {
-            if let Some(FrontItem(q)) = self.front.pop() {
-                // The front min is the global min: upper levels and
-                // overflow hold strictly-later epochs only.
-                self.len -= 1;
-                if matches!(q.event, Event::Deliver { .. }) {
-                    self.deliver_len -= 1;
-                }
-                self.wheel_now = self.wheel_now.max(q.at.0);
-                return Some((q.at, q.event));
+        self.wheel_now = self.wheel_now.max(q.at.0);
+        Some((q.at, q.event))
+    }
+
+    /// Time of the next event [`pop`](Self::pop) returns. Settles the front
+    /// as `pop` does, cascading the earliest upper slot or migrating the
+    /// overflow if the front is empty, so a peek followed by a pop walks
+    /// that slot once.
+    pub fn peek_time(&mut self) -> Option<Instant> {
+        self.settle_front();
+        self.front.peek().map(|FrontItem(q)| q.at)
+    }
+
+    /// Refill an empty front from the upper levels or the overflow until it
+    /// holds the global minimum (a no-op on an empty queue).
+    fn settle_front(&mut self) {
+        while self.front.is_empty() && self.len > 0 {
+            match self.first_upper() {
+                Some((up, slot)) => self.cascade(up, slot),
+                None => self.migrate_overflow(),
             }
-            let Some((up, slot)) = self.first_upper() else {
-                self.migrate_overflow();
-                continue;
-            };
-            self.cascade(up, slot);
         }
     }
 
@@ -377,24 +378,6 @@ impl EventQueue {
             }
             n = next;
         }
-    }
-
-    pub fn peek_time(&self) -> Option<Instant> {
-        if let Some(FrontItem(q)) = self.front.peek() {
-            return Some(q.at);
-        }
-        if let Some((up, slot)) = self.first_upper() {
-            let mut n = self.heads[up * SLOTS + slot];
-            let mut min: Option<Instant> = None;
-            while n != NIL {
-                let node = &self.nodes[ix(n)];
-                let at = node.q.as_ref().expect("a listed node holds an event").at;
-                min = Some(min.map_or(at, |m| m.min(at)));
-                n = node.next;
-            }
-            return min;
-        }
-        self.overflow_min.map(|(at, _)| at)
     }
 
     pub fn len(&self) -> usize {

@@ -44,9 +44,10 @@ cargo build --profile ci --all-targets
 #   datagrams) byte for byte like the endpoint it was taken from, and no
 #   snapshot may exist while a timer, datagram, fragment or accept is
 #   pending;
-# - experiments metro_footprint: a metropolis domain build holds at most a
-#   quarter of the serial build's heap, and the running 16,384-flow serial
-#   world holds at most 12.3 MB at the end of its spawn window.
+# - experiments metro_footprint: the serial 16,384-flow metropolis build
+#   holds at most 32 heap bytes per flow, one domain of an 8-way split at
+#   most a quarter of the serial build's heap, and the running serial
+#   world at most 12.3 MB at the end of its spawn window.
 cargo test -q --profile ci --workspace
 # Benchmark digest gate: the quick-size workloads of the repository
 # benchmark must reproduce their checked digests. ysinm-bench is a
@@ -69,6 +70,10 @@ INTANG_SIMCHECK=1 cargo run --profile ci -p intang-experiments --bin bench_sweep
 # iterations (`--quick`, 40 ms per case, keeps it a compile-and-agree
 # check, not a measurement).
 cargo bench -q -p intang-bench --bench kernels -- --quick >/dev/null
+# Metropolis set-up probe smoke: times world generation, the serial build
+# and the eight domain builds of the 100k-flow world, and asserts that the
+# domains own as many flows between them as the world holds.
+cargo bench -q -p intang-bench --bench metro -- --quick >/dev/null
 # Allocation ceiling: steady-state heap allocations per trial must stay
 # under 100 (the shard arenas' reason to exist; the seed was ~307).
 INTANG_ALLOC_GATE=100 cargo run --release -p intang-experiments --features alloc-count --bin bench_sweep -- --quick >/dev/null

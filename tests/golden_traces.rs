@@ -148,6 +148,7 @@ fn golden_metropolis_collateral() {
     use intang_experiments::metropolis::{build_metropolis_domain, MetroParams, MetroWorld};
     use intang_netsim::Duration;
     use std::net::Ipv4Addr;
+    use std::sync::Arc;
 
     // (start_us, client_idx, site_idx, keyword)
     let placement: [(u64, u32, u32, bool); 16] = [
@@ -168,10 +169,11 @@ fn golden_metropolis_collateral() {
         (250_000, 1, 1, false), // unrelated late flow, untouched
         (300_000, 0, 0, false), // collateral: benign on the poisoned pair
     ];
-    let world = MetroWorld {
-        clients: vec![Ipv4Addr::new(10, 1, 0, 1), Ipv4Addr::new(10, 1, 0, 2)],
-        sites: vec![Ipv4Addr::new(203, 0, 113, 1), Ipv4Addr::new(203, 0, 113, 2)],
-        specs: placement
+    // One global censor, built as the serial (single-domain) world.
+    let world = MetroWorld::new(
+        Arc::new([Ipv4Addr::new(10, 1, 0, 1), Ipv4Addr::new(10, 1, 0, 2)]),
+        Arc::new([Ipv4Addr::new(203, 0, 113, 1), Ipv4Addr::new(203, 0, 113, 2)]),
+        placement
             .iter()
             .enumerate()
             .map(|(id, &(start, client, site, keyword))| FlowSpec {
@@ -183,9 +185,9 @@ fn golden_metropolis_collateral() {
                 request_delay: Duration::ZERO,
             })
             .collect(),
-        strategies: vec![StrategyKind::NoStrategy; 16],
-    };
-    // One global censor, built as the serial (single-domain) world.
+        Arc::new([StrategyKind::NoStrategy; 16]),
+        1,
+    );
     let mut p = MetroParams::new(16, 16);
     p.shards = 1;
     p.horizon = Instant(1_000_000);

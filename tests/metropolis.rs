@@ -14,15 +14,15 @@ use intang_gfw::EvictionPolicy;
 use intang_netsim::{Duration, Instant};
 use std::net::Ipv4Addr;
 
-/// A hand-placed world: every flow runs bare (`NoStrategy`), so the
+/// A hand-placed world whose censor and shim state run in `shards` lanes
+/// (1 = one global censor). Every flow runs bare (`NoStrategy`), so the
 /// censor's reactions are the only variable. Flows are
 /// `(start_us, client_idx, site_idx, keyword, request_delay_us)`.
-fn world(clients: u32, sites: u32, flows: &[(u64, u32, u32, bool, u64)]) -> MetroWorld {
-    assert!(flows.windows(2).all(|w| w[0].0 <= w[1].0), "flows must be start-sorted");
-    MetroWorld {
-        clients: (0..clients).map(|i| Ipv4Addr::new(10, 1, 0, (i + 1) as u8)).collect(),
-        sites: (0..sites).map(|i| Ipv4Addr::new(203, 0, 113, (i + 1) as u8)).collect(),
-        specs: flows
+fn world(shards: u32, clients: u32, sites: u32, flows: &[(u64, u32, u32, bool, u64)]) -> MetroWorld {
+    MetroWorld::new(
+        (0..clients).map(|i| Ipv4Addr::new(10, 1, 0, (i + 1) as u8)).collect(),
+        (0..sites).map(|i| Ipv4Addr::new(203, 0, 113, (i + 1) as u8)).collect(),
+        flows
             .iter()
             .enumerate()
             .map(|(id, &(start, client, site, keyword, delay))| FlowSpec {
@@ -34,23 +34,16 @@ fn world(clients: u32, sites: u32, flows: &[(u64, u32, u32, bool, u64)]) -> Metr
                 request_delay: Duration::from_micros(delay),
             })
             .collect(),
-        strategies: vec![StrategyKind::NoStrategy; flows.len()],
-    }
+        vec![StrategyKind::NoStrategy; flows.len()].into(),
+        shards,
+    )
 }
 
-/// Run the world to `horizon` with the censor and shim state in `shards`
-/// lanes (1 = one global censor), as `domains` event domains on `workers`
-/// threads.
-fn run_world(
-    w: &MetroWorld,
-    shards: u32,
-    max_tcbs: usize,
-    horizon: Instant,
-    domains: u32,
-    workers: usize,
-) -> (Vec<FlowOutcome>, MetroDomainsRun) {
+/// Run the world to `horizon` at its shard count, as `domains` event
+/// domains on `workers` threads.
+fn run_world(w: &MetroWorld, max_tcbs: usize, horizon: Instant, domains: u32, workers: usize) -> (Vec<FlowOutcome>, MetroDomainsRun) {
     let mut p = MetroParams::new(w.specs.len() as u32, 42);
-    p.shards = shards;
+    p.shards = w.shards();
     p.max_tcbs = max_tcbs;
     p.eviction = EvictionPolicy::Oldest;
     p.horizon = horizon;
@@ -68,12 +61,13 @@ fn detection_on_one_flow_resets_a_later_flow_on_the_same_pair() {
     let w = world(
         1,
         1,
+        1,
         &[
             (0, 0, 0, true, 0),        // keyword: detected, reset
             (100_000, 0, 0, false, 0), // benign, same (src, dst): collateral reset
         ],
     );
-    let (outcomes, run) = run_world(&w, 1, 65_536, Instant(5_000_000), 1, 1);
+    let (outcomes, run) = run_world(&w, 65_536, Instant(5_000_000), 1, 1);
     assert_eq!(outcomes[0], FlowOutcome::Reset, "keyword flow is detected and reset");
     assert_eq!(outcomes[1], FlowOutcome::Reset, "benign flow on the blacklisted pair is collateral");
     assert!(
@@ -88,6 +82,7 @@ fn benign_flow_from_a_different_client_is_untouched() {
     // different client address. The blacklist keys on the (src, dst)
     // pair, so this flow must complete normally.
     let w = world(
+        1,
         2,
         1,
         &[
@@ -96,7 +91,7 @@ fn benign_flow_from_a_different_client_is_untouched() {
             (100_000, 1, 0, false, 0), // different client, same site: untouched
         ],
     );
-    let (outcomes, _) = run_world(&w, 1, 65_536, Instant(5_000_000), 1, 1);
+    let (outcomes, _) = run_world(&w, 65_536, Instant(5_000_000), 1, 1);
     assert_eq!(outcomes[1], FlowOutcome::Reset, "same-pair flow is collateral");
     assert_eq!(outcomes[2], FlowOutcome::Success, "different-client flow sails through");
 }
@@ -109,13 +104,14 @@ fn blacklist_expiry_at_ninety_seconds_restores_the_pair() {
     let w = world(
         1,
         1,
+        1,
         &[
             (0, 0, 0, true, 0),           // detected at ~10 ms
             (50_000_000, 0, 0, false, 0), // 50 s < 90 s: still blacklisted
             (95_000_000, 0, 0, false, 0), // 95 s > 90.01 s: expired, succeeds
         ],
     );
-    let (outcomes, _) = run_world(&w, 1, 65_536, Instant(120_000_000), 1, 1);
+    let (outcomes, _) = run_world(&w, 65_536, Instant(120_000_000), 1, 1);
     assert_eq!(outcomes[1], FlowOutcome::Reset, "retry inside the 90 s window is collateral");
     assert_eq!(outcomes[2], FlowOutcome::Success, "retry after expiry completes normally");
 }
@@ -133,16 +129,16 @@ fn tcb_eviction_under_capacity_pressure_degrades_detection_exactly_as_configured
         (20_000, 1, 1, false, 100_000), // filler: holds a TCB slot
         (22_000, 2, 1, false, 100_000), // filler: its SYN forces the eviction
     ];
-    let w = world(3, 2, flows);
+    let w = world(1, 3, 2, flows);
 
-    let (outcomes, run) = run_world(&w, 1, 2, Instant(5_000_000), 1, 1);
+    let (outcomes, run) = run_world(&w, 2, Instant(5_000_000), 1, 1);
     assert_eq!(run.run.tcbs_evicted, 1, "exactly one eviction: flow 0's TCB, the oldest");
     assert_eq!(outcomes[0], FlowOutcome::Success, "evicted TCB means the keyword goes unscanned");
     assert_eq!(outcomes[1], FlowOutcome::Success);
     assert_eq!(outcomes[2], FlowOutcome::Success);
 
     // Control: ample capacity, identical world — detection works again.
-    let (outcomes, run) = run_world(&w, 1, 65_536, Instant(5_000_000), 1, 1);
+    let (outcomes, run) = run_world(&w, 65_536, Instant(5_000_000), 1, 1);
     assert_eq!(run.run.tcbs_evicted, 0, "no pressure, no evictions");
     assert_eq!(outcomes[0], FlowOutcome::Reset, "with its TCB intact the keyword flow is detected");
     assert_eq!(outcomes[1], FlowOutcome::Success);
@@ -156,6 +152,7 @@ fn interference_expectations_hold_unchanged_under_the_parallel_loop() {
     // intra-lane and the hand-computed expectations above carry over to
     // the sharded-state parallel loop verbatim, at every domain count.
     let w = world(
+        4,
         2,
         1,
         &[
@@ -174,7 +171,7 @@ fn interference_expectations_hold_unchanged_under_the_parallel_loop() {
         FlowOutcome::Success,
     ];
     for (domains, workers) in [(1u32, 1usize), (2, 2), (4, 4)] {
-        let (outcomes, run) = run_world(&w, 4, 65_536, Instant(120_000_000), domains, workers);
+        let (outcomes, run) = run_world(&w, 65_536, Instant(120_000_000), domains, workers);
         assert_eq!(
             outcomes, expected,
             "interference outcomes differ at {domains} domains, {workers} workers"
@@ -201,10 +198,10 @@ fn per_lane_eviction_quota_degrades_detection_identically_at_every_domain_count(
         (20_000, 0, 0, false, 100_000), // filler: holds a lane TCB slot
         (22_000, 0, 0, false, 100_000), // filler: its SYN forces the lane eviction
     ];
-    let w = world(1, 1, flows);
+    let w = world(4, 1, 1, flows);
 
     for (domains, workers) in [(1u32, 1usize), (2, 2), (4, 4)] {
-        let (outcomes, run) = run_world(&w, 4, 8, Instant(5_000_000), domains, workers);
+        let (outcomes, run) = run_world(&w, 8, Instant(5_000_000), domains, workers);
         let tag = format!("{domains} domains, {workers} workers");
         assert_eq!(run.run.tcbs_evicted, 1, "exactly one lane eviction at {tag}");
         assert_eq!(
@@ -216,7 +213,7 @@ fn per_lane_eviction_quota_degrades_detection_identically_at_every_domain_count(
         assert_eq!(outcomes[2], FlowOutcome::Success, "{tag}");
 
         // Control: ample per-lane quota, identical world — detection works.
-        let (outcomes, run) = run_world(&w, 4, 65_536, Instant(5_000_000), domains, workers);
+        let (outcomes, run) = run_world(&w, 65_536, Instant(5_000_000), domains, workers);
         assert_eq!(run.run.tcbs_evicted, 0, "no pressure, no evictions at {tag}");
         assert_eq!(
             outcomes[0],

@@ -882,7 +882,7 @@ fn incremental_ttl_writedown_matches_full_header_resum() {
 // a pure function of the key, and a relabelling (permutation) of the flow
 // keys may not change the outcome multiset of a global-censor world.
 
-use intang_apps::metro::{shard_of, FlowOutcome};
+use intang_apps::metro::{shard_of, FlowOutcome, METRO_BASE_PORT, METRO_PORT};
 use intang_experiments::metropolis::{build_metropolis_domain, generate_world, MetroParams, MetroWorld};
 use intang_packet::FourTuple;
 
@@ -910,6 +910,34 @@ fn shard_assignment_is_pure_and_covers_every_shard() {
     assert!(seen.iter().all(|&s| s), "512 random keys must cover all 8 shards: {seen:?}");
 }
 
+/// A world's keys are what counting afresh gives: source ports counted up
+/// per client in spec order from `METRO_BASE_PORT`, and `shard_of` each
+/// flow's address pair at the world's shard count.
+fn assert_keys_are_derived(w: &MetroWorld) {
+    assert_eq!(w.keys().len(), w.specs.len(), "one key per flow");
+    let mut next_port = vec![METRO_BASE_PORT; w.clients().len()];
+    for (id, (spec, key)) in w.specs.iter().zip(w.keys()).enumerate() {
+        let port = next_port[spec.client as usize];
+        next_port[spec.client as usize] += 1;
+        let tuple = FourTuple::new(w.clients()[spec.client as usize], port, w.sites()[spec.site as usize], METRO_PORT);
+        assert_eq!(key.port, port, "flow {id}'s port");
+        assert_eq!(u32::from(key.shard), shard_of(&tuple, w.shards()), "flow {id}'s shard");
+    }
+}
+
+#[test]
+fn world_keys_count_ports_per_client_and_shard_by_address_pair() {
+    let p = MetroParams::new(2_000, 31);
+    let world = generate_world(&p);
+    assert_eq!(world.shards(), 8);
+    assert_keys_are_derived(&world);
+    let mut seen = [false; 8];
+    for key in world.keys() {
+        seen[usize::from(key.shard)] = true;
+    }
+    assert!(seen.iter().all(|&s| s), "2,000 flows over 125 clients touch every shard: {seen:?}");
+}
+
 /// Run a world serially and return `(per-flow (outcome, latency) grid,
 /// order violations)`.
 fn run_metro_world(p: &MetroParams, w: &MetroWorld) -> (Vec<(FlowOutcome, u64)>, u64) {
@@ -928,6 +956,7 @@ fn metropolis_outcomes_survive_key_permutations() {
         let mut p = MetroParams::new(80, 9_000 + case);
         p.shards = 1;
         let world = generate_world(&p);
+        assert_keys_are_derived(&world);
         let (reference, viol) = run_metro_world(&p, &world);
         assert_eq!(viol, 0);
         assert!(reference.iter().all(|(o, _)| *o != FlowOutcome::Pending));
@@ -937,18 +966,21 @@ fn metropolis_outcomes_survive_key_permutations() {
         // preserving which flows share a (client, site) pair — so the
         // interference structure, and with it the outcome multiset, must
         // be unchanged even though every key now hashes elsewhere.
-        let mut permuted = MetroWorld {
-            clients: world.clients.clone(),
-            sites: world.sites.clone(),
-            specs: world.specs.clone(),
-            strategies: world.strategies.clone(),
-        };
-        for i in (1..permuted.clients.len()).rev() {
-            permuted.clients.swap(i, g.below(i + 1));
+        let (mut clients, mut sites) = (world.clients().to_vec(), world.sites().to_vec());
+        for i in (1..clients.len()).rev() {
+            clients.swap(i, g.below(i + 1));
         }
-        for i in (1..permuted.sites.len()).rev() {
-            permuted.sites.swap(i, g.below(i + 1));
+        for i in (1..sites.len()).rev() {
+            sites.swap(i, g.below(i + 1));
         }
+        let permuted = MetroWorld::new(
+            clients.into(),
+            sites.into(),
+            world.specs.clone(),
+            world.strategies().into(),
+            world.shards(),
+        );
+        assert_keys_are_derived(&permuted);
         let (grid, viol) = run_metro_world(&p, &permuted);
         assert_eq!(viol, 0, "case {case}: order violations under permuted keys");
         let mut want: Vec<_> = reference.iter().map(|(o, _)| *o).collect();
