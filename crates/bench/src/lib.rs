@@ -10,7 +10,12 @@
 //!   feeding, reset injection;
 //! * `stack` — TCP endpoint handshake and bulk-transfer cost;
 //! * `trials` — full end-to-end trial throughput per strategy (the unit of
-//!   work behind every Table 1/4 cell).
+//!   work behind every Table 1/4 cell);
+//! * `queue` — event-queue push/pop against a `BinaryHeap` reference, at
+//!   trial depth and at metropolis depth;
+//! * `kernels` — the Internet checksum loop at four buffer sizes, RFC 1624
+//!   incremental update against a full header re-sum, and the arena
+//!   lease/return cycle against fresh allocation;
 //! * `metro` — metropolis set-up at 100k flows: world generation, the
 //!   serial build and the eight domain builds, timed apart.
 //!

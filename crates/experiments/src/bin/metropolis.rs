@@ -245,9 +245,10 @@ fn main() {
     let domains = domains.unwrap_or(shards).clamp(1, shards.max(1));
     let max_workers = max_workers.unwrap_or_else(cores).clamp(1, domains as usize);
     if smoke {
-        let rss_ceiling_mb = std::env::var("INTANG_METRO_RSS_MB")
-            .ok()
-            .map(|mb| numeric("INTANG_METRO_RSS_MB", Some(mb)));
+        // A value that is not UTF-8 keeps a replacement character, so it
+        // fails to parse and exits 2 like any other non-number.
+        let rss_ceiling_mb =
+            std::env::var_os("INTANG_METRO_RSS_MB").map(|mb| numeric("INTANG_METRO_RSS_MB", Some(mb.to_string_lossy().into_owned())));
         smoke_gate(&knobs, domains, max_workers.max(2).min(domains as usize), rss_ceiling_mb);
     }
 

@@ -24,6 +24,7 @@ use intang_faults::FaultPlan;
 use intang_netsim::{Instant, Simulation};
 use intang_simcheck::Violation;
 use std::cell::RefCell;
+use std::ffi::OsString;
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::rc::Rc;
@@ -52,9 +53,13 @@ const HORIZON_GRAIN: u64 = 100_000;
 
 /// Artifact directory: `INTANG_SIMCHECK_DIR` or `.simcheck`.
 pub fn artifact_dir() -> PathBuf {
-    std::env::var("INTANG_SIMCHECK_DIR")
-        .ok()
-        .filter(|d| !d.is_empty())
+    dir_or_default(std::env::var_os("INTANG_SIMCHECK_DIR"))
+}
+
+/// `dir` when it is set and not empty, else `.simcheck`. A path may hold
+/// any bytes, so a value that is not UTF-8 is kept as given.
+fn dir_or_default(dir: Option<OsString>) -> PathBuf {
+    dir.filter(|d| !d.is_empty())
         .map_or_else(|| PathBuf::from(".simcheck"), PathBuf::from)
 }
 
@@ -288,6 +293,16 @@ mod tests {
         // Avoid set_var races: only assert the fallback shape.
         let d = artifact_dir();
         assert!(d == Path::new(".simcheck") || !d.as_os_str().is_empty());
+    }
+
+    #[test]
+    fn artifact_dir_keeps_a_path_that_is_not_utf8() {
+        use std::ffi::OsStr;
+        use std::os::unix::ffi::OsStrExt;
+        let raw = OsStr::from_bytes(b"repro-\xff");
+        assert_eq!(dir_or_default(Some(raw.to_os_string())), Path::new(raw));
+        assert_eq!(dir_or_default(Some(OsString::new())), Path::new(".simcheck"));
+        assert_eq!(dir_or_default(None), Path::new(".simcheck"));
     }
 
     #[test]

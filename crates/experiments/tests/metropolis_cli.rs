@@ -1,11 +1,13 @@
 //! The `metropolis` binary rejects bad input with exit code 2 and a named
 //! error, before it runs a single flow, instead of panicking or wrapping.
 
+use std::ffi::OsStr;
+use std::os::unix::ffi::OsStrExt;
 use std::process::Command;
 
 /// Run the binary with `args` and extra environment; returns the exit
 /// code and stderr.
-fn metropolis(args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String) {
+fn metropolis(args: &[&str], env: &[(&str, &OsStr)]) -> (Option<i32>, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_metropolis"))
         .args(args)
         .envs(env.iter().copied())
@@ -15,7 +17,7 @@ fn metropolis(args: &[&str], env: &[(&str, &str)]) -> (Option<i32>, String) {
     (out.status.code(), String::from_utf8_lossy(&out.stderr).into_owned())
 }
 
-fn assert_rejected(args: &[&str], env: &[(&str, &str)], names: &str) {
+fn assert_rejected(args: &[&str], env: &[(&str, &OsStr)], names: &str) {
     let (code, stderr) = metropolis(args, env);
     assert_eq!(code, Some(2), "{args:?} {env:?} must exit 2; stderr:\n{stderr}");
     assert!(!stderr.contains("panicked"), "{args:?} {env:?} panicked:\n{stderr}");
@@ -24,7 +26,10 @@ fn assert_rejected(args: &[&str], env: &[(&str, &str)], names: &str) {
 
 #[test]
 fn non_numeric_rss_ceiling_exits_2() {
-    for bad in ["lots", "-5", "12.5", ""] {
+    // The last value is not UTF-8: read as unset, it would run the smoke
+    // with no ceiling at all.
+    let bad_values = ["lots", "-5", "12.5", ""].map(OsStr::new);
+    for bad in bad_values.into_iter().chain([OsStr::from_bytes(b"\xff")]) {
         assert_rejected(&["--smoke"], &[("INTANG_METRO_RSS_MB", bad)], "INTANG_METRO_RSS_MB");
     }
 }

@@ -129,15 +129,6 @@ pub struct Automaton {
     /// Flattened per-node output lists.
     outputs: Vec<u32>,
     kinds: Vec<DetectionKind>,
-    /// 256-bit membership map of *anchor* bytes — bytes whose root
-    /// transition leaves the root. While the matcher sits at the root,
-    /// non-anchor bytes cannot advance any pattern and are skipped in
-    /// 16-byte chunks without touching the transition table.
-    anchors: [u64; 4],
-    /// Skip-loop safety latch: false when the root itself carries outputs
-    /// (an empty pattern matches at every position), in which case every
-    /// byte must run through [`Automaton::outputs_at`].
-    skippable: bool,
 }
 
 impl Automaton {
@@ -226,19 +217,11 @@ impl Automaton {
             out_ranges.push((outputs.len() as u32, n.outputs.len() as u32));
             outputs.extend_from_slice(&n.outputs);
         }
-        let mut anchors = [0u64; 4];
-        for (b, &t) in trans[..256].iter().enumerate() {
-            if t != 0 {
-                anchors[b >> 6] |= 1u64 << (b & 63);
-            }
-        }
         Automaton {
             trans,
             out_ranges,
             outputs,
             kinds,
-            anchors,
-            skippable: nodes[0].outputs.is_empty(),
         }
     }
 
@@ -252,33 +235,6 @@ impl Automaton {
     fn outputs_at(&self, state: u32) -> &[u32] {
         let (start, len) = self.out_ranges[state as usize];
         &self.outputs[start as usize..start as usize + len as usize]
-    }
-
-    #[inline]
-    fn is_anchor(&self, b: u8) -> bool {
-        self.anchors[usize::from(b >> 6)] & (1u64 << (b & 63)) != 0
-    }
-
-    /// Length of the prefix of `data` containing no anchor byte — bytes a
-    /// root-state matcher consumes without leaving the root. Scans 16-byte
-    /// chunks with a branch-free membership test and pinpoints the first
-    /// anchor scalar-wise only in the chunk that contains one.
-    fn anchor_free_prefix(&self, data: &[u8]) -> usize {
-        let mut i = 0;
-        while i + 16 <= data.len() {
-            let mut any = false;
-            for &b in &data[i..i + 16] {
-                any |= self.is_anchor(b);
-            }
-            if any {
-                break;
-            }
-            i += 16;
-        }
-        while i < data.len() && !self.is_anchor(data[i]) {
-            i += 1;
-        }
-        i
     }
 
     /// Scan a whole buffer statelessly; returns the kinds matched.
@@ -336,42 +292,13 @@ impl StreamMatcher {
         StreamMatcher { state: 0 }
     }
 
-    /// Feed in-order bytes; returns newly matched detection kinds.
+    /// Feed in-order bytes; returns newly matched detection kinds, each
+    /// once per call, in the order they first match.
     ///
-    /// Hot path: whenever the matcher sits at the root, runs of non-anchor
-    /// bytes (bytes that cannot start any pattern) are skipped in 16-byte
-    /// chunks before re-entering the per-byte automaton walk. Result- and
-    /// state-identical to [`StreamMatcher::feed_reference`], which the
-    /// property suite enforces over arbitrary feed splits.
+    /// One table step per byte, then the outputs of the state it reaches.
+    /// The state carries over to the next call, so a keyword split across
+    /// segments matches on the segment that completes it.
     pub fn feed(&mut self, aut: &Automaton, data: &[u8]) -> Vec<DetectionKind> {
-        let mut hits = Vec::new();
-        let n = data.len();
-        let mut i = 0;
-        while i < n {
-            if self.state == 0 && aut.skippable {
-                i += aut.anchor_free_prefix(&data[i..]);
-            }
-            while i < n {
-                self.state = aut.step(self.state, data[i]);
-                i += 1;
-                if self.state == 0 && aut.skippable {
-                    // Back at an output-free root: return to the skip loop.
-                    break;
-                }
-                for &o in aut.outputs_at(self.state) {
-                    let kind = aut.kinds[o as usize];
-                    if !hits.contains(&kind) {
-                        hits.push(kind);
-                    }
-                }
-            }
-        }
-        hits
-    }
-
-    /// The original per-byte walk, kept verbatim as the reference
-    /// implementation [`StreamMatcher::feed`] must stay byte-equal to.
-    pub fn feed_reference(&mut self, aut: &Automaton, data: &[u8]) -> Vec<DetectionKind> {
         let mut hits = Vec::new();
         for &b in data {
             self.state = aut.step(self.state, b);
@@ -487,32 +414,9 @@ mod tests {
     }
 
     #[test]
-    fn skip_loop_matches_reference_walk() {
-        // Long clean run (exercises whole-chunk skips), anchors at chunk
-        // boundaries, and a keyword straddling a skip region.
-        let a = aut();
-        let mut text = Vec::new();
-        text.extend_from_slice(&[b'x'; 40]);
-        text.extend_from_slice(b"ultra");
-        text.extend_from_slice(&[b'-'; 21]);
-        text.extend_from_slice(b"dropbox.com");
-        text.extend_from_slice(&[b'z'; 17]);
-        text.extend_from_slice(b"ultrasurf");
-        for split in 0..text.len() {
-            let (mut fast, mut slow) = (StreamMatcher::new(), StreamMatcher::new());
-            let mut h_fast = fast.feed(&a, &text[..split]);
-            h_fast.extend(fast.feed(&a, &text[split..]));
-            let mut h_slow = slow.feed_reference(&a, &text[..split]);
-            h_slow.extend(slow.feed_reference(&a, &text[split..]));
-            assert_eq!(h_fast, h_slow, "split {split}");
-            assert_eq!(fast.state, slow.state, "state after split {split}");
-        }
-    }
-
-    #[test]
-    fn empty_pattern_disables_skipping_but_stays_correct() {
-        // An empty pattern puts outputs on the root: every byte "matches",
-        // so the skip loop must stand down rather than jump over hits.
+    fn empty_pattern_root_outputs_fire_on_every_byte() {
+        // An empty pattern puts outputs on the root: every byte that leaves
+        // the matcher at the root reports it.
         let rules = RuleSet {
             rules: vec![
                 Rule {
@@ -526,12 +430,9 @@ mod tests {
             ],
         };
         let a = Automaton::build(&rules);
-        assert!(!a.skippable);
+        let mut m = StreamMatcher::new();
         let data = b"xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx tor";
-        let mut fast = StreamMatcher::new();
-        let mut slow = StreamMatcher::new();
-        assert_eq!(fast.feed(&a, data), slow.feed_reference(&a, data));
-        assert_eq!(fast.state, slow.state);
-        assert_eq!(fast.feed(&a, b"zz"), vec![DetectionKind::Domain], "root outputs fire on every byte");
+        assert_eq!(m.feed(&a, data), vec![DetectionKind::Domain, DetectionKind::TorHandshake]);
+        assert_eq!(m.feed(&a, b"zz"), vec![DetectionKind::Domain], "root outputs fire on every byte");
     }
 }

@@ -1,23 +1,12 @@
 //! The Internet checksum (RFC 1071) and the TCP/UDP pseudo-header sum.
 //!
-//! Two implementations share the module:
-//!
-//! * [`sum_words_scalar`] — the original byte-pair loop, kept as the
-//!   reference the property suite (`tests/properties.rs`) compares against.
-//! * [`sum_words`] — the hot-path kernel: the body of the buffer is read as
-//!   64-bit words (32 bytes, four independent end-around-carry chains per
-//!   step, so the adds pipeline instead of serializing on one carry chain)
-//!   and only the sub-8-byte tail falls back to the scalar loop. The wide
-//!   body is summed in *little-endian* word order and swapped once at the
-//!   end: byte-swapping is multiplication by 256 modulo 65535, so it
-//!   commutes with ones-complement addition and one final `swap_bytes`
-//!   re-expresses the whole body sum in big-endian word order. Stable
-//!   `std`-only code — the word loads compile to unaligned vector-width
-//!   moves, no `std::arch` required.
-//!
-//! [`incremental_update`] implements RFC 1624 checksum adjustment (used by
-//! the per-hop TTL writedown, which historically re-summed the whole IPv4
-//! header).
+//! [`sum_words`] adds a buffer's big-endian 16-bit words into a `u32`
+//! accumulator, two bytes per step, and every consumer folds the result
+//! once. The accumulator cannot overflow on anything an IPv4 datagram
+//! carries: 32,768 words of at most `0xffff` plus a pseudo-header stay
+//! below 2^32. [`incremental_update`] implements RFC 1624 checksum
+//! adjustment, which the per-hop TTL writedown uses instead of re-summing
+//! the IPv4 header.
 
 use std::net::Ipv4Addr;
 
@@ -29,18 +18,10 @@ fn fold(mut acc: u32) -> u16 {
     acc as u16
 }
 
-/// Fold a 64-bit accumulator into a 16-bit ones-complement sum.
-fn fold64(mut acc: u64) -> u16 {
-    while acc >> 16 != 0 {
-        acc = (acc & 0xffff) + (acc >> 16);
-    }
-    acc as u16
-}
-
-/// Reference implementation: sum `data` as big-endian 16-bit words into
-/// `acc`, two bytes at a time (no final complement). Byte-for-byte the
-/// pre-kernel behavior; the property suite pins [`sum_words`] against it.
-pub fn sum_words_scalar(mut acc: u32, data: &[u8]) -> u32 {
+/// Sum `data` as big-endian 16-bit words into `acc` (no final complement).
+/// An odd trailing byte is the high byte of a zero-padded word, so a
+/// buffer summed in two parts cut at an even offset sums as it does whole.
+pub fn sum_words(mut acc: u32, data: &[u8]) -> u32 {
     let mut chunks = data.chunks_exact(2);
     for w in &mut chunks {
         acc += u32::from(u16::from_be_bytes([w[0], w[1]]));
@@ -49,48 +30,6 @@ pub fn sum_words_scalar(mut acc: u32, data: &[u8]) -> u32 {
         acc += u32::from(u16::from_be_bytes([*last, 0]));
     }
     acc
-}
-
-/// Sum `data` as big-endian 16-bit words into `acc` (no final complement).
-///
-/// Equivalent to [`sum_words_scalar`] modulo 65535 — i.e. identical once
-/// folded, which is the only way accumulators are consumed.
-pub fn sum_words(acc: u32, data: &[u8]) -> u32 {
-    if data.len() < 32 {
-        return sum_words_scalar(acc, data);
-    }
-    // Body: 32-byte steps, four independent end-around-carry chains.
-    let mut lanes = [0u64; 4];
-    let mut chunks = data.chunks_exact(32);
-    for chunk in &mut chunks {
-        for (i, lane) in lanes.iter_mut().enumerate() {
-            let w = u64::from_le_bytes(chunk[i * 8..i * 8 + 8].try_into().expect("8-byte slice"));
-            let (s, c) = lane.overflowing_add(w);
-            // End-around carry; `s` tops out at u64::MAX - 1 when `c` is
-            // set, so this add cannot overflow again.
-            *lane = s.wrapping_add(u64::from(c));
-        }
-    }
-    let mut rest = chunks.remainder();
-    // Mid tail: remaining whole 8-byte words onto lane 0.
-    let mut words = rest.chunks_exact(8);
-    for w in &mut words {
-        let w = u64::from_le_bytes(w.try_into().expect("8-byte slice"));
-        let (s, c) = lanes[0].overflowing_add(w);
-        lanes[0] = s.wrapping_add(u64::from(c));
-    }
-    rest = words.remainder();
-    // Fold the little-endian body down to 16 bits, then one swap moves it
-    // into big-endian word order (swap16(x) == 256·x mod 65535 distributes
-    // over ones-complement addition).
-    let mut body = 0u64;
-    for lane in lanes {
-        body += u64::from(fold64(lane));
-    }
-    let body_be = fold64(body).swap_bytes();
-    // Final sub-8-byte tail (handles the odd trailing byte) runs in
-    // big-endian order directly.
-    sum_words_scalar(acc + u32::from(body_be), rest)
 }
 
 /// The Internet checksum of a buffer.
@@ -156,27 +95,6 @@ mod tests {
         let even = [0xab, 0xcd, 0x12, 0x00];
         let odd = [0xab, 0xcd, 0x12];
         assert_eq!(checksum(&even), checksum(&odd));
-    }
-
-    #[test]
-    fn kernel_matches_scalar_across_lengths_and_fills() {
-        // Deterministic pseudo-random fill; every length through several
-        // 32-byte boundaries, plus all-0x00/0xff extremes (the fold
-        // representative corners).
-        let mut state = 0x9e37_79b9u32;
-        let data: Vec<u8> = (0..300)
-            .map(|_| {
-                state = state.wrapping_mul(747796405).wrapping_add(2891336453);
-                (state >> 24) as u8
-            })
-            .collect();
-        for len in 0..data.len() {
-            let a = fold(sum_words(0, &data[..len]));
-            let b = fold(sum_words_scalar(0, &data[..len]));
-            assert_eq!(a, b, "len {len}");
-            let ones = vec![0xffu8; len];
-            assert_eq!(fold(sum_words(7, &ones)), fold(sum_words_scalar(7, &ones)), "ones len {len}");
-        }
     }
 
     #[test]

@@ -30,10 +30,11 @@ cargo build --profile ci --all-targets
 #   producing a deterministic repro for a known-bad trial;
 # - properties: zero-copy substrate invariants. The timing-wheel event
 #   queue must pop in exactly the reference (time, insertion-seq) order,
-#   COW wire buffers must never alias writes across clones, the wide-word
-#   checksum and DPI skip-loop kernels must agree with their scalar
-#   references at every length/alignment/split, and arena recycling must
-#   be observationally invisible;
+#   COW wire buffers must never alias writes across clones, checksum sums
+#   must chain across every even split, the DPI automaton must report what
+#   a naive substring scan finds (toy rules and the paper's rules) across
+#   arbitrary segment splits, and arena recycling must be observationally
+#   invisible;
 # - determinism: sweep outputs byte-identical at 1/2/8 workers, and
 #   metropolis outputs at 1/2/8 event domains on 1/2/8 workers.
 # Among the crates' own suites:
@@ -66,9 +67,10 @@ cargo run --profile ci -p intang-experiments --bin bench_sweep -- --quick >/dev/
 # enabled must report zero violations (bench_sweep exits non-zero and
 # drops a minimal-repro artifact into .simcheck/ otherwise).
 INTANG_SIMCHECK=1 cargo run --profile ci -p intang-experiments --bin bench_sweep -- --quick >/dev/null
-# Kernel microbench smoke: asserts kernel/reference agreement on real
-# iterations (`--quick`, 40 ms per case, keeps it a compile-and-agree
-# check, not a measurement).
+# Kernel microbench smoke: times the checksum loop, the RFC 1624 update
+# against a full header re-sum, and the arena cycle, after asserting that
+# the RFC 1624 update equals the re-summed header's checksum (`--quick`,
+# 40 ms per case, keeps it a compile-and-agree check, not a measurement).
 cargo bench -q -p intang-bench --bench kernels -- --quick >/dev/null
 # Metropolis set-up probe smoke: times world generation, the serial build
 # and the eight domain builds of the 100k-flow world, and asserts that the

@@ -352,7 +352,10 @@ fn streaming_matcher_equals_naive_search() {
 
 /// The dense-table automaton reports the same `DetectionKind` sequence as
 /// a naive substring scanner, for patterns split across arbitrary `feed()`
-/// boundaries (not just one cut).
+/// boundaries (not just one cut). It runs on two rule sets: four
+/// overlapping toy patterns over a small alphabet, and the paper's rules
+/// with their keyword, a domain and near-miss prefixes planted in clean
+/// bytes.
 #[test]
 fn dense_automaton_matches_naive_scanner_across_arbitrary_splits() {
     use intang_gfw::dpi::{DetectionKind, Rule};
@@ -378,42 +381,65 @@ fn dense_automaton_matches_naive_scanner_across_arbitrary_splits() {
     let mut g = Gen::new(8);
     for _ in 0..256 {
         let hay: Vec<u8> = (0..g.below(160)).map(|_| alphabet[g.below(alphabet.len())]).collect();
+        assert_feeds_match_naive_scan(&aut, &rules, &hay, &mut g, 8);
+    }
 
-        // Naive reference: at every end position, the kinds of the patterns
-        // ending there, in rule order (plain substring comparison, no
-        // automaton involved).
-        let kinds_at: Vec<Vec<DetectionKind>> = (0..hay.len())
-            .map(|i| {
-                patterns
-                    .iter()
-                    .filter(|(p, _)| i + 1 >= p.len() && hay[i + 1 - p.len()..=i] == p[..])
-                    .map(|(_, k)| *k)
-                    .collect()
-            })
-            .collect();
+    let rules = shared_paper_rules();
+    let aut = Automaton::build(&rules);
+    let plants: [&[u8]; 5] = [b"ultrasurf", b"facebook.com", b"ultrasur", b"facebook.co", b"tras"];
+    let mut g = Gen::new(0xd121);
+    for _ in 0..128 {
+        // Mostly clean bytes, with patterns and near-miss prefixes spliced
+        // in at random points.
+        let mut hay: Vec<u8> = Vec::new();
+        while hay.len() < 700 {
+            if g.below(5) == 0 {
+                hay.extend_from_slice(plants[g.below(plants.len())]);
+            } else {
+                hay.extend((0..g.range(1, 40)).map(|_| b'a' + (g.u8() % 26)));
+            }
+        }
+        assert_feeds_match_naive_scan(&aut, &rules, &hay, &mut g, 10);
+    }
+}
 
-        // Random segmentation into arbitrarily many feeds (empty allowed).
-        let mut bounds: Vec<usize> = (0..g.below(8)).map(|_| g.below(hay.len() + 1)).collect();
-        bounds.push(0);
-        bounds.push(hay.len());
-        bounds.sort_unstable();
+/// Feed `hay` to a fresh matcher in segments cut at fewer than `max_cuts`
+/// random points (empty segments allowed). Each call must return the kinds
+/// of the rules that end inside its segment, by plain substring comparison,
+/// deduplicated within the call in first-appearance order.
+fn assert_feeds_match_naive_scan(aut: &Automaton, rules: &RuleSet, hay: &[u8], g: &mut Gen, max_cuts: usize) {
+    use intang_gfw::dpi::DetectionKind;
+    // Naive reference: at every end position, the kinds of the patterns
+    // ending there, in rule order (no automaton involved).
+    let kinds_at: Vec<Vec<DetectionKind>> = (0..hay.len())
+        .map(|i| {
+            rules
+                .rules
+                .iter()
+                .filter(|r| i + 1 >= r.pattern.len() && hay[i + 1 - r.pattern.len()..=i] == r.pattern[..])
+                .map(|r| r.kind)
+                .collect()
+        })
+        .collect();
 
-        let mut m = StreamMatcher::new();
-        for w in bounds.windows(2) {
-            let (a, b) = (w[0], w[1]);
-            let got = m.feed(&aut, &hay[a..b]);
-            // Expected: kinds from positions [a, b), deduplicated within
-            // the feed call in first-appearance order.
-            let mut expected: Vec<DetectionKind> = Vec::new();
-            for ks in &kinds_at[a..b] {
-                for k in ks {
-                    if !expected.contains(k) {
-                        expected.push(*k);
-                    }
+    let mut bounds: Vec<usize> = (0..g.below(max_cuts)).map(|_| g.below(hay.len() + 1)).collect();
+    bounds.push(0);
+    bounds.push(hay.len());
+    bounds.sort_unstable();
+
+    let mut m = StreamMatcher::new();
+    for w in bounds.windows(2) {
+        let (a, b) = (w[0], w[1]);
+        let got = m.feed(aut, &hay[a..b]);
+        let mut expected: Vec<DetectionKind> = Vec::new();
+        for ks in &kinds_at[a..b] {
+            for k in ks {
+                if !expected.contains(k) {
+                    expected.push(*k);
                 }
             }
-            assert_eq!(got, expected, "hay={hay:?} segment {a}..{b}");
         }
+        assert_eq!(got, expected, "hay={hay:?} segment {a}..{b}");
     }
 }
 
@@ -722,9 +748,8 @@ fn held_tap_copies_survive_downstream_ttl_rewrites() {
     }
 }
 
-/// Fold a `sum_words` accumulator to its 16-bit ones-complement value —
-/// the only way accumulators are consumed, and hence the equivalence class
-/// the wide kernel must preserve.
+/// Fold a `sum_words` accumulator to its 16-bit ones-complement value,
+/// the only way accumulators are consumed.
 fn ones_fold(mut acc: u32) -> u16 {
     while acc >> 16 != 0 {
         acc = (acc & 0xffff) + (acc >> 16);
@@ -732,77 +757,23 @@ fn ones_fold(mut acc: u32) -> u16 {
     acc as u16
 }
 
-/// The wide-word checksum kernel agrees with the scalar reference at every
-/// length 0..512, at every alignment offset (the kernel uses unaligned
-/// loads — a misaligned slice must not change the sum), for random
-/// incoming accumulators, and under split accumulation (summing a buffer
-/// in two chunks at any even boundary equals summing it whole — the
-/// pseudo-header-then-segment pattern `transport_checksum` relies on).
+/// Checksum sums chain at 16-bit word granularity: at every length 0..512,
+/// with a random carry-in, summing a buffer to any even cut and then the
+/// rest equals summing it whole. `transport_checksum` relies on this when
+/// it adds the segment to the pseudo-header sum. (An odd cut would not
+/// chain: the first part's last byte is summed zero-padded.)
 #[test]
-fn wide_checksum_equals_scalar_at_every_length_alignment_and_split() {
-    use intang_packet::checksum::{sum_words, sum_words_scalar};
+fn checksum_sums_chain_at_every_even_split() {
+    use intang_packet::checksum::sum_words;
     let mut g = Gen::new(0x5c5c);
-    // One oversized backing buffer; slicing at `offset` exercises
-    // misaligned starting addresses without UB or copies.
-    let backing: Vec<u8> = (0..600).map(|_| g.u8()).collect();
+    let backing: Vec<u8> = (0..512).map(|_| g.u8()).collect();
     for len in 0..512usize {
-        for offset in 0..4usize {
-            let data = &backing[offset..offset + len];
-            let acc = u32::from(g.u16()); // arbitrary carry-in
-            assert_eq!(
-                ones_fold(sum_words(acc, data)),
-                ones_fold(sum_words_scalar(acc, data)),
-                "len {len} offset {offset} acc {acc:#x}"
-            );
-        }
-        // Split accumulation at an even cut: checksums chain across chunk
-        // boundaries only at 16-bit word granularity (an odd-length chunk
-        // zero-pads its last byte, which whole-buffer summation does not).
         let data = &backing[..len];
-        let cut = (g.below(len + 1)) & !1;
-        let whole = ones_fold(sum_words_scalar(0, data));
-        let split = ones_fold(sum_words(sum_words(0, &data[..cut]), &data[cut..]));
-        assert_eq!(split, whole, "len {len} cut {cut}");
-    }
-}
-
-/// The DPI clean-byte skip loop is an observational no-op: against the
-/// paper ruleset (whose root has no outputs, so skipping is armed),
-/// `StreamMatcher::feed` must report exactly what the node-by-node
-/// reference walk reports, for streams with planted patterns at random
-/// positions and arbitrary segmentation across feed calls.
-#[test]
-fn dpi_skip_loop_equals_reference_walk_across_arbitrary_splits() {
-    let aut = Automaton::build(&shared_paper_rules());
-    let plants: [&[u8]; 4] = [b"ultrasurf", b"facebook.com", b"tras", b"no-op filler"];
-    let mut g = Gen::new(0xd121);
-    for _ in 0..128 {
-        // Mostly clean bytes (the skip loop's fast path) with patterns —
-        // and near-miss prefixes — spliced in at random points.
-        let mut hay: Vec<u8> = Vec::new();
-        while hay.len() < 700 {
-            if g.below(5) == 0 {
-                hay.extend_from_slice(plants[g.below(plants.len())]);
-            } else {
-                hay.extend((0..g.range(1, 40)).map(|_| b'a' + (g.u8() % 26)));
-            }
-        }
-        let mut bounds: Vec<usize> = (0..g.below(10)).map(|_| g.below(hay.len() + 1)).collect();
-        bounds.push(0);
-        bounds.push(hay.len());
-        bounds.sort_unstable();
-
-        let mut fast = StreamMatcher::new();
-        let mut reference = StreamMatcher::new();
-        for w in bounds.windows(2) {
-            let seg = &hay[w[0]..w[1]];
-            assert_eq!(
-                fast.feed(&aut, seg),
-                reference.feed_reference(&aut, seg),
-                "segment {}..{}",
-                w[0],
-                w[1]
-            );
+        let acc = u32::from(g.u16());
+        let whole = ones_fold(sum_words(acc, data));
+        for cut in (0..=len).step_by(2) {
+            let split = ones_fold(sum_words(sum_words(acc, &data[..cut]), &data[cut..]));
+            assert_eq!(split, whole, "len {len} cut {cut} acc {acc:#x}");
         }
     }
 }
